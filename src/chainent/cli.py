@@ -127,11 +127,15 @@ def render_json(schema_tag: str, rows) -> str:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DomainError(
+            f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
 def _snap(eps: float) -> float:
@@ -205,6 +209,8 @@ def _sweep_rows_for_alpha(alpha, spec_tuples, l_max, tol, max_terms,
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     alphas = args.alphas
     for a in alphas:
         correlations.as_coupling(a)  # validate the whole grid up front
@@ -251,26 +257,19 @@ def _sweep_worker(item):
 # field subcommand
 
 def cmd_field(args) -> int:
-    spec0 = field.FieldRegionSpec(mass=args.mass, length=args.length,
-                                  separation=0.0)
-    dphi0 = field.d_phi(spec0, 0.0, tol=args.tol)
-    dpi0 = field.d_pi(spec0, 0.0, tol=args.tol)
     rows = []
     for r in args.r:
-        if r < 0:
-            raise DomainError(f"separations must be >= 0, got {r}")
-        dphi_r = field.d_phi(spec0, r, tol=args.tol)
-        dpi_r = field.d_pi(spec0, r, tol=args.tol)
-        eps = None
+        spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
+                                     separation=r)
         if r > args.length:
-            res = field.field_negativity(
-                field.FieldRegionSpec(mass=args.mass, length=args.length,
-                                      separation=r), tol=args.tol)
-            eps = _snap(res.epsilon)
+            res = field.field_negativity(spec)
+            cov, eps = res.cov, _snap(res.epsilon)
+        else:
+            cov, eps = field.field_covariance(spec), None
         rows.append({
             "mass": args.mass, "L": args.length, "r": r,
-            "D_phi0": dphi0, "D_pi0": dpi0,
-            "D_phi_r": dphi_r, "D_pi_r": dpi_r,
+            "D_phi0": cov.g_diag, "D_pi0": cov.h_diag,
+            "D_phi_r": cov.g_cross, "D_pi_r": cov.h_cross,
             "epsilon": eps,
         })
     if args.format == "csv":
@@ -469,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--r", type=parse_float_values, required=True,
                          help="center separations: comma list and/or "
                               "'a..b:count'")
-    p_field.add_argument("--tol", type=float, default=field.DEFAULT_QUAD_TOL,
-                         help="absolute quadrature tolerance")
     add_output_flags(p_field)
     p_field.set_defaults(func=cmd_field)
 

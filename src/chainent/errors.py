@@ -26,5 +26,5 @@ class InvalidCovarianceError(ChainentError, ArithmeticError):
 
 
 class QuadratureError(ChainentError, ArithmeticError):
-    """The adaptive quadrature or its tail estimate could not reach the
-    requested tolerance (CLI exit code 3)."""
+    """A field propagator left the floating-point range and has no finite
+    value to report (CLI exit code 3)."""

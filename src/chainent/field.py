@@ -19,28 +19,75 @@ variance).  Those two separations return signed infinity; the entanglement
 measure is evaluated only for non-overlapping windows r > L, where every
 quantity it consumes is finite and epsilon comes out 0 throughout.
 
-Numerical scheme (both propagators): the body [0, K] is integrated on the
-cancellation-free sin^2 form by composite Gauss-Legendre panels sized to the
-fastest oscillation; the tail [K, inf) uses the three-cosine split with
-cosine-integral asymptotics, expanding sqrt(k^2+m^2)^{+-1} about k to three
-terms.  K starts at max(100/L, 100/max(r-L, L)) (plus a K >> m guard) and is
-doubled until two successive evaluations agree within tolerance.
+Numerical scheme: Int dk e^{ikx} / sqrt(k^2+m^2) = 2 K0(m|x|) and
+sin^2(kL/2)/k^2 = (1/4) Int (L - |t|) e^{ikt} dt, so both propagators are the
+window's triangle kernel integrated against a Bessel function:
+
+    D_phi(r) = (1/(2 pi L)) Int_{-L}^{L} (L - |t|) K0(m|r - t|) dt.
+
+* Separated windows, r > L: the kernel is smooth on the triangle, and
+  (m^2 - d^2/dx^2) K0(mx) = -m K1(mx)/x gives D_pi the same form with the
+  kernel -m K1(m(r-t))/(r-t).  Both integrands keep one sign, so nothing
+  cancels.  They are summed by 16-point Gauss-Legendre panels in s = r - t,
+  one vectorized k0 or k1 call per value.  Panel widths double away from
+  s = r - L and start at min(r - L, 1/m): no panel is wider than its
+  distance to the singularity at s = 0, and the first ones resolve the
+  decay length 1/m.  Relative accuracy is about 1e-15, also for nearly
+  touching windows, tiny masses and large separations.
+* Overlapping windows, r <= L: second differences of
+  Phi(x) = 2 Int_0^x (x - t) K0(mt) dt, the triangle's second derivative
+  being three delta functions:
+
+      D_phi(r) = [Phi(r+L) + Phi(L-r) - 2 Phi(r)] / (4 pi L),
+      D_pi(r)  = [2 K0(mr) - K0(m(r+L)) - K0(m(L-r))] / (2 pi L) + m^2 D_phi(r).
+
+  While m(r+L) <= 2, Phi(x) = x^2 f(mx) with f(u) = 2 Int_0^u K0 / u
+  - 2 (1 - u K1(u))/u^2 from iti0k0 and the ascending series of
+  1 - u K1(u) (DLMF 10.31.1; the direct difference loses every digit as
+  u -> 0).  Beyond, Phi(x) = pi x/m - 2/m^2 + 2 Ki2(mx)/m^2: the linear
+  parts add up to 2 pi (L - r)/m exactly and only the Bickley function Ki2
+  (DLMF 10.43) is differenced, so a large m L costs no digits.  Accuracy
+  is a few 1e-14 relative to the largest term, set by iti0k0 (D_pi changes
+  sign between r = 0 and r = L).
+
+The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
+`tol` for callers written against the earlier quadrature, and ignore it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre, sici
+from scipy.special import iti0k0, k0, k1, roots_legendre
 
+from .blocks import lag_count_array
 from .entanglement import (CollectiveCovariance, EntanglementResult,
                            negativity)
 from .errors import DomainError, QuadratureError
 
-DEFAULT_QUAD_TOL = 1e-10
-
 _GL_NODES, _GL_WEIGHTS = roots_legendre(16)
-_MAX_DOUBLINGS = 16
+
+#: trapezoid nodes t = 0, 0.15, ..., 4.5 for the Bickley function Ki2
+_KI2_COSH = np.cosh(0.15 * np.arange(31))
+_KI2_WEIGHTS = 0.15 / _KI2_COSH**2
+_KI2_WEIGHTS[0] *= 0.5
+
+
+def _small_u_coefficients(terms: int = 14):
+    """1/(k!(k+1)!) and (psi(k+1) + psi(k+2))/(k!(k+1)!) for k < terms."""
+    inv, psi = [], []
+    scale, harmonic = 1.0, 0.0      # 1/(k!(k+1)!), H_k
+    for k in range(terms):
+        if k:
+            scale /= k * (k + 1)
+            harmonic += 1.0 / k
+        inv.append(scale)
+        psi.append((2.0 * harmonic + 1.0 / (k + 1) - 2.0 * np.euler_gamma)
+                   * scale)
+    return inv[::-1], psi[::-1]
+
+
+_SMALL_U_INV, _SMALL_U_PSI = _small_u_coefficients()
 
 
 @dataclass(frozen=True)
@@ -52,6 +99,10 @@ class FieldRegionSpec:
     separation: float
 
     def __post_init__(self):
+        for name, value in (("mass", self.mass), ("window length", self.length),
+                            ("separation", self.separation)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.mass > 0.0:
             raise DomainError(
                 f"mass must be positive (the massless window-averaged field "
@@ -64,141 +115,138 @@ class FieldRegionSpec:
             raise DomainError(f"separation must be >= 0, got {self.separation}")
 
 
-def _panel_quad(f, lo: float, hi: float, panels: int) -> float:
-    """Composite 16-point Gauss-Legendre over equal panels, vectorized."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    k = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    vals = f(k).reshape(panels, -1)
-    return float((vals @ _GL_WEIGHTS) @ half)
+def _one_minus_u_k1(u: float) -> float:
+    """(1 - u K1(u)) / u^2 for 0 < u <= 2, from the ascending series
+    1 - u K1(u) = (u^2/4) sum_k [psi(k+1) + psi(k+2) - 2 ln(u/2)]
+    (u^2/4)^k / (k!(k+1)!) (DLMF 10.31.1); the direct difference loses all
+    digits as u -> 0."""
+    q = 0.25 * u * u
+    log_term = 2.0 * math.log(0.5 * u)
+    total = 0.0
+    for inv, psi in zip(_SMALL_U_INV, _SMALL_U_PSI):
+        total = total * q + (psi - log_term * inv)
+    return 0.25 * total
 
 
-def _tail_cos_moments(a: float, big_k: float, n_max: int) -> dict:
-    """J_n = Int_K^inf cos(a k) / k^n dk for n = 1..n_max (a > 0).
+def _phi_shape(u: float) -> float:
+    """f(u) = Phi(x) / x^2 at u = m x, for 0 < u <= 2."""
+    return 2.0 * (float(iti0k0(u)[1]) / u - _one_minus_u_k1(u))
 
-    Built from Si/Ci by the integration-by-parts recursion; exact, so the
-    conditionally convergent n = 1 case is handled analytically.
+
+def _ki2(u: float) -> float:
+    """Bickley function Ki2(u) = Int_0^inf exp(-u cosh t) / cosh^2 t dt.
+
+    Ki2(u) = 1 - pi u/2 + u^2 f(u)/2; for u >= 2 the trapezoid rule in t,
+    whose absolute error there is below 1e-16.
     """
-    si, ci = sici(a * big_k)
-    j = {1: -float(ci)}
-    s = {1: math.pi / 2.0 - float(si)}
-    sin_ak = math.sin(a * big_k)
-    cos_ak = math.cos(a * big_k)
-    for n in range(2, n_max + 1):
-        s[n] = sin_ak / ((n - 1) * big_k ** (n - 1)) + a / (n - 1) * j[n - 1]
-        j[n] = cos_ak / ((n - 1) * big_k ** (n - 1)) - a / (n - 1) * s[n - 1]
-    return j
+    if u >= 2.0:
+        return float(np.exp(-u * _KI2_COSH) @ _KI2_WEIGHTS)
+    return 1.0 - 0.5 * math.pi * u + (0.5 * u * u * _phi_shape(u) if u else 0.0)
 
 
-def _tail_component_phi(a: float, big_k: float, mass: float) -> float:
-    """Int_K^inf cos(ak) k^-2 (k^2+m^2)^(-1/2) dk, expanded about 1/k^3."""
-    m2 = mass * mass
-    if a == 0.0:
-        # exact antiderivative -sqrt(k^2+m^2)/(m^2 k)
-        return math.sqrt(big_k * big_k + m2) / (m2 * big_k) - 1.0 / m2
-    j = _tail_cos_moments(a, big_k, 7)
-    return j[3] - 0.5 * m2 * j[5] + 0.375 * m2 * m2 * j[7]
+def _overlap_phi(mass: float, length: float, r: float) -> float:
+    """4 pi L D_phi(r) = Phi(r+L) + Phi(L-r) - 2 Phi(r) for r <= L."""
+    terms = ((1.0, r + length), (1.0, length - r), (-2.0, r))
+    if mass * (r + length) <= 2.0:
+        return sum(c * x * x * _phi_shape(mass * x) for c, x in terms if x)
+    # Phi(x) = pi x/m - 2/m^2 + 2 Ki2(mx)/m^2: the linear parts add up to
+    # 2 pi (L - r)/m exactly, so only the decaying Bickley parts are differenced
+    return (2.0 * math.pi * (length - r) / mass
+            + 2.0 / mass**2 * sum(c * _ki2(mass * x) for c, x in terms))
 
 
-def _tail_component_pi(a: float, big_k: float, mass: float) -> float:
-    """Int_K^inf cos(ak) k^-2 (k^2+m^2)^(+1/2) dk; diverges for a = 0."""
-    if a == 0.0:
+def _graded_rule(span: float, width: float):
+    """Gauss-Legendre offsets and weights on [0, span], panel widths
+    doubling from `width` (a panel [a, 2a + width] per doubling)."""
+    doublings = int(math.log2(span / width + 1.0)) + 1
+    edges = width * (2.0 ** np.arange(doublings) - 1.0)
+    edges = np.append(edges[edges < span], span)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    offsets = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    return offsets, weights
+
+
+def _triangle_integral(kernel, mass: float, length: float, r: float) -> float:
+    """Int_{-L}^{L} (L - |t|) kernel(r - t) dt for separated windows r > L.
+
+    In s = r - t the near half [r - L, r] has weight s - (r - L) and the far
+    half [r, r + L] weight r + L - s; both are graded away from their lower
+    end, the near half also away from the singularity at s = 0.
+    """
+    gap = r - length
+    near, near_w = _graded_rule(length, min(gap, 1.0 / mass))
+    far, far_w = _graded_rule(length, min(length, 1.0 / mass))
+    s = np.concatenate([gap + near, r + far])
+    weights = np.concatenate([near * near_w, (length - far) * far_w])
+    return float(weights @ kernel(s))
+
+
+def _distance(at) -> float:
+    r = abs(float(at))
+    if not math.isfinite(r):
+        raise DomainError(f"separation must be finite, got {at}")
+    return r
+
+
+def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
+    if not math.isfinite(value):
         raise QuadratureError(
-            "zero-frequency tail component of the momentum propagator is "
-            "logarithmically divergent")
-    m2 = mass * mass
-    j = _tail_cos_moments(a, big_k, 5)
-    return j[1] + 0.5 * m2 * j[3] - 0.125 * m2 * m2 * j[5]
+            f"{name} evaluated to {value} at m={spec.mass}, L={spec.length}, "
+            f"r={r} (floating-point range exceeded)")
+    return value
 
 
-def _smeared_propagator(mass: float, length: float, r: float, nu_power: int,
-                        tol: float) -> float:
-    """Common driver; nu_power = -1 for the field, +1 for the momentum."""
-    tail_component = (_tail_component_phi if nu_power < 0
-                      else _tail_component_pi)
-
-    def body_integrand(k):
-        # sin^2(kL/2)/k^2 written via sinc to stay smooth through k = 0
-        smear = (length * length / 4.0) * np.sinc(k * (length / (2.0 * np.pi))) ** 2
-        return smear * np.cos(k * r) * (k * k + mass * mass) ** (0.5 * nu_power)
-
-    prefactor = 2.0 / (np.pi * length)
-    big_k = max(100.0 / length, 100.0 / max(r - length, length), 20.0 * mass)
-    freq = r + length + 1.0
-    body_tol = 0.25 * tol / prefactor
-    previous = None
-    for _ in range(_MAX_DOUBLINGS):
-        body = _refined_panel_quad(body_integrand, big_k, freq, body_tol,
-                                   mass, length, r)
-        tail = 0.25 * (2.0 * tail_component(r, big_k, mass)
-                       - tail_component(r + length, big_k, mass)
-                       - tail_component(abs(r - length), big_k, mass))
-        value = prefactor * (body + tail)
-        if previous is not None and abs(value - previous) <= 0.5 * tol:
-            return value
-        previous = value
-        big_k *= 2.0
-    raise QuadratureError(
-        f"tail estimate did not stabilize to tol={tol} within "
-        f"{_MAX_DOUBLINGS} cutoff doublings (m={mass}, L={length}, r={r})")
-
-
-def _refined_panel_quad(f, big_k: float, freq: float, tol: float,
-                        mass: float, length: float, r: float) -> float:
-    # panels sized to the fastest oscillation, then doubled to convergence
-    # (small masses put a sharp 1/sqrt(k^2+m^2) feature near k = 0)
-    panels = max(64, int(math.ceil(big_k * freq / math.pi)))
-    value = _panel_quad(f, 0.0, big_k, panels)
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        fine = _panel_quad(f, 0.0, big_k, panels)
-        if abs(fine - value) <= tol:
-            return fine
-        value = fine
-    raise QuadratureError(
-        f"panel quadrature on [0, {big_k}] did not converge "
-        f"(m={mass}, L={length}, r={r})")
-
-
-def d_phi(spec: FieldRegionSpec, at: float,
-          tol: float = DEFAULT_QUAD_TOL) -> float:
+def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """Smeared field propagator D_phi at center distance `at`.
 
-    Finite for every separation; even in `at`.
+    Finite for every separation; even in `at`.  `tol` is accepted and unused
+    (the evaluation is a closed form, see the module docstring).
     """
-    return _smeared_propagator(spec.mass, spec.length, abs(float(at)), -1, tol)
+    mass, length, r = spec.mass, spec.length, _distance(at)
+    if r > length:
+        value = _triangle_integral(lambda s: k0(mass * s), mass, length, r) / (
+            2.0 * math.pi * length)
+    else:
+        value = _overlap_phi(mass, length, r) / (4.0 * math.pi * length)
+    return _finite(value, "D_phi", spec, r)
 
 
-def d_pi(spec: FieldRegionSpec, at: float,
-         tol: float = DEFAULT_QUAD_TOL) -> float:
+def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """Smeared momentum propagator D_pi at center distance `at`; even in `at`.
 
     Returns +inf at `at` = 0 and -inf at `at` = L: there the oscillatory
     decomposition acquires a zero-frequency component and the integral
     diverges logarithmically (with slope +1/(pi L) resp. -1/(2 pi L) per
-    unit log-cutoff), so no finite value exists.
+    unit log-cutoff), so no finite value exists.  `tol` is accepted and
+    unused.
     """
-    r = abs(float(at))
+    mass, length, r = spec.mass, spec.length, _distance(at)
     if r == 0.0:
         return math.inf
-    if r == spec.length:
+    if r == length:
         return -math.inf
-    return _smeared_propagator(spec.mass, spec.length, r, +1, tol)
+    if r > length:
+        value = -_triangle_integral(lambda s: mass * k1(mass * s) / s,
+                                    mass, length, r) / (2.0 * math.pi * length)
+    else:
+        contact = (2.0 * k0(mass * r) - k0(mass * (r + length))
+                   - k0(mass * (length - r))) / (2.0 * math.pi * length)
+        value = float(contact) + mass * (mass * d_phi(spec, r))
+    return _finite(value, "D_pi", spec, r)
 
 
-def field_covariance(spec: FieldRegionSpec,
-                     tol: float = DEFAULT_QUAD_TOL) -> CollectiveCovariance:
+def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     """Collective covariance of the two windows at the spec's separation."""
     return CollectiveCovariance(
-        g_diag=d_phi(spec, 0.0, tol=tol),
-        h_diag=d_pi(spec, 0.0, tol=tol),
-        g_cross=d_phi(spec, spec.separation, tol=tol),
-        h_cross=d_pi(spec, spec.separation, tol=tol))
+        g_diag=d_phi(spec, 0.0),
+        h_diag=d_pi(spec, 0.0),
+        g_cross=d_phi(spec, spec.separation),
+        h_cross=d_pi(spec, spec.separation))
 
 
-def field_negativity(spec: FieldRegionSpec,
-                     tol: float = DEFAULT_QUAD_TOL) -> EntanglementResult:
+def field_negativity(spec: FieldRegionSpec) -> EntanglementResult:
     """Entanglement degree between the two smeared regions.
 
     Requires non-overlapping windows, separation > length.  The collective
@@ -209,12 +257,11 @@ def field_negativity(spec: FieldRegionSpec,
         raise DomainError(
             f"entanglement evaluation needs non-overlapping windows "
             f"(separation > length), got r={spec.separation}, L={spec.length}")
-    return negativity(field_covariance(spec, tol=tol))
+    return negativity(field_covariance(spec))
 
 
 def periodic_field_negativity(mass: float, length: float, gap: float,
-                              windows: int,
-                              tol: float = DEFAULT_QUAD_TOL) -> EntanglementResult:
+                              windows: int) -> EntanglementResult:
     """Negativity for blocks made of `windows` alternating windows per party.
 
     Windows of length `length` alternate A, B, A, B, ... with `gap` > 0
@@ -223,32 +270,27 @@ def periodic_field_negativity(mass: float, length: float, gap: float,
     1/sqrt(windows * length) per collective operator keeps the commutator at
     i, so the vacuum product stays 1/4).
     """
-    if windows < 1 or windows != int(windows):
+    if not (windows >= 1 and float(windows).is_integer()):
         raise DomainError(f"windows must be a positive integer, got {windows}")
-    if not gap > 0.0:
+    period = length + gap
+    if not period > length:
         raise DomainError(
             f"window gap must be positive to keep regions disjoint, got {gap}")
     windows = int(windows)
-    spec = FieldRegionSpec(mass=mass, length=length, separation=gap + length)
-    period = length + gap
-    centers_a = np.arange(0, 2 * windows, 2) * period
-    centers_b = np.arange(1, 2 * windows, 2) * period
+    spec = FieldRegionSpec(mass=mass, length=length, separation=period)
+    # window k is centered at k * period: A holds the even k, B the odd k
+    index_a = np.arange(0, 2 * windows, 2)
+    intra = lag_count_array(index_a, index_a)
+    cross = lag_count_array(index_a, index_a + 1)
 
-    phi_cache, pi_cache = {}, {}
-
-    def pair_sum(cache, prop, xs, ys):
-        total = 0.0
-        for cx in xs:
-            for cy in ys:
-                dist = round(abs(cx - cy), 12)
-                if dist not in cache:
-                    cache[dist] = prop(spec, dist, tol=tol)
-                total += cache[dist]
-        return total / windows
+    def lag_sum(prop, counts):
+        # only lags that occur: a zero count must not meet D_pi(0) = +inf
+        return math.fsum(int(count) * prop(spec, lag * period)
+                         for lag, count in enumerate(counts) if count) / windows
 
     cov = CollectiveCovariance(
-        g_diag=pair_sum(phi_cache, d_phi, centers_a, centers_a),
-        h_diag=pair_sum(pi_cache, d_pi, centers_a, centers_a),
-        g_cross=pair_sum(phi_cache, d_phi, centers_a, centers_b),
-        h_cross=pair_sum(pi_cache, d_pi, centers_a, centers_b))
+        g_diag=lag_sum(d_phi, intra),
+        h_diag=lag_sum(d_pi, intra),
+        g_cross=lag_sum(d_phi, cross),
+        h_cross=lag_sum(d_pi, cross))
     return negativity(cov)

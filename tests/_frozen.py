@@ -2,9 +2,11 @@
 #
 # FIELD_ORACLE holds independent high-precision propagator values generated
 # by `python -m tests.oracles` (mpmath body quadrature + oscillatory-series
-# tails, 30 digits).  The remaining pins are production-path values recorded
-# once at build time, after the oracle-equivalence checks passed; they guard
-# against silent regressions, not against the oracles.
+# tails, 30 digits); FIELD_EDGE_ORACLE holds values at the edges of the
+# domain from the same command (triangle-kernel oracle, 40 digits).  The
+# remaining pins are production-path values recorded once at build time,
+# after the oracle-equivalence checks passed; they guard against silent
+# regressions, not against the oracles.
 
 FIELD_ORACLE = {
     ("phi", 1.0, 1.0, 0.0): 0.2687863042511656,
@@ -17,6 +19,24 @@ FIELD_ORACLE = {
     ("pi", 10.0, 0.5, 1.0): -0.00016228356676392308,
     ("phi", 1.0, 2.0, 2.2): 0.049468917286455104,
     ("pi", 1.0, 2.0, 2.2): -0.07650964440879969,
+}
+
+FIELD_EDGE_ORACLE = {
+    ("phi", 1e-06, 1.0, 0.0): 2.455990285053401,
+    ("phi", 1e-06, 1.0, 2.0): 2.1104383920873175,
+    ("pi", 1e-06, 1.0, 2.0): -0.0457860238685267,
+    ("phi", 1e-06, 1.0, 10000.0): 0.751409436484357,
+    ("pi", 1e-06, 1.0, 10000.0): -1.5911339508649417e-09,
+    ("phi", 3.0, 1.0, 20.0): 4.585192746625745e-28,
+    ("pi", 3.0, 1.0, 20.0): -7.09459696965299e-29,
+    ("phi", 1.0, 1.0, 1.000000001): 0.08566500068019532,
+    ("pi", 1.0, 1.0, 1.000000001): -3.115106786874169,
+    ("phi", 1.0, 1.0, 0.999999999): 0.0856650010021161,
+    ("pi", 1.0, 1.0, 0.999999999): -3.1151068038833305,
+    ("phi", 1.0, 1.0, 1.05): 0.07839313040687092,
+    ("pi", 1.0, 1.0, 1.05): -0.30947271596828135,
+    ("phi", 3.0, 2.0, 1.98): 0.009725200365719066,
+    ("pi", 3.0, 2.0, 1.98): -0.14565326971691808,
 }
 
 # z = (1 - sqrt(1 - alpha^2))/alpha evaluated at alpha = 0.9

@@ -1,13 +1,14 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the code paths under test: the field
-oracle integrates with mpmath (body quadrature plus oscillatory-series
-acceleration for the tails, no cosine-integral asymptotics), covariances are
+Everything here deliberately avoids the code paths under test: the two
+field oracles integrate with mpmath (the Fourier integral with oscillatory
+tails, and the window's triangle kernel against an exponential
+representation of K0, neither touching a Bessel function), covariances are
 enumerated pair by pair, and small finite chains are summed term by term
 with math.fsum.
 
 Run ``python -m tests.oracles`` (from the repository root, with mpmath
-installed) to regenerate the constants frozen in ``tests/_frozen.py``.
+installed) to regenerate the field values frozen in ``tests/_frozen.py``.
 """
 
 import math
@@ -63,6 +64,49 @@ def field_propagator_oracle(mass, length, r, kind, dps=30):
         mp.mp.dps = old_dps
 
 
+def field_triangle_oracle(mass, length, r, kind, dps=30):
+    """Smeared propagator from the window's triangle kernel, in mpmath.
+
+    D_phi(r) = (1/(2 pi L)) Int (L - |t|) K0(m|r - t|) dt with
+    K0(m x) = Int_m^inf exp(-a x) da / sqrt(a^2 - m^2): the t-integral is
+    done in closed form, T(a) = [2a (L - r)_+ + E(a)] / a^2 with
+    E(a) = e^{-a(r+L)} + e^{-a|r-L|} - 2 e^{-ar}, and D_pi integrates
+    m^2 T(a) - E(a) (the kernel (m^2 - d^2/dx^2) e^{-a|x|} = (m^2 - a^2)
+    e^{-a|x|} + 2a delta(x)).  The a-integral runs over a = m + v^2, which
+    removes the endpoint singularity.  Relative accuracy at `dps` digits,
+    also for nearly touching windows, tiny masses and large separations.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m, big_l, r = mp.mpf(mass), mp.mpf(length), abs(mp.mpf(r))
+        if kind == "pi" and r in (0, big_l):
+            return math.inf if r == 0 else -math.inf
+        overlap = max(big_l - r, 0)
+
+        def exps(a):
+            """E(a), times e^{m(r-L)} for separated windows."""
+            if r >= big_l:
+                return (mp.exp(-(a - m) * (r - big_l))
+                        * (1 - mp.exp(-a * big_l)) ** 2)
+            return (mp.exp(-a * (r + big_l)) + mp.exp(-a * (big_l - r))
+                    - 2 * mp.exp(-a * r))
+
+        def integrand(v):
+            a = m + v * v
+            e = exps(a)
+            phi = (2 * a * overlap + e) / (a * a)
+            value = phi if kind == "phi" else m * m * phi - e
+            return 2 * value / mp.sqrt(2 * m + v * v)
+
+        scales = [2 * m] + [1 / x for x in (big_l, r, abs(r - big_l), r + big_l)
+                            if x > 0]
+        breaks = sorted({mp.sqrt(b - m) for b in scales if b > m})
+        total = mp.quad(integrand, [0] + breaks + [mp.inf])
+        return float(total * mp.exp(-m * max(r - big_l, 0))
+                     / (2 * mp.pi * big_l))
+
+
 def momentum_variance_partial(mass, length, big_k, points=400_000):
     """Truncated D_pi(0) integral on [0, big_k] by plain Simpson summation.
 
@@ -114,11 +158,36 @@ FIELD_ORACLE_POINTS = (
 )
 
 
+#: domain edges: tiny mass, far and nearly touching windows, large m*L
+FIELD_EDGE_POINTS = (
+    ("phi", 1e-06, 1.0, 0.0),
+    ("phi", 1e-06, 1.0, 2.0),
+    ("pi", 1e-06, 1.0, 2.0),
+    ("phi", 1e-06, 1.0, 10000.0),
+    ("pi", 1e-06, 1.0, 10000.0),
+    ("phi", 3.0, 1.0, 20.0),
+    ("pi", 3.0, 1.0, 20.0),
+    ("phi", 1.0, 1.0, 1.000000001),
+    ("pi", 1.0, 1.0, 1.000000001),
+    ("phi", 1.0, 1.0, 0.999999999),
+    ("pi", 1.0, 1.0, 0.999999999),
+    ("phi", 1.0, 1.0, 1.05),
+    ("pi", 1.0, 1.0, 1.05),
+    ("phi", 3.0, 2.0, 1.98),
+    ("pi", 3.0, 2.0, 1.98),
+)
+
+
 def _regenerate():
     lines = ["# Generated by `python -m tests.oracles`; do not edit by hand.",
              "", "FIELD_ORACLE = {"]
     for kind, mass, length, r in FIELD_ORACLE_POINTS:
         value = field_propagator_oracle(mass, length, r, kind)
+        lines.append(f"    ({kind!r}, {mass!r}, {length!r}, {r!r}): {value!r},")
+        print(lines[-1])
+    lines += ["}", "", "FIELD_EDGE_ORACLE = {"]
+    for kind, mass, length, r in FIELD_EDGE_POINTS:
+        value = field_triangle_oracle(mass, length, r, kind, dps=40)
         lines.append(f"    ({kind!r}, {mass!r}, {length!r}, {r!r}): {value!r},")
         print(lines[-1])
     lines.append("}")

@@ -139,6 +139,11 @@ class TestSweepCommand:
         assert run(["sweep", "--alphas", "1.5", "--m", "1", "--s", "1",
                     "--d", "0"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_non_positive_jobs(self, capsys, jobs):
+        assert run(["sweep", "--alphas", "0.5,0.9", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_convergence_failure_exit_code(self, capsys):
         assert run(["sweep", "--alphas", "0.99", "--m", "1", "--s", "1",
                     "--d", "0", "--max-terms", "5"]) == 3
@@ -166,6 +171,23 @@ class TestFieldCommand:
 
     def test_domain_error_exit_code(self, capsys):
         assert run(["field", "--mass", "0", "--length", "1", "--r", "2"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--r", "nan"), ("--mass", "inf"),
+                                            ("--length", "inf")])
+    def test_non_finite_input_is_domain_error(self, capsys, flag, value):
+        options = {"--mass": "1", "--length": "1", "--r": "2", flag: value}
+        argv = ["field"] + [item for pair in options.items() for item in pair]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chainent: domain error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_tiny_mass(self, capsys):
+        assert run(["field", "--mass", "1e-6", "--length", "1", "--r", "2"]) == 0
+        cells = capsys.readouterr().out.strip().split("\n")[2].split(",")
+        d_phi_r = float(cells[cli.FIELD_COLUMNS.index("D_phi_r")])
+        assert d_phi_r == pytest.approx(2.1104383920873174, rel=1e-10)
 
 
 class TestValidateCommand:
@@ -200,6 +222,17 @@ class TestValidateCommand:
         assert "[FAIL] oracle-equivalence" in out
 
 
+class TestOutputFile:
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        assert run(["field", "--mass", "1", "--length", "1", "--r", "2",
+                    "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("chainent: ")
+        assert captured.err.count("\n") == 1
+        assert not target.parent.exists()
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -209,4 +242,10 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--alphas", "0.5", "--frobnicate"])
+        assert err.value.code == 2
+
+    def test_field_has_no_tolerance_flag(self):
+        with pytest.raises(SystemExit) as err:
+            run(["field", "--mass", "1", "--length", "1", "--r", "2",
+                 "--tol", "1e-10"])
         assert err.value.code == 2

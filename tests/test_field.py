@@ -1,10 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from chainent import (DomainError, FieldRegionSpec, d_phi, d_pi,
-                      field_covariance, field_negativity,
+from chainent import (DomainError, FieldRegionSpec, QuadratureError, d_phi,
+                      d_pi, field_covariance, field_negativity,
                       periodic_field_negativity)
 from tests import _frozen, oracles
 
@@ -24,6 +25,14 @@ class TestRegionSpec:
         with pytest.raises(DomainError):
             FieldRegionSpec(**kwargs)
 
+    @pytest.mark.parametrize("name", ["mass", "length", "separation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, name, value):
+        kwargs = dict(mass=1.0, length=1.0, separation=2.0)
+        kwargs[name] = value
+        with pytest.raises(DomainError):
+            FieldRegionSpec(**kwargs)
+
 
 class TestPropagators:
     @pytest.mark.parametrize("kind,mass,length,r", sorted(_frozen.FIELD_ORACLE))
@@ -32,6 +41,27 @@ class TestPropagators:
         value = func(spec(mass, length), r)
         assert value == pytest.approx(_frozen.FIELD_ORACLE[(kind, mass, length, r)],
                                       abs=1e-9)
+
+    @pytest.mark.parametrize("func", [d_phi, d_pi])
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_separation(self, func, at):
+        with pytest.raises(DomainError):
+            func(spec(), at)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # D_phi(0) ~ L/(2 pi) fits a float, but Phi(L) ~ L^2 does not
+        with pytest.raises(QuadratureError):
+            d_phi(spec(mass=1e-200, length=1e200), 0.0)
+
+    @pytest.mark.parametrize("kind,mass,length,r",
+                             sorted(_frozen.FIELD_EDGE_ORACLE))
+    def test_relative_accuracy_at_domain_edges(self, kind, mass, length, r):
+        # tiny mass, far and nearly touching windows, large m*L; the module
+        # docstring states about 1e-15 (r > L) and a few 1e-14 (r <= L)
+        func = d_phi if kind == "phi" else d_pi
+        value = func(spec(mass, length), r)
+        assert value == pytest.approx(
+            _frozen.FIELD_EDGE_ORACLE[(kind, mass, length, r)], rel=1e-13)
 
     def test_even_in_separation(self):
         s = spec()
@@ -85,6 +115,38 @@ class TestPropagators:
                 assert abs(coarse - fine) <= 1e-10
 
 
+class TestTriangleOracle:
+    """The triangle-kernel oracle, tied to the Fourier definition first."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("kind,mass,length,r", sorted(_frozen.FIELD_ORACLE))
+    def test_matches_fourier_oracle(self, kind, mass, length, r):
+        value = oracles.field_triangle_oracle(mass, length, r, kind)
+        assert value == pytest.approx(
+            _frozen.FIELD_ORACLE[(kind, mass, length, r)], abs=1e-12)
+
+    @pytest.mark.parametrize("kind,mass,length,r",
+                             sorted(_frozen.FIELD_EDGE_ORACLE))
+    def test_reproduces_frozen_edge_values(self, kind, mass, length, r):
+        value = oracles.field_triangle_oracle(mass, length, r, kind)
+        assert value == pytest.approx(
+            _frozen.FIELD_EDGE_ORACLE[(kind, mass, length, r)], rel=1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_production_matches_on_random_points(self, seed):
+        rng = random.Random(seed)
+        mass = 10.0 ** rng.uniform(-6.0, 2.0)
+        length = 10.0 ** rng.uniform(-1.0, 1.0)
+        for r in (rng.uniform(0.0, length), rng.uniform(length, 3.0 * length)):
+            for kind, func in (("phi", d_phi), ("pi", d_pi)):
+                expected = oracles.field_triangle_oracle(mass, length, r, kind)
+                assert func(spec(mass, length), r) == pytest.approx(
+                    expected, rel=1e-13 if r > length else 1e-10)
+
+
 class TestFieldNegativity:
     def test_requires_separated_windows(self):
         with pytest.raises(DomainError):
@@ -124,11 +186,30 @@ class TestPeriodicRegions:
         assert res.separable
         assert res.delta1 > 0
 
+    @pytest.mark.parametrize("windows", [1, 2, 4])
+    def test_lag_counts_match_pairwise_sums(self, windows):
+        length, gap = 1.0, 0.5
+        res = periodic_field_negativity(1.0, length, gap, windows=windows)
+        s = spec(length=length)
+        a = [2 * k * (length + gap) for k in range(windows)]
+        b = [x + length + gap for x in a]
+
+        def pair_sum(prop, xs):
+            return math.fsum(prop(s, x - y) for x in a for y in xs) / windows
+
+        assert res.cov.g_diag == pytest.approx(pair_sum(d_phi, a), rel=1e-12)
+        assert res.cov.g_cross == pytest.approx(pair_sum(d_phi, b), rel=1e-12)
+        assert res.cov.h_cross == pytest.approx(pair_sum(d_pi, b), rel=1e-12)
+        assert res.cov.h_diag == math.inf
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             periodic_field_negativity(1.0, 1.0, 0.0, windows=2)
         with pytest.raises(DomainError):
             periodic_field_negativity(1.0, 1.0, 0.5, windows=0)
+        for windows in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                periodic_field_negativity(1.0, 1.0, 0.5, windows=windows)
 
 
 class TestDivergenceSlope:
