@@ -7,7 +7,7 @@ correlations : ground-state two-point functions of the oscillator chain
 blocks       : periodic two-block geometry and lag multiplicities
 entanglement : collective covariances, negativity degree, Duan witness
 field        : smeared scalar-field propagators and their negativity
-kernels      : hot numerical kernels (compiled core with pure fallback)
+kernels      : hot numerical kernels (Gauss series, all-lag cosine sums)
 cli          : sweep / correlations / field / validate command line
 """
 

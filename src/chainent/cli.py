@@ -142,10 +142,16 @@ def _snap(eps: float) -> float:
     return 0.0 if eps < EPSILON_SNAP else eps
 
 
+def _check_oracle_n(oracle_n) -> None:
+    if oracle_n is not None and oracle_n < 2:
+        raise DomainError(f"--oracle-n must be >= 2 sites, got {oracle_n}")
+
+
 # ---------------------------------------------------------------------------
 # correlations subcommand
 
 def cmd_correlations(args) -> int:
+    _check_oracle_n(args.oracle_n)
     alpha = args.alpha
     table = correlations.correlation_table(alpha, args.l_max, tol=args.tol,
                                            max_terms=args.max_terms)
@@ -211,6 +217,7 @@ def _sweep_rows_for_alpha(alpha, spec_tuples, l_max, tol, max_terms,
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_oracle_n(args.oracle_n)
     alphas = args.alphas
     for a in alphas:
         correlations.as_coupling(a)  # validate the whole grid up front
@@ -379,6 +386,7 @@ VALIDATION_CHECKS = (
 
 
 def cmd_validate(args) -> int:
+    _check_oracle_n(args.oracle_n)
     checks = []
     all_ok = True
     for name, func in VALIDATION_CHECKS:

@@ -50,6 +50,12 @@ window's triangle kernel integrated against a Bessel function:
   is a few 1e-14 relative to the largest term, set by iti0k0 (D_pi changes
   sign between r = 0 and r = L).
 
+Both propagators are evaluated at unit window length, at mass mu = m L and
+separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
+D_pi = D_pi|_(mu, rho) / L.  No intermediate grows like L^2, so a value is
+returned whenever it and m L fit a float; the branch is still chosen on
+r > L, since r/L can round to 1.
+
 The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 `tol` for callers written against the earlier quadrature, and ignore it.
 """
@@ -144,23 +150,24 @@ def _ki2(u: float) -> float:
     return 1.0 - 0.5 * math.pi * u + (0.5 * u * u * _phi_shape(u) if u else 0.0)
 
 
-def _overlap_phi(mass: float, length: float, r: float) -> float:
-    """4 pi L D_phi(r) = Phi(r+L) + Phi(L-r) - 2 Phi(r) for r <= L."""
-    terms = ((1.0, r + length), (1.0, length - r), (-2.0, r))
-    if mass * (r + length) <= 2.0:
-        return sum(c * x * x * _phi_shape(mass * x) for c, x in terms if x)
-    # Phi(x) = pi x/m - 2/m^2 + 2 Ki2(mx)/m^2: the linear parts add up to
-    # 2 pi (L - r)/m exactly, so only the decaying Bickley parts are differenced
-    return (2.0 * math.pi * (length - r) / mass
-            + 2.0 / mass**2 * sum(c * _ki2(mass * x) for c, x in terms))
+def _overlap_phi(mu: float, rho: float, rest: float) -> float:
+    """4 pi D_phi at unit window length, Phi(rho+1) + Phi(rest) - 2 Phi(rho),
+    for rho = r/L <= 1 and rest = (L - r)/L."""
+    terms = ((1.0, rho + 1.0), (1.0, rest), (-2.0, rho))
+    if mu * (rho + 1.0) <= 2.0:
+        return sum(c * x * x * _phi_shape(mu * x) for c, x in terms if x)
+    # Phi(x) = pi x/mu - 2/mu^2 + 2 Ki2(mu x)/mu^2: the linear parts add up to
+    # 2 pi rest/mu exactly, so only the decaying Bickley parts are differenced
+    return (2.0 * math.pi * rest / mu
+            + 2.0 / (mu * mu) * sum(c * _ki2(mu * x) for c, x in terms))
 
 
-def _graded_rule(span: float, width: float):
-    """Gauss-Legendre offsets and weights on [0, span], panel widths
-    doubling from `width` (a panel [a, 2a + width] per doubling)."""
-    doublings = int(math.log2(span / width + 1.0)) + 1
+def _graded_rule(width: float):
+    """Gauss-Legendre offsets and weights on [0, 1], panel widths doubling
+    from `width` (a panel [a, 2a + width] per doubling)."""
+    doublings = int(math.log2(1.0 / width + 1.0)) + 1
     edges = width * (2.0 ** np.arange(doublings) - 1.0)
-    edges = np.append(edges[edges < span], span)
+    edges = np.append(edges[edges < 1.0], 1.0)
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
     offsets = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
@@ -168,18 +175,18 @@ def _graded_rule(span: float, width: float):
     return offsets, weights
 
 
-def _triangle_integral(kernel, mass: float, length: float, r: float) -> float:
-    """Int_{-L}^{L} (L - |t|) kernel(r - t) dt for separated windows r > L.
+def _triangle_integral(kernel, mu: float, rho: float, gap: float) -> float:
+    """Int_{-1}^{1} (1 - |t|) kernel(rho - t) dt at unit window length, for
+    separated windows rho = r/L > 1 with gap = (r - L)/L.
 
-    In s = r - t the near half [r - L, r] has weight s - (r - L) and the far
-    half [r, r + L] weight r + L - s; both are graded away from their lower
-    end, the near half also away from the singularity at s = 0.
+    In s = rho - t the near half [gap, rho] has weight s - gap and the far
+    half [rho, rho + 1] weight rho + 1 - s; both are graded away from their
+    lower end, the near half also away from the singularity at s = 0.
     """
-    gap = r - length
-    near, near_w = _graded_rule(length, min(gap, 1.0 / mass))
-    far, far_w = _graded_rule(length, min(length, 1.0 / mass))
-    s = np.concatenate([gap + near, r + far])
-    weights = np.concatenate([near * near_w, (length - far) * far_w])
+    near, near_w = _graded_rule(min(gap, 1.0 / mu))
+    far, far_w = _graded_rule(min(1.0, 1.0 / mu))
+    s = np.concatenate([gap + near, rho + far])
+    weights = np.concatenate([near * near_w, (1.0 - far) * far_w])
     return float(weights @ kernel(s))
 
 
@@ -188,6 +195,16 @@ def _distance(at) -> float:
     if not math.isfinite(r):
         raise DomainError(f"separation must be finite, got {at}")
     return r
+
+
+def _unit_mass(spec: FieldRegionSpec) -> float:
+    """mu = m L, the mass at unit window length."""
+    mu = spec.mass * spec.length
+    if not 0.0 < mu < math.inf:
+        raise QuadratureError(
+            f"m L = {mu} at m={spec.mass}, L={spec.length} "
+            f"(floating-point range exceeded)")
+    return mu
 
 
 def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
@@ -204,13 +221,14 @@ def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     Finite for every separation; even in `at`.  `tol` is accepted and unused
     (the evaluation is a closed form, see the module docstring).
     """
-    mass, length, r = spec.mass, spec.length, _distance(at)
+    length, r = spec.length, _distance(at)
+    mu, rho = _unit_mass(spec), r / length
     if r > length:
-        value = _triangle_integral(lambda s: k0(mass * s), mass, length, r) / (
-            2.0 * math.pi * length)
+        unit = _triangle_integral(lambda s: k0(mu * s), mu, rho,
+                                  (r - length) / length) / (2.0 * math.pi)
     else:
-        value = _overlap_phi(mass, length, r) / (4.0 * math.pi * length)
-    return _finite(value, "D_phi", spec, r)
+        unit = _overlap_phi(mu, rho, (length - r) / length) / (4.0 * math.pi)
+    return _finite(length * unit, "D_phi", spec, r)
 
 
 def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
@@ -222,19 +240,22 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     unit log-cutoff), so no finite value exists.  `tol` is accepted and
     unused.
     """
-    mass, length, r = spec.mass, spec.length, _distance(at)
+    length, r = spec.length, _distance(at)
     if r == 0.0:
         return math.inf
     if r == length:
         return -math.inf
+    mu, rho = _unit_mass(spec), r / length
     if r > length:
-        value = -_triangle_integral(lambda s: mass * k1(mass * s) / s,
-                                    mass, length, r) / (2.0 * math.pi * length)
+        unit = -_triangle_integral(lambda s: mu * k1(mu * s) / s, mu, rho,
+                                   (r - length) / length) / (2.0 * math.pi)
     else:
-        contact = (2.0 * k0(mass * r) - k0(mass * (r + length))
-                   - k0(mass * (length - r))) / (2.0 * math.pi * length)
-        value = float(contact) + mass * (mass * d_phi(spec, r))
-    return _finite(value, "D_pi", spec, r)
+        rest = (length - r) / length
+        contact = (2.0 * k0(mu * rho) - k0(mu * (rho + 1.0))
+                   - k0(mu * rest)) / (2.0 * math.pi)
+        phi = _overlap_phi(mu, rho, rest) / (4.0 * math.pi)
+        unit = float(contact) + mu * (mu * phi)
+    return _finite(unit / length, "D_pi", spec, r)
 
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:

@@ -1,13 +1,12 @@
-"""Pure NumPy/Python implementations of the hot kernels.
+"""Hot numerical kernels: the Gauss-series sum and the all-lag cosine sums.
 
-These are the reference implementations; `chainent.kernels._fast` provides
-compiled twins with identical signatures and (for the series) identical
-term-by-term arithmetic.
+``BACKEND`` names the implementation, NumPy/Python; it is reported as
+`chainent.KERNEL_BACKEND` and in `chainent validate`'s text report.
 """
 
 import numpy as np
 
-BACKEND_NAME = "pure"
+BACKEND = "pure"
 
 
 def hyp2f1_series(a, b, c, x, tol, max_terms):

@@ -5,6 +5,7 @@ import math
 import jsonschema
 import pytest
 
+import chainent
 from chainent import cli, correlations
 
 
@@ -183,6 +184,17 @@ class TestFieldCommand:
         assert captured.err.startswith("chainent: domain error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mass,length,r", [("3e-200", "2e200", "1.98e200"),
+                                               ("1e300", "1e-300", "2e-300")])
+    def test_extreme_scales_give_finite_rows(self, capsys, mass, length, r):
+        assert run(["field", "--mass", mass, "--length", length,
+                    "--r", r]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        cells = captured.out.strip().split("\n")[2].split(",")
+        for column in ("D_phi0", "D_phi_r", "D_pi_r"):
+            assert math.isfinite(float(cells[cli.FIELD_COLUMNS.index(column)]))
+
     def test_tiny_mass(self, capsys):
         assert run(["field", "--mass", "1e-6", "--length", "1", "--r", "2"]) == 0
         cells = capsys.readouterr().out.strip().split("\n")[2].split(",")
@@ -233,7 +245,30 @@ class TestOutputFile:
         assert not target.parent.exists()
 
 
+class TestBenchmarkContract:
+    # perfbench records the backend and refuses to compare across a change
+    def test_kernel_backend_is_pure(self):
+        assert chainent.KERNEL_BACKEND == "pure"
+
+    def test_validate_report_names_the_backend(self, capsys):
+        assert run(["validate", "--oracle-n", str(2**16)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.endswith("(kernel backend: pure)")
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["correlations", "--alpha", "0.5"],
+        ["sweep", "--alphas", "0.5"],
+        ["validate"]])
+    @pytest.mark.parametrize("oracle_n", ["0", "1", "-5"])
+    def test_oracle_n_below_two_is_usage_error(self, capsys, argv, oracle_n):
+        assert run(argv + ["--oracle-n", oracle_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chainent: domain error: --oracle-n")
+        assert captured.err.count("\n") == 1
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
             run([])

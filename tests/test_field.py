@@ -49,9 +49,31 @@ class TestPropagators:
             func(spec(), at)
 
     def test_overflow_is_a_numerical_failure(self):
-        # D_phi(0) ~ L/(2 pi) fits a float, but Phi(L) ~ L^2 does not
+        # D_pi grows like 1/L as m L -> 0 and leaves the float range here
         with pytest.raises(QuadratureError):
-            d_phi(spec(mass=1e-200, length=1e200), 0.0)
+            d_pi(spec(mass=1.0, length=1e-310), 2e-310)
+
+    @pytest.mark.parametrize("mass,length", [(1e200, 1e200), (1e-200, 1e-200)])
+    def test_unit_mass_out_of_range_is_a_numerical_failure(self, mass, length):
+        # the propagators are evaluated at m L, which overflows or underflows
+        with pytest.raises(QuadratureError):
+            d_phi(spec(mass, length), 0.0)
+
+    @pytest.mark.parametrize("mass,length,r", [
+        (1.0, 1.0, 0.0), (1.0, 1.0, 0.3), (5.0, 1.0, 0.5), (3.0, 2.0, 1.98),
+        (1.0, 1.0, 2.5), (0.37, 2.9, 6.0), (0.5, 2.0, 20.0)])
+    def test_scaling_law(self, mass, length, r):
+        # D_phi(m/lam, lam L, lam r) = lam D_phi(m, L, r) and D_pi scales as
+        # 1/lam, on both branches and both small-u and Bickley overlap forms
+        base = spec(mass, length)
+        for exponent in (100, 200, 300, -100, -200, -300):
+            lam = 10.0 ** exponent
+            scaled = spec(mass / lam, lam * length)
+            assert d_phi(scaled, lam * r) / lam == pytest.approx(
+                d_phi(base, r), rel=1e-13)
+            if r:
+                assert d_pi(scaled, lam * r) * lam == pytest.approx(
+                    d_pi(base, r), rel=1e-13)
 
     @pytest.mark.parametrize("kind,mass,length,r",
                              sorted(_frozen.FIELD_EDGE_ORACLE))

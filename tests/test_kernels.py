@@ -1,74 +1,22 @@
 import numpy as np
-import pytest
 
 from chainent import kernels
-from chainent.kernels import _pure, available_backends
-
-BACKENDS = available_backends()
-
-needs_compiled = pytest.mark.skipif("cython" not in BACKENDS,
-                                    reason="compiled kernels not built")
-
-
-def test_active_backend_is_registered():
-    assert kernels.BACKEND in BACKENDS
-    assert kernels.hyp2f1_series is BACKENDS[kernels.BACKEND].hyp2f1_series
 
 
 def test_pure_series_convergence_flag():
-    value, converged = _pure.hyp2f1_series(0.5, 0.5, 1.0, 0.25, 1e-14, 10**6)
+    value, converged = kernels.hyp2f1_series(0.5, 0.5, 1.0, 0.25, 1e-14, 10**6)
     assert converged
-    _, converged = _pure.hyp2f1_series(0.5, 1.5, 2.0, 0.95, 1e-14, 20)
+    _, converged = kernels.hyp2f1_series(0.5, 1.5, 2.0, 0.95, 1e-14, 20)
     assert not converged
 
 
 def test_pure_cosine_sums_match_fft():
     rng = np.random.default_rng(7)
     w = rng.uniform(0.5, 1.5, size=4096)
-    sums = _pure.cosine_lag_sums(w, 32)
+    sums = kernels.cosine_lag_sums(w, 32)
     expected = np.fft.rfft(w).real[:33]
     assert np.allclose(sums, expected, atol=1e-9)
 
 
-@needs_compiled
-def test_series_backends_bitwise_identical():
-    fast = BACKENDS["cython"]
-    cases = [(0.5, 1.5, 2.0, 0.75), (-0.5, -0.5, 1.0, 0.3),
-             (1.0, 1.0, 2.0, 0.5), (0.5, 100.5, 101.0, 0.9)]
-    for a, b, c, x in cases:
-        vp, cp = _pure.hyp2f1_series(a, b, c, x, 1e-14, 10**6)
-        vf, cf = fast.hyp2f1_series(a, b, c, x, 1e-14, 10**6)
-        assert vp == vf
-        assert cp == cf
-
-
-@needs_compiled
-def test_cosine_sum_backends_agree():
-    fast = BACKENDS["cython"]
-    rng = np.random.default_rng(11)
-    w = rng.uniform(0.5, 2.0, size=100_000)
-    sums_pure = _pure.cosine_lag_sums(w, 64)
-    sums_fast = fast.cosine_lag_sums(w, 64)
-    assert np.allclose(sums_pure, sums_fast, atol=1e-9, rtol=0)
-
-
-@needs_compiled
 def test_cosine_sum_lmax_zero():
-    fast = BACKENDS["cython"]
-    w = np.ones(16)
-    assert fast.cosine_lag_sums(w, 0).tolist() == [16.0]
-    assert _pure.cosine_lag_sums(w, 0).tolist() == [16.0]
-
-
-def test_pure_override_env(monkeypatch):
-    # the selection logic honors CHAINENT_PURE_KERNELS at import time
-    import importlib
-    import chainent.kernels as pkg
-
-    monkeypatch.setenv("CHAINENT_PURE_KERNELS", "1")
-    reloaded = importlib.reload(pkg)
-    try:
-        assert reloaded.BACKEND == "pure"
-    finally:
-        monkeypatch.delenv("CHAINENT_PURE_KERNELS")
-        importlib.reload(pkg)
+    assert kernels.cosine_lag_sums(np.ones(16), 0).tolist() == [16.0]
