@@ -13,9 +13,12 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BlockSpec:
-    """Periodic two-block layout: m subblocks x s sites, separated by d sites."""
+    """Periodic two-block layout: m subblocks x s sites, separated by d sites.
+
+    Specs order as (m, s, d) tuples, the row order of `chainent sweep`.
+    """
 
     m: int
     s: int

@@ -11,7 +11,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -28,6 +27,10 @@ EXIT_NUMERICAL = 3
 #: epsilon below this is written as exactly 0 so separability claims stay
 #: crisp; the delta1/delta2 columns keep full precision.
 EPSILON_SNAP = 1e-12
+
+#: largest |closed form - N-site spectral sum| that sweep's --oracle-n
+#: cross-check and validate's oracle-equivalence check accept.
+ORACLE_TOL = 1e-8
 
 SWEEP_SCHEMA = "chainent-sweep-v1"
 CORRELATIONS_SCHEMA = "chainent-correlations-v1"
@@ -153,8 +156,7 @@ def _check_oracle_n(oracle_n) -> None:
 def cmd_correlations(args) -> int:
     _check_oracle_n(args.oracle_n)
     alpha = args.alpha
-    table = correlations.correlation_table(alpha, args.l_max, tol=args.tol,
-                                           max_terms=args.max_terms)
+    table = correlations.correlation_table(alpha, args.l_max)
     oracle = None
     if args.oracle_n:
         oracle = correlations.finite_correlation_table(
@@ -178,34 +180,31 @@ def cmd_correlations(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep subcommand
 
-def _sweep_rows_for_alpha(alpha, spec_tuples, l_max, tol, max_terms,
-                          oracle_n, oracle_tol):
-    """All rows of one coupling; self-contained so it can run in a worker."""
-    table = correlations.correlation_table(alpha, l_max, tol=tol,
-                                           max_terms=max_terms)
+def _sweep_rows_for_alpha(alpha, specs, l_max, oracle_n):
+    """All rows of one coupling, in spec order."""
+    table = correlations.correlation_table(alpha, l_max)
     if oracle_n:
         check_l = min(l_max, 100)
         oracle = correlations.finite_correlation_table(alpha, n_sites=oracle_n,
                                                        l_max=check_l)
         worst = max(float(np.max(np.abs(table.g[:check_l + 1] - oracle.g))),
                     float(np.max(np.abs(table.h[:check_l + 1] - oracle.h))))
-        if worst > oracle_tol:
+        if worst > ORACLE_TOL:
             raise ChainentError(
                 f"oracle cross-check failed at alpha={alpha}: max deviation "
-                f"{worst:.3e} > {oracle_tol}")
+                f"{worst:.3e} > {ORACLE_TOL}")
     rows = []
-    for (m, s, d) in spec_tuples:
-        spec = BlockSpec(m=m, s=s, d=d)
+    for spec in specs:
         cov = entanglement.covariance_of_blocks(table, spec)
         res = entanglement.negativity(cov)
         approx = None
-        if d == 0:
+        if spec.d == 0:
             approx = entanglement.approx_negativity(
                 table.g[0], table.g[1], table.h[0], table.h[1],
                 n=spec.n, m=spec.m)
         rows.append({
-            "alpha": alpha, "m": m, "s": s, "d": d, "n": spec.n,
-            "G": cov.g_diag, "H": cov.h_diag,
+            "alpha": alpha, "m": spec.m, "s": spec.s, "d": spec.d,
+            "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
             "G_AB": cov.g_cross, "H_AB": cov.h_cross,
             "delta1": res.delta1, "delta2": res.delta2,
             "epsilon": _snap(res.epsilon), "Delta": res.duan,
@@ -215,49 +214,31 @@ def _sweep_rows_for_alpha(alpha, spec_tuples, l_max, tol, max_terms,
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     _check_oracle_n(args.oracle_n)
-    alphas = args.alphas
+    alphas = args.alphas  # sorted and unique, see parse_float_values
     for a in alphas:
         correlations.as_coupling(a)  # validate the whole grid up front
     if args.specs:
-        specs = [BlockSpec.from_text(token.strip())
-                 for token in args.specs.split(",")]
-        spec_tuples = sorted({(sp.m, sp.s, sp.d) for sp in specs})
+        specs = sorted({BlockSpec.from_text(token.strip())
+                        for token in args.specs.split(",")})
     else:
-        spec_tuples = [(m, s, d) for m in args.m for s in args.s
-                       for d in args.d]
-    if not spec_tuples:
-        raise DomainError("empty geometry grid")
-    for (m, s, d) in spec_tuples:
-        BlockSpec(m=m, s=s, d=d)
-    needed = max(BlockSpec(m=m, s=s, d=d).max_lag for (m, s, d) in spec_tuples)
+        specs = [BlockSpec(m=m, s=s, d=d) for m in args.m for s in args.s
+                 for d in args.d]
+    needed = max(spec.max_lag for spec in specs)
     l_max = args.l_max if args.l_max is not None else needed
     if l_max < needed:
         raise DomainError(
             f"--l-max {l_max} is below the largest lag {needed} the grid needs")
 
-    work = [(a, spec_tuples, l_max, args.tol, args.max_terms,
-             args.oracle_n, args.oracle_tol) for a in alphas]
-    if args.jobs > 1 and len(alphas) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_alpha = list(pool.map(_sweep_worker, work))
-    else:
-        per_alpha = [_sweep_worker(item) for item in work]
-
-    rows = [row for chunk in per_alpha for row in chunk]
-    rows.sort(key=lambda r: (r["alpha"], r["m"], r["s"], r["d"]))
+    rows = [row for alpha in alphas
+            for row in _sweep_rows_for_alpha(alpha, specs, l_max,
+                                             args.oracle_n)]
     if args.format == "csv":
         text = render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
     else:
         text = render_json(SWEEP_SCHEMA, rows)
     _emit(text, args.out)
     return EXIT_OK
-
-
-def _sweep_worker(item):
-    return _sweep_rows_for_alpha(*item)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +271,7 @@ def cmd_field(args) -> int:
 # ---------------------------------------------------------------------------
 # validate subcommand
 
-def _check_oracle_equivalence(oracle_n: int, tol: float):
+def _check_oracle_equivalence(oracle_n: int):
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9, 0.99):
         table = correlations.correlation_table(alpha, 50)
@@ -299,11 +280,12 @@ def _check_oracle_equivalence(oracle_n: int, tol: float):
         worst = max(worst,
                     float(np.max(np.abs(table.g - oracle.g))),
                     float(np.max(np.abs(table.h - oracle.h))))
-    return worst <= tol, (f"max |closed-form - spectral-sum(N={oracle_n})| "
-                          f"= {worst:.3e} (tol {tol:g})")
+    return worst <= ORACLE_TOL, (
+        f"max |closed-form - spectral-sum(N={oracle_n})| = {worst:.3e} "
+        f"(tol {ORACLE_TOL:g})")
 
 
-def _check_sign_pattern(oracle_n: int, tol: float):
+def _check_sign_pattern(oracle_n: int):
     for alpha in (0.1, 0.5, 0.9, 0.99):
         table = correlations.correlation_table(alpha, 60)
         g, h = table.g, table.h
@@ -317,7 +299,7 @@ def _check_sign_pattern(oracle_n: int, tol: float):
     return True, "g > 0, h alternating, decaying, g0*h0 >= 1/4 on test grid"
 
 
-def _check_symplectic(oracle_n: int, tol: float):
+def _check_symplectic(oracle_n: int):
     worst_res, worst_det = 0.0, 0.0
     for n_sites, spec in ((8, BlockSpec(1, 2, 1)), (12, BlockSpec(3, 1, 0))):
         s_mat = entanglement.collective_symplectic(n_sites, spec)
@@ -330,7 +312,7 @@ def _check_symplectic(oracle_n: int, tol: float):
                 f"{worst_det:.2e} (tol 1e-12)")
 
 
-def _check_rescaling(oracle_n: int, tol: float):
+def _check_rescaling(oracle_n: int):
     worst = 0.0
     for alpha, spec in ((0.5, BlockSpec(1, 3, 0)), (0.9, BlockSpec(2, 2, 1))):
         table = correlations.correlation_table(alpha, spec.max_lag)
@@ -346,7 +328,7 @@ def _check_rescaling(oracle_n: int, tol: float):
                             f"conventions = {worst:.2e} (tol 1e-14)")
 
 
-def _check_chain_cutoffs(oracle_n: int, tol: float):
+def _check_chain_cutoffs(oracle_n: int):
     table = correlations.correlation_table(0.9, 80)
     for n in range(1, 7):
         if not entanglement.block_entanglement(table, BlockSpec(1, n, 0)).entangled:
@@ -359,7 +341,7 @@ def _check_chain_cutoffs(oracle_n: int, tol: float):
     return True, "entangled at d=0, separable at d=2 (alpha=0.9, n <= 10)"
 
 
-def _check_field_null(oracle_n: int, tol: float):
+def _check_field_null(oracle_n: int):
     spec = field.FieldRegionSpec(mass=1.0, length=1.0, separation=0.0)
     dphi0 = field.d_phi(spec, 0.0)
     dpi0 = field.d_pi(spec, 0.0)
@@ -391,7 +373,7 @@ def cmd_validate(args) -> int:
     all_ok = True
     for name, func in VALIDATION_CHECKS:
         try:
-            ok, detail = func(args.oracle_n, args.tol)
+            ok, detail = func(args.oracle_n)
         except ChainentError as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
@@ -428,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="tabulate g_l and h_l for one coupling")
     p_corr.add_argument("--alpha", type=float, required=True)
     p_corr.add_argument("--l-max", type=int, default=20)
-    p_corr.add_argument("--tol", type=float,
-                        default=correlations.DEFAULT_SERIES_TOL,
-                        help="absolute series tolerance")
-    p_corr.add_argument("--max-terms", type=int,
-                        default=correlations.DEFAULT_MAX_TERMS)
     p_corr.add_argument("--oracle-n", type=int, default=None, metavar="N",
                         help="add finite-chain cross-check columns (validation "
                              "path, N sites)")
@@ -455,16 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "form; overrides --m/--s/--d")
     p_sweep.add_argument("--l-max", type=int, default=None,
                          help="correlation table depth (default: fits grid)")
-    p_sweep.add_argument("--tol", type=float,
-                         default=correlations.DEFAULT_SERIES_TOL)
-    p_sweep.add_argument("--max-terms", type=int,
-                         default=correlations.DEFAULT_MAX_TERMS)
     p_sweep.add_argument("--oracle-n", type=int, default=None, metavar="N",
                          help="cross-check each table against the N-site "
                               "spectral sums before sweeping")
-    p_sweep.add_argument("--oracle-tol", type=float, default=1e-8)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers over couplings")
     add_output_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -484,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--report", choices=("text", "json"), default="text")
     p_val.add_argument("--oracle-n", type=int, default=2**20,
                        help="finite-chain size for the oracle check")
-    p_val.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for the oracle-equivalence check")
     p_val.add_argument("--out", metavar="FILE", default=None)
     p_val.set_defaults(func=cmd_validate)
 

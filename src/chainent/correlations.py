@@ -85,11 +85,16 @@ def hyp2f1(a: float, b: float, c: float, x: float,
     Raises
     ------
     DomainError
-        if x or c is outside the supported domain.
+        if x or c is outside the supported domain, `tol` is not a finite
+        positive number or `max_terms` is below 1.
     ConvergenceError
         if the series needs more than `max_terms` terms, i.e. x is too close
         to 1 for the requested tolerance.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be a finite positive number, got {tol}")
+    if not max_terms >= 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     if not abs(x) < 1.0:
         raise DomainError(f"series evaluation requires |x| < 1, got x={x}")
     if c <= 0.0 and c == int(c):
@@ -129,18 +134,16 @@ def _check_lag(l) -> int:
     return int(l)
 
 
-def g_infinite(l, alpha, tol: float = DEFAULT_SERIES_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def g_infinite(l, alpha) -> float:
     """Position-position correlation <q_i q_{i+l}> of the infinite chain."""
     l = _check_lag(l)
     c = as_coupling(alpha)
     z = c.z
-    f = hyp2f1(0.5, l + 0.5, l + 1.0, z * z, tol=tol, max_terms=max_terms)
+    f = hyp2f1(0.5, l + 0.5, l + 1.0, z * z)
     return z**l / (2.0 * c.mu) * _gen_binom(l - 0.5, l) * f
 
 
-def h_infinite(l, alpha, tol: float = DEFAULT_SERIES_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def h_infinite(l, alpha) -> float:
     """Momentum-momentum correlation <p_i p_{i+l}> of the infinite chain.
 
     Negative for every lag l >= 1 at any admissible coupling.
@@ -148,7 +151,7 @@ def h_infinite(l, alpha, tol: float = DEFAULT_SERIES_TOL,
     l = _check_lag(l)
     c = as_coupling(alpha)
     z = c.z
-    f = hyp2f1(-0.5, l - 0.5, l + 1.0, z * z, tol=tol, max_terms=max_terms)
+    f = hyp2f1(-0.5, l - 0.5, l + 1.0, z * z)
     return c.mu * z**l / 2.0 * _gen_binom(l - 1.5, l) * f
 
 
@@ -189,7 +192,7 @@ def h_finite(l, alpha, n_sites) -> float:
 class CorrelationTable:
     """Correlations g_0..g_{l_max} and h_0..h_{l_max} for one coupling.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction.
     """
 
     alpha: Coupling
@@ -211,28 +214,28 @@ class CorrelationTable:
         return self.g.size - 1
 
 
-def correlation_table(alpha, l_max: int, tol: float = DEFAULT_SERIES_TOL,
-                      max_terms: int = DEFAULT_MAX_TERMS) -> CorrelationTable:
-    """Tabulate the infinite-chain correlations up to lag `l_max`."""
+def correlation_table(alpha, l_max: int) -> CorrelationTable:
+    """Tabulate the infinite-chain correlations up to lag `l_max`.
+
+    Each Gauss series runs to `DEFAULT_SERIES_TOL` within `DEFAULT_MAX_TERMS`.
+    """
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
     c = as_coupling(alpha)
-    g = np.array([g_infinite(l, c, tol=tol, max_terms=max_terms)
-                  for l in range(l_max + 1)])
-    h = np.array([h_infinite(l, c, tol=tol, max_terms=max_terms)
-                  for l in range(l_max + 1)])
+    g = np.array([g_infinite(l, c) for l in range(l_max + 1)])
+    h = np.array([h_infinite(l, c) for l in range(l_max + 1)])
     return CorrelationTable(alpha=c, g=g, h=h)
 
 
 def finite_correlation_table(alpha, n_sites: int = DEFAULT_ORACLE_N,
-                             l_max: int = 100,
-                             method: str = "fft") -> CorrelationTable:
+                             l_max: int = 100) -> CorrelationTable:
     """Tabulate the exact N-site correlations up to lag `l_max`.
 
-    `method="fft"` evaluates the spectral sums for all lags at once via a
-    real FFT (the identical sum, reassociated); `method="direct"` uses the
-    kernel's one-pass Chebyshev-recurrence summation.  Both are validation
-    paths, independent of the hypergeometric production route.
+    One real FFT evaluates the spectral sums of `g_finite`/`h_finite` for all
+    lags at once (the identical sum, reassociated).  The rfft holds lags
+    0..N/2; the ring symmetry g_l = g_{N-l}, h_l = h_{N-l} supplies the rest,
+    so every 0 <= l_max < N is covered.  A validation path, independent of
+    the hypergeometric production route.
     """
     c = as_coupling(alpha)
     n_sites = int(n_sites)
@@ -242,13 +245,8 @@ def finite_correlation_table(alpha, n_sites: int = DEFAULT_ORACLE_N,
         raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
     theta = (2.0 * np.pi / n_sites) * np.arange(n_sites, dtype=np.float64)
     nu = np.sqrt(1.0 - c.alpha * np.cos(theta))
-    if method == "fft":
-        g = np.fft.rfft(1.0 / nu).real[: l_max + 1] / (2.0 * n_sites)
-        h = np.fft.rfft(nu).real[: l_max + 1] / (2.0 * n_sites)
-    elif method == "direct":
-        g = kernels.cosine_lag_sums(1.0 / nu, l_max) / (2.0 * n_sites)
-        h = kernels.cosine_lag_sums(nu, l_max) / (2.0 * n_sites)
-    else:
-        raise DomainError(f"unknown method {method!r}, expected 'fft' or 'direct'")
-    return CorrelationTable(alpha=c, g=np.ascontiguousarray(g),
-                            h=np.ascontiguousarray(h))
+    lags = np.arange(l_max + 1)
+    lags = np.minimum(lags, n_sites - lags)
+    g = np.fft.rfft(1.0 / nu).real[lags] / (2.0 * n_sites)
+    h = np.fft.rfft(nu).real[lags] / (2.0 * n_sites)
+    return CorrelationTable(alpha=c, g=g, h=h)

@@ -61,6 +61,12 @@ class TestCorrelationsCommand:
             _, g, _, g_fin, _ = line.split(",")
             assert abs(float(g) - float(g_fin)) < 1e-8
 
+    def test_oracle_lags_past_half_ring(self, capsys):
+        assert run(["correlations", "--alpha", "0.5", "--l-max", "20",
+                    "--oracle-n", "30"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2 + 21
+
     def test_json_validates(self, capsys):
         assert run(["correlations", "--alpha", "0.5", "--l-max", "4",
                     "--format", "json"]) == 0
@@ -102,12 +108,10 @@ class TestSweepCommand:
     def test_byte_identical_across_runs_and_jobs(self, tmp_path):
         args = ["sweep", "--alphas", "0.5,0.9,0.99", "--m", "1..2",
                 "--s", "1..3", "--d", "0..2"]
-        paths = [tmp_path / f"out{i}.csv" for i in range(3)]
+        paths = [tmp_path / f"out{i}.csv" for i in range(2)]
         assert run(args + ["--out", str(paths[0])]) == 0
         assert run(args + ["--out", str(paths[1])]) == 0
-        assert run(args + ["--jobs", "3", "--out", str(paths[2])]) == 0
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_json_validates(self, capsys):
         assert run(["sweep", "--alphas", "0.9", "--m", "1", "--s", "1..2",
@@ -140,14 +144,27 @@ class TestSweepCommand:
         assert run(["sweep", "--alphas", "1.5", "--m", "1", "--s", "1",
                     "--d", "0"]) == 2
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_rejects_non_positive_jobs(self, capsys, jobs):
-        assert run(["sweep", "--alphas", "0.5,0.9", "--jobs", jobs]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-
     def test_convergence_failure_exit_code(self, capsys):
-        assert run(["sweep", "--alphas", "0.99", "--m", "1", "--s", "1",
-                    "--d", "0", "--max-terms", "5"]) == 3
+        # z^2 is within 1e-7 of 1, beyond the series' term cap
+        assert run(["sweep", "--alphas", "0.999999999999999", "--m", "1",
+                    "--s", "1", "--d", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chainent: numerical failure: ")
+        assert captured.err.count("\n") == 1
+
+    # small rings are far from the infinite chain; at N = 50 the 40 lags
+    # checked run past N/2
+    @pytest.mark.parametrize("s,oracle_n", [("2", "8"), ("20", "50")])
+    def test_oracle_cross_check_failure_exit_code(self, capsys, s, oracle_n):
+        assert run(["sweep", "--alphas", "0.5", "--m", "1", "--s", s,
+                    "--d", "0", "--oracle-n", oracle_n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "chainent: numerical failure: oracle cross-check failed")
+        assert captured.err.endswith(" > 1e-08\n")
+        assert captured.err.count("\n") == 1
 
 
 class TestFieldCommand:
@@ -209,8 +226,10 @@ class TestValidateCommand:
         assert "overall: PASS" in out
         assert "FAIL" not in out
 
-    def test_loose_tolerance_still_passes(self, capsys):
-        assert run(["validate", "--oracle-n", str(2**16), "--tol", "1e-2"]) == 0
+    def test_small_oracle_ring_fails_the_check(self, capsys):
+        # the 51 lags compared run past N/2 = 30
+        assert run(["validate", "--oracle-n", "60"]) == 1
+        assert "[FAIL] oracle-equivalence" in capsys.readouterr().out
 
     def test_json_report_validates(self, capsys):
         assert run(["validate", "--oracle-n", str(2**16),
@@ -277,6 +296,19 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--alphas", "0.5", "--frobnicate"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["correlations", "--alpha", "0.5", "--tol", "1e-14"],
+        ["correlations", "--alpha", "0.5", "--max-terms", "5"],
+        ["sweep", "--alphas", "0.5", "--tol", "1e-14"],
+        ["sweep", "--alphas", "0.5", "--max-terms", "5"],
+        ["sweep", "--alphas", "0.5", "--oracle-tol", "1e-8"],
+        ["sweep", "--alphas", "0.5", "--jobs", "2"],
+        ["validate", "--tol", "1e-2"]], ids=lambda argv: argv[0] + argv[-2])
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
         assert err.value.code == 2
 
     def test_field_has_no_tolerance_flag(self):

@@ -88,6 +88,13 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError):
             hyp2f1(0.5, 1.5, 2.0, 0.93, max_terms=10)
 
+    @pytest.mark.parametrize("name,value", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-14),
+        ("max_terms", 0), ("max_terms", -5)])
+    def test_rejects_bad_series_controls(self, name, value):
+        with pytest.raises(DomainError):
+            hyp2f1(0.5, 0.5, 1.0, 0.25, **{name: value})
+
     @given(a=st.floats(-2, 3), b=st.floats(-2, 3),
            c=st.floats(0.25, 4), x=st.floats(-0.85, 0.85))
     @settings(max_examples=200)
@@ -159,17 +166,19 @@ class TestFiniteChain:
                 oracles.finite_correlation_fsum(l, 0.7, 512, +1.0), rel=1e-13)
 
     def test_table_methods_agree(self):
-        fft = finite_correlation_table(0.9, 4096, 40, method="fft")
-        direct = finite_correlation_table(0.9, 4096, 40, method="direct")
-        assert np.allclose(fft.g, direct.g, atol=1e-13)
-        assert np.allclose(fft.h, direct.h, atol=1e-13)
-        # and both agree with the per-lag summation op
-        for l in (0, 3, 40):
+        # the all-lag FFT table against the per-lag direct sums
+        fft = finite_correlation_table(0.9, 4096, 40)
+        for l in range(41):
             assert fft.g[l] == pytest.approx(g_finite(l, 0.9, 4096), abs=1e-13)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DomainError):
-            finite_correlation_table(0.5, 64, 4, method="magic")
+            assert fft.h[l] == pytest.approx(h_finite(l, 0.9, 4096), abs=1e-13)
+        # every lag of a small ring, past N/2 through g_l = g_{N-l}
+        small = finite_correlation_table(0.5, 8, 7)
+        assert small.l_max == 7
+        for l in range(8):
+            assert small.g[l] == pytest.approx(
+                oracles.finite_correlation_fsum(l, 0.5, 8, -1.0), abs=1e-15)
+            assert small.h[l] == pytest.approx(
+                oracles.finite_correlation_fsum(l, 0.5, 8, +1.0), abs=1e-15)
 
 
 class TestCorrelationTable:
