@@ -32,6 +32,11 @@ EPSILON_SNAP = 1e-12
 #: cross-check and validate's oracle-equivalence check accept.
 ORACLE_TOL = 1e-8
 
+#: largest lag that sweep's --oracle-n cross-check and validate's
+#: oracle-equivalence check compare
+SWEEP_ORACLE_LAGS = 100
+VALIDATE_ORACLE_LAGS = 50
+
 SWEEP_SCHEMA = "chainent-sweep-v1"
 CORRELATIONS_SCHEMA = "chainent-correlations-v1"
 FIELD_SCHEMA = "chainent-field-v1"
@@ -145,16 +150,20 @@ def _snap(eps: float) -> float:
     return 0.0 if eps < EPSILON_SNAP else eps
 
 
-def _check_oracle_n(oracle_n) -> None:
-    if oracle_n is not None and oracle_n < 2:
-        raise DomainError(f"--oracle-n must be >= 2 sites, got {oracle_n}")
+def _check_oracle_n(oracle_n, lag: int) -> None:
+    """An N-site ring holds lags 0..N-1: N must exceed the largest lag
+    compared, and a ring has at least 2 sites."""
+    need = max(2, lag + 1)
+    if oracle_n is not None and oracle_n < need:
+        raise DomainError(f"--oracle-n must be >= {need} sites to compare "
+                          f"lags up to {lag}, got {oracle_n}")
 
 
 # ---------------------------------------------------------------------------
 # correlations subcommand
 
 def cmd_correlations(args) -> int:
-    _check_oracle_n(args.oracle_n)
+    _check_oracle_n(args.oracle_n, args.l_max)
     alpha = args.alpha
     table = correlations.correlation_table(alpha, args.l_max)
     oracle = None
@@ -180,11 +189,13 @@ def cmd_correlations(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep subcommand
 
-def _sweep_rows_for_alpha(alpha, specs, l_max, oracle_n):
-    """All rows of one coupling, in spec order."""
+def _checked_table(alpha, l_max, oracle_n):
+    """The correlation table of one coupling; with oracle_n, cross-checked
+    against the N-site spectral sums on lags up to
+    min(l_max, SWEEP_ORACLE_LAGS)."""
     table = correlations.correlation_table(alpha, l_max)
     if oracle_n:
-        check_l = min(l_max, 100)
+        check_l = min(l_max, SWEEP_ORACLE_LAGS)
         oracle = correlations.finite_correlation_table(alpha, n_sites=oracle_n,
                                                        l_max=check_l)
         worst = max(float(np.max(np.abs(table.g[:check_l + 1] - oracle.g))),
@@ -193,28 +204,29 @@ def _sweep_rows_for_alpha(alpha, specs, l_max, oracle_n):
             raise ChainentError(
                 f"oracle cross-check failed at alpha={alpha}: max deviation "
                 f"{worst:.3e} > {ORACLE_TOL}")
-    rows = []
-    for spec in specs:
-        cov = entanglement.covariance_of_blocks(table, spec)
-        res = entanglement.negativity(cov)
-        approx = None
-        if spec.d == 0:
-            approx = entanglement.approx_negativity(
-                table.g[0], table.g[1], table.h[0], table.h[1],
-                n=spec.n, m=spec.m)
-        rows.append({
-            "alpha": alpha, "m": spec.m, "s": spec.s, "d": spec.d,
-            "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
-            "G_AB": cov.g_cross, "H_AB": cov.h_cross,
-            "delta1": res.delta1, "delta2": res.delta2,
-            "epsilon": _snap(res.epsilon), "Delta": res.duan,
-            "epsilon_approx": approx,
-        })
-    return rows
+    return table
+
+
+def _sweep_row(table, spec, counts):
+    """The row of one coupling and geometry; counts is
+    entanglement.lag_counts(spec)."""
+    cov = entanglement.covariance_of_blocks(table, spec, counts)
+    res = entanglement.negativity(cov)
+    approx = None
+    if spec.d == 0:
+        approx = entanglement.approx_negativity(
+            table.g[0], table.g[1], table.h[0], table.h[1], n=spec.n, m=spec.m)
+    return {
+        "alpha": table.alpha.alpha, "m": spec.m, "s": spec.s, "d": spec.d,
+        "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
+        "G_AB": cov.g_cross, "H_AB": cov.h_cross,
+        "delta1": res.delta1, "delta2": res.delta2,
+        "epsilon": _snap(res.epsilon), "Delta": res.duan,
+        "epsilon_approx": approx,
+    }
 
 
 def cmd_sweep(args) -> int:
-    _check_oracle_n(args.oracle_n)
     alphas = args.alphas  # sorted and unique, see parse_float_values
     for a in alphas:
         correlations.as_coupling(a)  # validate the whole grid up front
@@ -229,10 +241,16 @@ def cmd_sweep(args) -> int:
     if l_max < needed:
         raise DomainError(
             f"--l-max {l_max} is below the largest lag {needed} the grid needs")
+    _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
-    rows = [row for alpha in alphas
-            for row in _sweep_rows_for_alpha(alpha, specs, l_max,
-                                             args.oracle_n)]
+    tables = [_checked_table(alpha, l_max, args.oracle_n) for alpha in alphas]
+    # one geometry's lag counts serve every coupling; rows stay alpha-major
+    by_alpha = [[] for _ in tables]
+    for spec in specs:
+        counts = entanglement.lag_counts(spec)
+        for table, table_rows in zip(tables, by_alpha):
+            table_rows.append(_sweep_row(table, spec, counts))
+    rows = [row for table_rows in by_alpha for row in table_rows]
     if args.format == "csv":
         text = render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
     else:
@@ -274,9 +292,9 @@ def cmd_field(args) -> int:
 def _check_oracle_equivalence(oracle_n: int):
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9, 0.99):
-        table = correlations.correlation_table(alpha, 50)
-        oracle = correlations.finite_correlation_table(alpha, n_sites=oracle_n,
-                                                       l_max=50)
+        table = correlations.correlation_table(alpha, VALIDATE_ORACLE_LAGS)
+        oracle = correlations.finite_correlation_table(
+            alpha, n_sites=oracle_n, l_max=VALIDATE_ORACLE_LAGS)
         worst = max(worst,
                     float(np.max(np.abs(table.g - oracle.g))),
                     float(np.max(np.abs(table.h - oracle.h))))
@@ -368,7 +386,7 @@ VALIDATION_CHECKS = (
 
 
 def cmd_validate(args) -> int:
-    _check_oracle_n(args.oracle_n)
+    _check_oracle_n(args.oracle_n, VALIDATE_ORACLE_LAGS)
     checks = []
     all_ok = True
     for name, func in VALIDATION_CHECKS:

@@ -86,9 +86,25 @@ class EntanglementResult:
         return not self.separable
 
 
-def covariance_of_blocks(table: CorrelationTable,
-                         spec: BlockSpec) -> CollectiveCovariance:
+def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lag multiplicities (intra, cross) of a layout, as float arrays.
+
+    intra[l] counts the site pairs at lag l within block A (block B has the
+    same counts), cross[l] those between A and B; both run to lag
+    spec.max_lag.  They do not depend on the coupling.
+    """
+    idx = block_indices(spec)
+    length = spec.max_lag + 1
+    return (lag_count_array(idx.a, idx.a, length).astype(np.float64),
+            lag_count_array(idx.a, idx.b, length).astype(np.float64))
+
+
+def covariance_of_blocks(table: CorrelationTable, spec: BlockSpec,
+                         counts=None) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
+
+    `counts` is `lag_counts(spec)`, computed here when not given; a sweep
+    over couplings passes it to count each geometry once.
 
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
@@ -97,11 +113,9 @@ def covariance_of_blocks(table: CorrelationTable,
         raise LagBoundError(
             f"table covers lags <= {table.l_max} but spec {spec} needs "
             f"{spec.max_lag}")
-    idx = block_indices(spec)
+    intra, cross = lag_counts(spec) if counts is None else counts
     n = spec.n
     length = spec.max_lag + 1
-    intra = lag_count_array(idx.a, idx.a, length).astype(np.float64)
-    cross = lag_count_array(idx.a, idx.b, length).astype(np.float64)
     g = table.g[:length]
     h = table.h[:length]
     return CollectiveCovariance(

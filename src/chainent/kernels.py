@@ -1,4 +1,7 @@
-"""Hot numerical kernel: the Gauss-series sum behind the closed forms.
+"""The Gauss-series sum behind `correlations.hyp2f1`.
+
+It only seeds each correlation table at lag 0 (two series per table); the
+other lags come from a recurrence.
 
 ``BACKEND`` names the implementation, NumPy/Python; it is reported as
 `chainent.KERNEL_BACKEND` and in `chainent validate`'s text report.

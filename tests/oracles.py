@@ -1,6 +1,7 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the code paths under test: the two
+Everything here deliberately avoids the code paths under test: the chain
+correlations come from their hypergeometric closed forms in mpmath, the two
 field oracles integrate with mpmath (the Fourier integral with oscillatory
 tails, and the window's triangle kernel against an exponential
 representation of K0, neither touching a Bessel function), covariances are
@@ -8,7 +9,7 @@ enumerated pair by pair, and small finite chains are summed term by term
 with math.fsum.
 
 Run ``python -m tests.oracles`` (from the repository root, with mpmath
-installed) to regenerate the field values frozen in ``tests/_frozen.py``.
+installed) to regenerate the oracle values frozen in ``tests/_frozen.py``.
 """
 
 import math
@@ -107,6 +108,27 @@ def field_triangle_oracle(mass, length, r, kind, dps=30):
                      / (2 * mp.pi * big_l))
 
 
+def correlation_oracle(l, alpha, kind, dps=40):
+    """Infinite-chain g_l (kind "g") or h_l (kind "h") in mpmath.
+
+    The closed forms g_l = z^l C(l - 1/2, l) 2F1(1/2, l + 1/2; l + 1; z^2)
+    / (2 mu) and h_l = mu z^l C(l - 3/2, l) 2F1(-1/2, l - 1/2; l + 1; z^2) / 2,
+    with z = alpha / (1 + sqrt(1 - alpha^2)) and mu = (1 + z^2)^(-1/2), at
+    `dps` digits: no recurrence, no float series.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, half = mp.mpf(alpha), mp.mpf(0.5)
+        z = a / (1 + mp.sqrt((1 - a) * (1 + a)))
+        mu = 1 / mp.sqrt(1 + z * z)
+        if kind == "g":
+            return float(z**l / (2 * mu) * mp.binomial(l - half, l)
+                         * mp.hyp2f1(half, l + half, l + 1, z * z))
+        return float(mu * z**l / 2 * mp.binomial(l - 3 * half, l)
+                     * mp.hyp2f1(-half, l - half, l + 1, z * z))
+
+
 def momentum_variance_partial(mass, length, big_k, points=400_000):
     """Truncated D_pi(0) integral on [0, big_k] by plain Simpson summation.
 
@@ -178,6 +200,12 @@ FIELD_EDGE_POINTS = (
 )
 
 
+#: couplings from weak to z^2 = 1 - 3e-3, and lags past 60, where g_60 is
+#: 4e-80 at alpha = 0.1 (validate's sign-pattern check reads that far)
+CORRELATION_EDGE_ALPHAS = (0.1, 0.5, 0.9, 0.99, 0.9999, 0.999999)
+CORRELATION_EDGE_LAGS = (0, 1, 2, 5, 20, 60, 200)
+
+
 def _regenerate():
     lines = ["# Generated by `python -m tests.oracles`; do not edit by hand.",
              "", "FIELD_ORACLE = {"]
@@ -190,6 +218,13 @@ def _regenerate():
         value = field_triangle_oracle(mass, length, r, kind, dps=40)
         lines.append(f"    ({kind!r}, {mass!r}, {length!r}, {r!r}): {value!r},")
         print(lines[-1])
+    lines += ["}", "", "CORRELATION_EDGE_ORACLE = {"]
+    for alpha in CORRELATION_EDGE_ALPHAS:
+        for l in CORRELATION_EDGE_LAGS:
+            for kind in ("g", "h"):
+                value = correlation_oracle(l, alpha, kind)
+                lines.append(f"    ({kind!r}, {alpha!r}, {l!r}): {value!r},")
+                print(lines[-1])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 import chainent
-from chainent import cli, correlations
+from chainent import cli, correlations, entanglement
+from chainent.blocks import BlockSpec
 
 
 def run(argv):
@@ -144,6 +145,45 @@ class TestSweepCommand:
         assert run(["sweep", "--alphas", "1.5", "--m", "1", "--s", "1",
                     "--d", "0"]) == 2
 
+    @pytest.mark.parametrize("alphas", [(0.9,), (0.3, 0.9, 0.999)])
+    def test_rows_equal_block_entanglement(self, capsys, monkeypatch, alphas):
+        calls = []
+        original = entanglement.lag_count_array
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(entanglement, "lag_count_array", counted)
+        assert run(["sweep", "--alphas", ",".join(map(repr, alphas)),
+                    "--m", "1,3", "--s", "1,2", "--d", "0,2",
+                    "--format", "json"]) == 0
+        specs = [BlockSpec(m, s, d) for m in (1, 3) for s in (1, 2)
+                 for d in (0, 2)]
+        # the lag counts do not depend on alpha: two per geometry
+        assert len(calls) == 2 * len(specs)
+        monkeypatch.undo()
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        l_max = max(spec.max_lag for spec in specs)
+        expected = []
+        for alpha in alphas:
+            table = correlations.correlation_table(alpha, l_max)
+            for spec in specs:
+                res = entanglement.block_entanglement(table, spec)
+                approx = None if spec.d else entanglement.approx_negativity(
+                    table.g[0], table.g[1], table.h[0], table.h[1],
+                    n=spec.n, m=spec.m)
+                expected.append({
+                    "alpha": alpha, "m": spec.m, "s": spec.s, "d": spec.d,
+                    "n": spec.n, "G": res.cov.g_diag, "H": res.cov.h_diag,
+                    "G_AB": res.cov.g_cross, "H_AB": res.cov.h_cross,
+                    "delta1": res.delta1, "delta2": res.delta2,
+                    "epsilon": cli._snap(res.epsilon), "Delta": res.duan,
+                    "epsilon_approx": approx})
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert row == want
+
     def test_convergence_failure_exit_code(self, capsys):
         # z^2 is within 1e-7 of 1, beyond the series' term cap
         assert run(["sweep", "--alphas", "0.999999999999999", "--m", "1",
@@ -241,13 +281,16 @@ class TestValidateCommand:
             name for name, _ in cli.VALIDATION_CHECKS}
 
     def test_corrupted_correlation_fails(self, capsys, monkeypatch):
-        original = correlations.g_infinite
+        original = correlations.correlation_table
 
-        def corrupted(l, alpha, **kwargs):
-            value = original(l, alpha, **kwargs)
-            return -value if l == 1 else value
+        def corrupted(alpha, l_max):
+            table = original(alpha, l_max)
+            g = table.g.copy()
+            g[1] = -g[1]
+            return correlations.CorrelationTable(alpha=table.alpha, g=g,
+                                                 h=table.h)
 
-        monkeypatch.setattr(correlations, "g_infinite", corrupted)
+        monkeypatch.setattr(correlations, "correlation_table", corrupted)
         assert run(["validate", "--oracle-n", str(2**16)]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] oracle-equivalence" in out
@@ -286,6 +329,34 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("chainent: domain error: --oracle-n")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,lag", [
+        (["correlations", "--alpha", "0.5", "--l-max", "20", "--oracle-n",
+          "20"], 20),
+        (["sweep", "--alphas", "0.5", "--m", "1", "--s", "30", "--d", "0",
+          "--oracle-n", "50"], 59),
+        (["sweep", "--alphas", "0.5", "--m", "1", "--s", "60", "--d", "0",
+          "--oracle-n", "100"], 100),
+        (["validate", "--oracle-n", "30"], 50)], ids=lambda v: str(v))
+    def test_oracle_n_below_the_lags_compared(self, capsys, monkeypatch,
+                                              argv, lag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("--oracle-n is checked before any table")
+
+        monkeypatch.setattr(correlations, "correlation_table", no_work)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"chainent: domain error: --oracle-n must be >= {lag + 1} sites "
+            f"to compare lags up to {lag}, got {argv[-1]}\n")
+
+    def test_alpha_next_to_one_is_numerical_failure(self, capsys):
+        assert run(["correlations", "--alpha", "0.999999999999999"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chainent: numerical failure: ")
         assert captured.err.count("\n") == 1
 
     def test_missing_subcommand(self):

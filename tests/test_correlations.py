@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -224,3 +226,58 @@ class TestCorrelationTable:
         for alpha in (1e-6, 0.3, 0.9):
             table = tables(alpha, 1)
             assert table.g[0] * table.h[0] >= 0.25
+
+
+#: relative tolerance per coupling against the 40-digit oracle; each is below
+#: the largest error the per-lag Gauss series made at that coupling (1.3e-13,
+#: 1.1e-13, 1.5e-13, 1.3e-13, 1.7e-12, 3.0e-11).  The recurrence measured
+#: 1.9e-15, 1.1e-15, 5.6e-15, 1.4e-14, 2.1e-13, 2.0e-12; near alpha = 1 the
+#: lag-0 seed series sets the error.
+EDGE_RTOL = {0.1: 2e-14, 0.5: 2e-14, 0.9: 2e-14, 0.99: 3e-14, 0.9999: 5e-13,
+             0.999999: 5e-12}
+
+
+class TestRecurrence:
+    # relative, not absolute: the lags reach g_60 = 3.7e-80 at alpha = 0.1
+    @pytest.mark.parametrize("alpha", oracles.CORRELATION_EDGE_ALPHAS)
+    def test_matches_frozen_oracle(self, alpha):
+        table = correlation_table(alpha, max(oracles.CORRELATION_EDGE_LAGS))
+        for l in oracles.CORRELATION_EDGE_LAGS:
+            for kind, values in (("g", table.g), ("h", table.h)):
+                expected = _frozen.CORRELATION_EDGE_ORACLE[(kind, alpha, l)]
+                assert values[l] == pytest.approx(
+                    expected, rel=EDGE_RTOL[alpha], abs=0.0), (kind, l)
+
+    def test_finite_next_to_one(self):
+        # the seed series still converges at 1 - alpha = 5e-11; the
+        # recurrence then takes about 1.8e6 steps
+        table = correlation_table(1.0 - 5e-11, 3)
+        assert np.all(np.isfinite(table.g)) and np.all(np.isfinite(table.h))
+        assert np.all(table.g > 0) and table.h[0] > 0
+        assert np.all(table.h[1:] < 0)
+
+    def test_too_close_to_one_raises_at_once(self):
+        # the recurrence would need 4e8 steps: refused before any series
+        # runs (summing a seed to its term cap first takes about 0.3 s)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="backward recurrence"):
+            correlation_table(0.999999999999999, 5)
+        assert time.perf_counter() - start < 0.1
+
+    def test_subnormal_coupling(self):
+        # z = alpha/2 rounds to 0, so the step count cannot use log z
+        table = correlation_table(5e-324, 3)
+        assert list(table.g) == [0.5, 0.0, 0.0, 0.0]
+        assert list(table.h) == [0.5, 0.0, 0.0, 0.0]
+
+    def test_tail_underflows_without_warnings(self):
+        # z^752 is about 1e-611 at alpha = 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = correlation_table(0.3, 752)
+        for values, sign in ((table.g, 1.0), (table.h, -1.0)):
+            assert np.all(np.isfinite(values))
+            zero = int(np.argmax(values == 0.0))
+            assert 300 < zero < 752
+            assert np.all(sign * values[1:zero] > 0)
+            assert np.all(values[zero:] == 0.0)
