@@ -1,6 +1,11 @@
 """Entanglement between collective operators of oscillator blocks and
 smeared field regions.
 
+The chain side has one route per quantity: `correlation_table` gives the
+correlations g_l, h_l (`finite_correlation_table` is the N-site oracle),
+`block_indices` a layout's sites, and `covariance_of_blocks` with
+`negativity` the collective covariance and epsilon.
+
 Submodules
 ----------
 correlations : ground-state two-point functions of the oscillator chain
@@ -11,11 +16,9 @@ kernels      : the Gauss series that seeds the correlation tables at lag 0
 cli          : sweep / correlations / field / validate command line
 """
 
-from .blocks import BlockIndices, BlockSpec, block_indices, lag_multiset
+from .blocks import BlockSpec, block_indices
 from .correlations import (CorrelationTable, Coupling, correlation_table,
-                           dispersion, finite_correlation_table, g_finite,
-                           g_infinite, h_finite, h_infinite, hyp2f1,
-                           reduced_coupling)
+                           finite_correlation_table)
 from .entanglement import (CollectiveCovariance, EntanglementResult,
                            approx_negativity, block_entanglement,
                            collective_symplectic, covariance_of_blocks,
@@ -29,14 +32,13 @@ from .kernels import BACKEND as KERNEL_BACKEND
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockIndices", "BlockSpec", "ChainentError", "CollectiveCovariance",
-    "ConvergenceError", "CorrelationTable", "Coupling", "DomainError",
-    "EntanglementResult", "FieldRegionSpec", "InvalidCovarianceError",
-    "KERNEL_BACKEND", "LagBoundError", "QuadratureError",
-    "approx_negativity", "block_entanglement", "block_indices",
-    "collective_symplectic", "correlation_table", "covariance_of_blocks",
-    "d_phi", "d_pi", "dispersion", "duan_witness", "field_covariance",
-    "field_negativity", "finite_correlation_table", "g_finite", "g_infinite",
-    "h_finite", "h_infinite", "hyp2f1", "lag_multiset", "negativity",
-    "periodic_field_negativity", "reduced_coupling", "symplectic_form",
+    "BlockSpec", "ChainentError", "CollectiveCovariance", "ConvergenceError",
+    "CorrelationTable", "Coupling", "DomainError", "EntanglementResult",
+    "FieldRegionSpec", "InvalidCovarianceError", "KERNEL_BACKEND",
+    "LagBoundError", "QuadratureError", "approx_negativity",
+    "block_entanglement", "block_indices", "collective_symplectic",
+    "correlation_table", "covariance_of_blocks", "d_phi", "d_pi",
+    "duan_witness", "field_covariance", "field_negativity",
+    "finite_correlation_table", "negativity", "periodic_field_negativity",
+    "symplectic_form",
 ]

@@ -68,34 +68,15 @@ class BlockSpec:
         return self.as_text()
 
 
-@dataclass(frozen=True)
-class BlockIndices:
-    """Sorted chain positions of the two blocks; disjoint by construction."""
+def block_indices(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted chain positions (a, b) of the two blocks, as int arrays.
 
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        a, b = tuple(self.a), tuple(self.b)
-        if set(a) & set(b):
-            raise DomainError("blocks A and B must be disjoint")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def block_indices(spec: BlockSpec) -> BlockIndices:
-    """Materialize the alternating layout starting at site 0.
-
-    Subblock i (i = 0..2m-1) occupies s consecutive sites and belongs to A
-    for even i, to B for odd i; d sites are skipped after every subblock.
+    Subblock i (i = 0..2m-1) occupies the s consecutive sites from
+    i*(s + d) and belongs to A for even i, to B for odd i.
     """
-    a, b = [], []
-    pos = 0
-    for i in range(2 * spec.m):
-        sites = range(pos, pos + spec.s)
-        (a if i % 2 == 0 else b).extend(sites)
-        pos += spec.s + spec.d
-    return BlockIndices(a=tuple(a), b=tuple(b))
+    starts = (spec.s + spec.d) * np.arange(2 * spec.m)
+    sites = starts[:, None] + np.arange(spec.s)
+    return sites[0::2].ravel(), sites[1::2].ravel()
 
 
 def lag_count_array(x, y, length: int | None = None) -> np.ndarray:
@@ -108,12 +89,3 @@ def lag_count_array(x, y, length: int | None = None) -> np.ndarray:
     lags = np.abs(xa[:, None] - ya[None, :]).ravel()
     return np.bincount(lags, minlength=0 if length is None else length)
 
-
-def lag_multiset(x, y) -> dict:
-    """Map lag |i - j| -> multiplicity over all pairs (i in x, j in y).
-
-    Precomputing these multiplicities makes the covariance double sums cost
-    O(distinct lags) instead of O(|x|*|y|) table lookups per sweep point.
-    """
-    counts = lag_count_array(x, y)
-    return {int(l): int(c) for l, c in enumerate(counts) if c}

@@ -159,6 +159,15 @@ def _check_oracle_n(oracle_n, lag: int) -> None:
                           f"lags up to {lag}, got {oracle_n}")
 
 
+def _oracle_deviation(table, oracle_n: int, lags: int) -> float:
+    """max |table - N-site spectral sums| over g and h on lags 0..lags, the
+    comparison behind sweep's --oracle-n and validate's oracle check."""
+    oracle = correlations.finite_correlation_table(
+        table.alpha, n_sites=oracle_n, l_max=lags)
+    return max(float(np.max(np.abs(table.g[:lags + 1] - oracle.g))),
+               float(np.max(np.abs(table.h[:lags + 1] - oracle.h))))
+
+
 # ---------------------------------------------------------------------------
 # correlations subcommand
 
@@ -195,11 +204,8 @@ def _checked_table(alpha, l_max, oracle_n):
     min(l_max, SWEEP_ORACLE_LAGS)."""
     table = correlations.correlation_table(alpha, l_max)
     if oracle_n:
-        check_l = min(l_max, SWEEP_ORACLE_LAGS)
-        oracle = correlations.finite_correlation_table(alpha, n_sites=oracle_n,
-                                                       l_max=check_l)
-        worst = max(float(np.max(np.abs(table.g[:check_l + 1] - oracle.g))),
-                    float(np.max(np.abs(table.h[:check_l + 1] - oracle.h))))
+        worst = _oracle_deviation(table, oracle_n,
+                                  min(l_max, SWEEP_ORACLE_LAGS))
         if worst > ORACLE_TOL:
             raise ChainentError(
                 f"oracle cross-check failed at alpha={alpha}: max deviation "
@@ -236,11 +242,7 @@ def cmd_sweep(args) -> int:
     else:
         specs = [BlockSpec(m=m, s=s, d=d) for m in args.m for s in args.s
                  for d in args.d]
-    needed = max(spec.max_lag for spec in specs)
-    l_max = args.l_max if args.l_max is not None else needed
-    if l_max < needed:
-        raise DomainError(
-            f"--l-max {l_max} is below the largest lag {needed} the grid needs")
+    l_max = max(spec.max_lag for spec in specs)
     _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
     tables = [_checked_table(alpha, l_max, args.oracle_n) for alpha in alphas]
@@ -293,11 +295,8 @@ def _check_oracle_equivalence(oracle_n: int):
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9, 0.99):
         table = correlations.correlation_table(alpha, VALIDATE_ORACLE_LAGS)
-        oracle = correlations.finite_correlation_table(
-            alpha, n_sites=oracle_n, l_max=VALIDATE_ORACLE_LAGS)
-        worst = max(worst,
-                    float(np.max(np.abs(table.g - oracle.g))),
-                    float(np.max(np.abs(table.h - oracle.h))))
+        worst = max(worst, _oracle_deviation(table, oracle_n,
+                                             VALIDATE_ORACLE_LAGS))
     return worst <= ORACLE_TOL, (
         f"max |closed-form - spectral-sum(N={oracle_n})| = {worst:.3e} "
         f"(tol {ORACLE_TOL:g})")
@@ -448,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--specs", default=None, metavar="M:S:D,...",
                          help="explicit geometry list in canonical 'm:s:d' "
                               "form; overrides --m/--s/--d")
-    p_sweep.add_argument("--l-max", type=int, default=None,
-                         help="correlation table depth (default: fits grid)")
     p_sweep.add_argument("--oracle-n", type=int, default=None, metavar="N",
                          help="cross-check each table against the N-site "
                               "spectral sums before sweeping")

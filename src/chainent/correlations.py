@@ -19,19 +19,15 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DomainError
 
-DEFAULT_SERIES_TOL = 1e-14
-DEFAULT_MAX_TERMS = 10**6
-DEFAULT_ORACLE_N = 2**22
+_SERIES_TOL = 1e-14
+_MAX_TERMS = 10**6
 
 #: cap on the backward recurrence's steps past l_max.  The lag-0 seed series
-#: reaches its DEFAULT_MAX_TERMS cap at 1 - alpha = 3.7e-11, where the
-#: recurrence takes 2.1e6 steps; below 1 - alpha = 1.9e-11 this cap refuses
-#: at once instead of summing the seed first.
-MAX_RECURRENCE_STEPS = 3 * DEFAULT_MAX_TERMS
+#: reaches its term cap at 1 - alpha = 3.7e-11, where the recurrence takes
+#: 2.1e6 steps; below 1 - alpha = 1.9e-11 this cap refuses at once instead
+#: of summing the seed first.
+MAX_RECURRENCE_STEPS = 3 * _MAX_TERMS
 _LOG_EPS = math.log(2.0**-53)
-
-# chunk size for the per-lag direct spectral sums, bounds temporary memory
-_SUM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,110 +66,16 @@ def as_coupling(alpha) -> Coupling:
     return Coupling(float(alpha))
 
 
-def reduced_coupling(alpha) -> tuple[float, float]:
-    """Return (z, mu) for a coupling alpha in (0, 1)."""
-    c = as_coupling(alpha)
-    return c.z, c.mu
-
-
-def dispersion(theta, alpha):
-    """Mode frequency sqrt(1 - alpha*cos(theta)); accepts scalars or arrays."""
-    a = as_coupling(alpha).alpha
-    return np.sqrt(1.0 - a * np.cos(theta))
-
-
-def hyp2f1(a: float, b: float, c: float, x: float,
-           tol: float = DEFAULT_SERIES_TOL,
-           max_terms: int = DEFAULT_MAX_TERMS) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; x) by direct series.
-
-    Sums the Gauss series to absolute tolerance `tol`, stopping once two
-    consecutive terms fall below it.  Only |x| < 1 is supported; `c` must not
-    be a non-positive integer.
-
-    Raises
-    ------
-    DomainError
-        if x or c is outside the supported domain, `tol` is not a finite
-        positive number or `max_terms` is below 1.
-    ConvergenceError
-        if the series needs more than `max_terms` terms, i.e. x is too close
-        to 1 for the requested tolerance.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be a finite positive number, got {tol}")
-    if not max_terms >= 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    if not abs(x) < 1.0:
-        raise DomainError(f"series evaluation requires |x| < 1, got x={x}")
-    if c <= 0.0 and c == int(c):
-        raise DomainError(f"c must not be a non-positive integer, got c={c}")
-    value, converged = kernels.hyp2f1_series(float(a), float(b), float(c),
-                                             float(x), float(tol),
-                                             int(max_terms))
+def _seed_series(a: float, x: float) -> float:
+    """2F1(a, a; 1; x), a lag-0 seed of `correlation_table`."""
+    value, converged = kernels.hyp2f1_series(a, a, 1.0, x, _SERIES_TOL,
+                                             _MAX_TERMS)
     if not converged:
         raise ConvergenceError(
-            f"2F1 series did not reach tol={tol} within {max_terms} terms "
-            f"(a={a}, b={b}, c={c}, x={x}); x is too close to 1")
+            f"lag-0 seed series 2F1({a}, {a}; 1; z^2) did not reach "
+            f"tol={_SERIES_TOL} within {_MAX_TERMS} terms (z^2={x}); alpha "
+            f"is too close to 1")
     return value
-
-
-def _check_lag(l) -> int:
-    if l != int(l) or l < 0:
-        raise DomainError(f"lag must be a non-negative integer, got {l}")
-    return int(l)
-
-
-def g_infinite(l, alpha) -> float:
-    """Position-position correlation <q_i q_{i+l}> of the infinite chain.
-
-    Read from `correlation_table(alpha, l)`.
-    """
-    l = _check_lag(l)
-    return float(correlation_table(alpha, l).g[l])
-
-
-def h_infinite(l, alpha) -> float:
-    """Momentum-momentum correlation <p_i p_{i+l}> of the infinite chain.
-
-    Negative for every lag l >= 1 at any admissible coupling.  Read from
-    `correlation_table(alpha, l)`.
-    """
-    l = _check_lag(l)
-    return float(correlation_table(alpha, l).h[l])
-
-
-def _finite_sum(l: int, alpha: float, n_sites: int, power: float) -> float:
-    # (2N)^-1 sum_k nu(theta_k)^power cos(l theta_k), chunked over k
-    total = 0.0
-    for start in range(0, n_sites, _SUM_CHUNK):
-        k = np.arange(start, min(start + _SUM_CHUNK, n_sites), dtype=np.float64)
-        theta = (2.0 * np.pi / n_sites) * k
-        nu_pow = (1.0 - alpha * np.cos(theta)) ** (0.5 * power)
-        total += float(nu_pow @ np.cos(l * theta))
-    return total / (2.0 * n_sites)
-
-
-def _check_finite_args(l, alpha, n_sites) -> tuple[int, float, int]:
-    l = int(l)
-    n_sites = int(n_sites)
-    if n_sites < 2:
-        raise DomainError(f"finite chain needs N >= 2 sites, got {n_sites}")
-    if not 0 <= l < n_sites:
-        raise DomainError(f"lag must satisfy 0 <= l < N, got l={l}, N={n_sites}")
-    return l, as_coupling(alpha).alpha, n_sites
-
-
-def g_finite(l, alpha, n_sites) -> float:
-    """Exact <q_i q_{i+l}> of the closed N-site chain by direct mode summation."""
-    l, a, n_sites = _check_finite_args(l, alpha, n_sites)
-    return _finite_sum(l, a, n_sites, -1.0)
-
-
-def h_finite(l, alpha, n_sites) -> float:
-    """Exact <p_i p_{i+l}> of the closed N-site chain by direct mode summation."""
-    l, a, n_sites = _check_finite_args(l, alpha, n_sites)
-    return _finite_sum(l, a, n_sites, +1.0)
 
 
 @dataclass(frozen=True)
@@ -221,7 +123,7 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     series sets it, 2e-13 at 0.9999); the far tail underflows to 0.
 
     Raises ConvergenceError when alpha is so close to 1 that K exceeds
-    `MAX_RECURRENCE_STEPS` or a seed series its term cap.
+    `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap.
     """
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
@@ -235,8 +137,8 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
             f"{MAX_RECURRENCE_STEPS} (alpha={c.alpha}); alpha is too close "
             f"to 1")
     x = z * z
-    seeds = (1.0 / (2.0 * c.mu) * hyp2f1(0.5, 0.5, 1.0, x),
-             c.mu / 2.0 * hyp2f1(-0.5, -0.5, 1.0, x))
+    seeds = (1.0 / (2.0 * c.mu) * _seed_series(0.5, x),
+             c.mu / 2.0 * _seed_series(-0.5, x))
     half = 0.5 * c.alpha
     rg = rh = 0.0
     ratios = []
@@ -250,15 +152,17 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     return CorrelationTable(alpha=c, g=g, h=h)
 
 
-def finite_correlation_table(alpha, n_sites: int = DEFAULT_ORACLE_N,
-                             l_max: int = 100) -> CorrelationTable:
+def finite_correlation_table(alpha, n_sites: int,
+                             l_max: int) -> CorrelationTable:
     """Tabulate the exact N-site correlations up to lag `l_max`.
 
-    One real FFT evaluates the spectral sums of `g_finite`/`h_finite` for all
-    lags at once (the identical sum, reassociated).  The rfft holds lags
-    0..N/2; the ring symmetry g_l = g_{N-l}, h_l = h_{N-l} supplies the rest,
-    so every 0 <= l_max < N is covered.  A validation path, independent of
-    the hypergeometric production route.
+    g_l = (2N)^-1 sum_k cos(l theta_k)/nu_k and h_l the same with nu_k in
+    place of 1/nu_k, where theta_k = 2 pi k/N and nu_k = sqrt(1 - alpha
+    cos theta_k) are the N normal modes; one real FFT per sum evaluates
+    every lag at once.  The rfft holds lags 0..N/2; the ring symmetry
+    g_l = g_{N-l}, h_l = h_{N-l} supplies the rest, so every
+    0 <= l_max < N is covered.  A validation path, independent of the
+    hypergeometric production route.
     """
     c = as_coupling(alpha)
     n_sites = int(n_sites)

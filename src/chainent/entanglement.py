@@ -93,10 +93,10 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     same counts), cross[l] those between A and B; both run to lag
     spec.max_lag.  They do not depend on the coupling.
     """
-    idx = block_indices(spec)
+    a, b = block_indices(spec)
     length = spec.max_lag + 1
-    return (lag_count_array(idx.a, idx.a, length).astype(np.float64),
-            lag_count_array(idx.a, idx.b, length).astype(np.float64))
+    return (lag_count_array(a, a, length).astype(np.float64),
+            lag_count_array(a, b, length).astype(np.float64))
 
 
 def covariance_of_blocks(table: CorrelationTable, spec: BlockSpec,
@@ -201,18 +201,18 @@ def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
     if spec.span > n_sites:
         raise DomainError(
             f"spec {spec} spans {spec.span} sites, exceeding N = {n_sites}")
-    idx = block_indices(spec)
+    a, b = block_indices(spec)
     n = spec.n
     s_mat = np.zeros((2 * n_sites, 2 * n_sites), dtype=complex)
     row = 0
-    for sites in (idx.a, idx.b):
+    for sites in (a, b):
         for k in range(n):
             for rank, j in enumerate(sites):
                 phase = np.exp(2j * np.pi * rank * k / n) / np.sqrt(n)
                 s_mat[row, 2 * j] = phase              # Q^(k) over q_j
                 s_mat[row + 1, 2 * j + 1] = phase.conjugate()  # P^(k) over p_j
             row += 2
-    involved = set(idx.a) | set(idx.b)
+    involved = set(a.tolist()) | set(b.tolist())
     for j in range(n_sites):
         if j not in involved:
             s_mat[row, 2 * j] = 1.0

@@ -1,7 +1,7 @@
-"""The Gauss-series sum behind `correlations.hyp2f1`.
+"""The Gauss-series sum behind the lag-0 seeds of `correlation_table`.
 
-It only seeds each correlation table at lag 0 (two series per table); the
-other lags come from a recurrence.
+It only seeds each correlation table at lag 0 (two series per table,
+`correlations._seed_series`); the other lags come from a recurrence.
 
 ``BACKEND`` names the implementation, NumPy/Python; it is reported as
 `chainent.KERNEL_BACKEND` and in `chainent validate`'s text report.

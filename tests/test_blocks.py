@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainent import BlockSpec, DomainError, block_indices, lag_multiset
+from chainent import BlockSpec, DomainError, block_indices
 from chainent.blocks import lag_count_array
 
 spec_strategy = st.builds(BlockSpec,
@@ -41,63 +41,65 @@ class TestBlockSpec:
 
 class TestBlockIndices:
     def test_contiguous_layout(self):
-        idx = block_indices(BlockSpec(m=1, s=3, d=2))
-        assert idx.a == (0, 1, 2)
-        assert idx.b == (5, 6, 7)
+        a, b = block_indices(BlockSpec(m=1, s=3, d=2))
+        assert a.tolist() == [0, 1, 2]
+        assert b.tolist() == [5, 6, 7]
 
     def test_periodic_layout(self):
-        idx = block_indices(BlockSpec(m=2, s=3, d=1))
-        assert idx.a == (0, 1, 2, 8, 9, 10)
-        assert idx.b == (4, 5, 6, 12, 13, 14)
+        a, b = block_indices(BlockSpec(m=2, s=3, d=1))
+        assert a.tolist() == [0, 1, 2, 8, 9, 10]
+        assert b.tolist() == [4, 5, 6, 12, 13, 14]
 
     def test_strict_alternation(self):
-        idx = block_indices(BlockSpec(m=3, s=1, d=0))
-        assert idx.a == (0, 2, 4)
-        assert idx.b == (1, 3, 5)
+        a, b = block_indices(BlockSpec(m=3, s=1, d=0))
+        assert a.tolist() == [0, 2, 4]
+        assert b.tolist() == [1, 3, 5]
 
     @given(spec=spec_strategy)
     def test_layout_invariants(self, spec):
-        idx = block_indices(spec)
-        assert len(idx.a) == len(idx.b) == spec.n
-        assert not set(idx.a) & set(idx.b)
-        occupied = sorted(idx.a + idx.b)
+        a, b = (idx.tolist() for idx in block_indices(spec))
+        assert len(a) == len(b) == spec.n
+        assert not set(a) & set(b)
+        occupied = sorted(a + b)
         assert occupied[-1] == spec.span - 1
-        lags = [abs(i - j) for i in idx.a + idx.b for j in idx.a + idx.b]
+        lags = [abs(i - j) for i in a + b for j in a + b]
         assert max(lags) <= spec.max_lag
 
     @given(n=st.integers(1, 8), d=st.integers(0, 5))
     def test_m1_is_contiguous(self, n, d):
-        idx = block_indices(BlockSpec(m=1, s=n, d=d))
-        assert idx.a == tuple(range(n))
-        assert idx.b == tuple(range(n + d, 2 * n + d))
+        a, b = block_indices(BlockSpec(m=1, s=n, d=d))
+        assert a.tolist() == list(range(n))
+        assert b.tolist() == list(range(n + d, 2 * n + d))
 
 
 class TestLagMultiset:
+    # the lag multiplicities, as lag_count_array counts them
+
     def test_small_examples(self):
-        assert lag_multiset((0, 1), (0, 1)) == {0: 2, 1: 2}
-        assert lag_multiset((0,), (2,)) == {2: 1}
+        assert lag_count_array((0, 1), (0, 1)).tolist() == [2, 2]
+        assert lag_count_array((0,), (2,)).tolist() == [0, 0, 1]
 
     def test_periodic_example_total(self):
-        idx = block_indices(BlockSpec(m=2, s=3, d=1))
-        counts = lag_multiset(idx.a, idx.b)
-        assert sum(counts.values()) == 36
+        a, b = block_indices(BlockSpec(m=2, s=3, d=1))
+        counts = lag_count_array(a, b)
+        assert counts.sum() == 36
         # brute-force pair enumeration agrees
-        expected = {}
-        for i in idx.a:
-            for j in idx.b:
-                expected[abs(i - j)] = expected.get(abs(i - j), 0) + 1
-        assert counts == expected
+        expected = [0] * counts.size
+        for i in a.tolist():
+            for j in b.tolist():
+                expected[abs(i - j)] += 1
+        assert counts.tolist() == expected
 
     @given(spec=spec_strategy)
     def test_counts_sum_to_pair_count(self, spec):
-        idx = block_indices(spec)
-        assert sum(lag_multiset(idx.a, idx.b).values()) == spec.n ** 2
-        assert sum(lag_multiset(idx.a, idx.a).values()) == spec.n ** 2
+        a, b = block_indices(spec)
+        assert lag_count_array(a, b).sum() == spec.n ** 2
+        assert lag_count_array(a, a).sum() == spec.n ** 2
 
     @given(spec=spec_strategy)
     def test_translation_symmetry(self, spec):
-        idx = block_indices(spec)
-        assert lag_multiset(idx.a, idx.a) == lag_multiset(idx.b, idx.b)
+        a, b = block_indices(spec)
+        assert np.array_equal(lag_count_array(a, a), lag_count_array(b, b))
 
     def test_count_array_padding(self):
         arr = lag_count_array((0, 1), (0, 1), length=6)

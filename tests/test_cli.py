@@ -51,7 +51,7 @@ class TestCorrelationsCommand:
         l, g, h = lines[2].split(",")
         assert l == "0"
         # 17 significant digits survive a round-trip
-        assert float(g) == correlations.g_infinite(0, 0.9)
+        assert float(g) == correlations.correlation_table(0.9, 0).g[0]
 
     def test_oracle_columns(self, capsys):
         assert run(["correlations", "--alpha", "0.9", "--l-max", "3",
@@ -137,10 +137,6 @@ class TestSweepCommand:
     def test_rejects_malformed_specs(self, capsys):
         assert run(["sweep", "--alphas", "0.9", "--specs", "2:3"]) == 2
 
-    def test_l_max_too_small_is_usage_error(self, capsys):
-        assert run(["sweep", "--alphas", "0.5", "--m", "2", "--s", "3",
-                    "--d", "1", "--l-max", "4"]) == 2
-
     def test_domain_error_exit_code(self, capsys):
         assert run(["sweep", "--alphas", "1.5", "--m", "1", "--s", "1",
                     "--d", "0"]) == 2
@@ -185,7 +181,7 @@ class TestSweepCommand:
             assert row == want
 
     def test_convergence_failure_exit_code(self, capsys):
-        # z^2 is within 1e-7 of 1, beyond the series' term cap
+        # z^2 is within 1e-7 of 1: the recurrence would need 4e8 steps
         assert run(["sweep", "--alphas", "0.999999999999999", "--m", "1",
                     "--s", "1", "--d", "0"]) == 3
         captured = capsys.readouterr()
@@ -359,6 +355,16 @@ class TestUsageErrors:
         assert captured.err.startswith("chainent: numerical failure: ")
         assert captured.err.count("\n") == 1
 
+    def test_seed_term_cap_is_numerical_failure(self, capsys):
+        # within the recurrence's step cap, but the lag-0 seed series
+        # reaches its term cap
+        assert run(["correlations", "--alpha", "0.99999999997"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "chainent: numerical failure: lag-0 seed series")
+        assert captured.err.count("\n") == 1
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:
             run([])
@@ -376,6 +382,7 @@ class TestUsageErrors:
         ["sweep", "--alphas", "0.5", "--max-terms", "5"],
         ["sweep", "--alphas", "0.5", "--oracle-tol", "1e-8"],
         ["sweep", "--alphas", "0.5", "--jobs", "2"],
+        ["sweep", "--alphas", "0.5", "--l-max", "4"],
         ["validate", "--tol", "1e-2"]], ids=lambda argv: argv[0] + argv[-2])
     def test_removed_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as err:

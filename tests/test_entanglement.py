@@ -50,8 +50,8 @@ class TestCovarianceOfBlocks:
     def test_matches_pair_enumeration(self, tables, m, s, d):
         table = tables(0.9, 130)
         spec = BlockSpec(m, s, d)
-        idx = block_indices(spec)
-        expected = oracles.covariance_by_enumeration(table, idx.a, idx.b)
+        a, b = block_indices(spec)
+        expected = oracles.covariance_by_enumeration(table, a, b)
         cov = covariance_of_blocks(table, spec)
         got = (cov.g_diag, cov.h_diag, cov.g_cross, cov.h_cross)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -64,9 +64,9 @@ class TestCovarianceOfBlocks:
         # swapping the roles of A and B leaves every covariance entry alone
         table = tables(0.9, 130)
         for spec in (BlockSpec(1, 3, 1), BlockSpec(2, 2, 1), BlockSpec(3, 1, 2)):
-            idx = block_indices(spec)
-            direct = oracles.covariance_by_enumeration(table, idx.a, idx.b)
-            swapped = oracles.covariance_by_enumeration(table, idx.b, idx.a)
+            a, b = block_indices(spec)
+            direct = oracles.covariance_by_enumeration(table, a, b)
+            swapped = oracles.covariance_by_enumeration(table, b, a)
             assert direct == pytest.approx(swapped, rel=1e-15)
 
 
@@ -181,13 +181,13 @@ class TestCollectiveSymplectic:
     def test_zero_frequency_rows_are_plain_averages(self):
         spec = BlockSpec(1, 3, 1)
         s_mat = collective_symplectic(10, spec)
-        idx = block_indices(spec)
+        a, b = block_indices(spec)
         inv_sqrt_n = 1 / math.sqrt(3)
-        for j in idx.a:
+        for j in a:
             assert s_mat[0, 2 * j] == pytest.approx(inv_sqrt_n)
             assert s_mat[1, 2 * j + 1] == pytest.approx(inv_sqrt_n)
-        row_b = 2 * len(idx.a)
-        for j in idx.b:
+        row_b = 2 * len(a)
+        for j in b:
             assert s_mat[row_b, 2 * j] == pytest.approx(inv_sqrt_n)
 
     def test_rejects_oversized_problems(self):
