@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 
 
 @dataclass(frozen=True, order=True)
@@ -25,14 +25,9 @@ class BlockSpec:
     d: int
 
     def __post_init__(self):
-        for name, value, low in (("m", self.m, 1), ("s", self.s, 1),
-                                 ("d", self.d, 0)):
-            if value != int(value) or value < low:
-                raise DomainError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "d", int(self.d))
+        for name, low in (("m", 1), ("s", 1), ("d", 0)):
+            object.__setattr__(self, name,
+                               _check_int(name, getattr(self, name), low))
 
     @property
     def n(self) -> int:

@@ -2,8 +2,9 @@
 grids and the self-validation suite, with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
-3 numerical failure.  Output is assembled fully in memory and written in one
-shot, so a failing grid point never leaves partial output behind.
+3 numerical failure.  Each subcommand returns its whole output as text with
+its exit code, and `main` does the single write to stdout or --out, so a
+failing grid point never leaves partial output behind.
 """
 
 import argparse
@@ -51,53 +52,44 @@ FIELD_COLUMNS = ("mass", "L", "r", "D_phi0", "D_pi0", "D_phi_r", "D_pi_r",
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
+def _parse_values(text: str, scalar, read_range) -> list:
+    """Comma-separated scalars and 'a..b' ranges (read by read_range), sorted
+    and unique; an item that does not parse or holds no value is a
+    DomainError."""
+    values = []
+    for token in map(str.strip, text.split(",")):
+        try:
+            new = read_range(token) if ".." in token else [scalar(token)]
+        except ValueError:
+            new = []
+        if not new:
+            raise DomainError(f"bad value or range {token!r}")
+        values.extend(new)
+    return sorted(set(values))
+
+
+def _int_range(token: str) -> range:
+    lo, hi = token.split("..", 1)
+    return range(int(lo), int(hi) + 1)
+
+
+def _linspace_range(token: str) -> list[float]:
+    body, _, count = token.partition(":")
+    lo, hi = map(float, body.split("..", 1))
+    count = int(count)
+    if count < 2 or not (math.isfinite(lo) and math.isfinite(hi)):
+        return []
+    return np.linspace(lo, hi, count).tolist()
+
+
 def parse_int_values(text: str) -> list[int]:
     """Comma-separated integers and inclusive ranges 'a..b'."""
-    values: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo_s, hi_s = token.split("..", 1)
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise DomainError(f"bad integer range {token!r}")
-            if hi < lo:
-                raise DomainError(f"empty range {token!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise DomainError(f"bad integer {token!r}")
-    if not values:
-        raise DomainError(f"no values in {text!r}")
-    return sorted(set(values))
+    return _parse_values(text, int, _int_range)
 
 
 def parse_float_values(text: str) -> list[float]:
     """Comma-separated floats and linspace ranges 'a..b:count'."""
-    values: list[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            body, _, count_s = token.partition(":")
-            lo_s, hi_s = body.split("..", 1)
-            try:
-                lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-            except ValueError:
-                raise DomainError(f"bad float range {token!r}, want 'a..b:count'")
-            if count < 2:
-                raise DomainError(f"range {token!r} needs count >= 2")
-            values.extend(np.linspace(lo, hi, count).tolist())
-        else:
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise DomainError(f"bad float {token!r}")
-    if not values:
-        raise DomainError(f"no values in {text!r}")
-    return sorted(set(values))
+    return _parse_values(text, float, _linspace_range)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +98,8 @@ def parse_float_values(text: str) -> list[float]:
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return f"{float(value):.17g}"
 
 
@@ -121,17 +113,15 @@ def render_csv(schema_tag: str, columns, rows) -> str:
 
 
 def render_json(schema_tag: str, rows) -> str:
-    cleaned = []
-    for row in rows:
-        out = {}
-        for key, value in row.items():
-            if isinstance(value, np.integer):
-                value = int(value)
-            elif isinstance(value, np.floating):
-                value = float(value)
-            out[key] = value
-        cleaned.append(out)
-    return json.dumps({"schema": schema_tag, "rows": cleaned}, indent=2) + "\n"
+    # cells are int, None or float; np.float64 is a float subclass
+    return json.dumps({"schema": schema_tag, "rows": rows}, indent=2) + "\n"
+
+
+def _render_table(args, schema_tag: str, columns, rows) -> str:
+    """A table subcommand's output in its --format."""
+    if args.format == "csv":
+        return render_csv(schema_tag, columns, rows)
+    return render_json(schema_tag, rows)
 
 
 def _emit(text: str, out_path) -> None:
@@ -171,28 +161,16 @@ def _oracle_deviation(table, oracle_n: int, lags: int) -> float:
 # ---------------------------------------------------------------------------
 # correlations subcommand
 
-def cmd_correlations(args) -> int:
+def cmd_correlations(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, args.l_max)
-    alpha = args.alpha
-    table = correlations.correlation_table(alpha, args.l_max)
-    oracle = None
+    table = correlations.correlation_table(args.alpha, args.l_max)
+    columns = {"l": range(args.l_max + 1), "g": table.g, "h": table.h}
     if args.oracle_n:
         oracle = correlations.finite_correlation_table(
-            alpha, n_sites=args.oracle_n, l_max=args.l_max)
-    rows = []
-    for l in range(args.l_max + 1):
-        row = {"l": l, "g": table.g[l], "h": table.h[l]}
-        if oracle is not None:
-            row["g_fin"] = oracle.g[l]
-            row["h_fin"] = oracle.h[l]
-        rows.append(row)
-    columns = ("l", "g", "h") + (("g_fin", "h_fin") if oracle is not None else ())
-    if args.format == "csv":
-        text = render_csv(CORRELATIONS_SCHEMA, columns, rows)
-    else:
-        text = render_json(CORRELATIONS_SCHEMA, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+            args.alpha, n_sites=args.oracle_n, l_max=args.l_max)
+        columns.update(g_fin=oracle.g, h_fin=oracle.h)
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    return _render_table(args, CORRELATIONS_SCHEMA, columns, rows), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +210,7 @@ def _sweep_row(table, spec, counts):
     }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     alphas = args.alphas  # sorted and unique, see parse_float_values
     for a in alphas:
         correlations.as_coupling(a)  # validate the whole grid up front
@@ -253,18 +231,13 @@ def cmd_sweep(args) -> int:
         for table, table_rows in zip(tables, by_alpha):
             table_rows.append(_sweep_row(table, spec, counts))
     rows = [row for table_rows in by_alpha for row in table_rows]
-    if args.format == "csv":
-        text = render_csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
-    else:
-        text = render_json(SWEEP_SCHEMA, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, rows), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # field subcommand
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> tuple[str, int]:
     rows = []
     for r in args.r:
         spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
@@ -280,12 +253,7 @@ def cmd_field(args) -> int:
             "D_phi_r": cov.g_cross, "D_pi_r": cov.h_cross,
             "epsilon": eps,
         })
-    if args.format == "csv":
-        text = render_csv(FIELD_SCHEMA, FIELD_COLUMNS, rows)
-    else:
-        text = render_json(FIELD_SCHEMA, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _render_table(args, FIELD_SCHEMA, FIELD_COLUMNS, rows), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +352,16 @@ VALIDATION_CHECKS = (
 )
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, VALIDATE_ORACLE_LAGS)
     checks = []
-    all_ok = True
     for name, func in VALIDATION_CHECKS:
         try:
             ok, detail = func(args.oracle_n)
         except ChainentError as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
-        all_ok = all_ok and ok
+    all_ok = all(check["passed"] for check in checks)
     if args.report == "json":
         text = json.dumps({"schema": VALIDATE_SCHEMA, "passed": all_ok,
                            "checks": checks}, indent=2) + "\n"
@@ -404,8 +371,7 @@ def cmd_validate(args) -> int:
         lines.append(f"overall: {'PASS' if all_ok else 'FAIL'} "
                      f"(kernel backend: {BACKEND})")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return text, EXIT_OK if all_ok else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     except DomainError as exc:
         print(f"chainent: domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE

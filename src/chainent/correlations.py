@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_int
 
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 10**6
@@ -125,8 +125,7 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     Raises ConvergenceError when alpha is so close to 1 that K exceeds
     `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap.
     """
-    if l_max < 0:
-        raise DomainError(f"l_max must be >= 0, got {l_max}")
+    l_max = _check_int("l_max", l_max, 0)
     c = as_coupling(alpha)
     z = c.z
     # z is 0 for alpha below about 1e-323, where every ratio is 0 to rounding
@@ -165,10 +164,9 @@ def finite_correlation_table(alpha, n_sites: int,
     hypergeometric production route.
     """
     c = as_coupling(alpha)
-    n_sites = int(n_sites)
-    if n_sites < 2:
-        raise DomainError(f"finite chain needs N >= 2 sites, got {n_sites}")
-    if not 0 <= l_max < n_sites:
+    n_sites = _check_int("n_sites", n_sites, 2)
+    l_max = _check_int("l_max", l_max, 0)
+    if l_max >= n_sites:
         raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
     theta = (2.0 * np.pi / n_sites) * np.arange(n_sites, dtype=np.float64)
     nu = np.sqrt(1.0 - c.alpha * np.cos(theta))

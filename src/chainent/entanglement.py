@@ -23,7 +23,8 @@ import numpy as np
 
 from .blocks import BlockSpec, block_indices, lag_count_array
 from .correlations import CorrelationTable
-from .errors import DomainError, InvalidCovarianceError, LagBoundError
+from .errors import (DomainError, InvalidCovarianceError, LagBoundError,
+                     _check_int)
 
 #: squared Heisenberg bound (delta1*delta2)_0 for [Q, P] = i
 VACUUM_PRODUCT = 0.25
@@ -166,7 +167,8 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
     and the blocks meet at 2m - 1 boundaries.  Returned unclamped so the
     crossover to a non-positive estimate stays visible in sweep output.
     """
-    if n < 1 or m < 1 or m > n:
+    n, m = _check_int("n", n, 1), _check_int("m", m, 1)
+    if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     d1 = g0 + (2.0 - (4.0 * m - 1.0) / n) * g1
     d2 = h0 + (2.0 - 1.0 / n) * h1
@@ -175,6 +177,7 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
 
 def symplectic_form(n_sites: int) -> np.ndarray:
     """Direct sum of n_sites copies of [[0, 1], [-1, 0]] (qpqp... ordering)."""
+    n_sites = _check_int("n_sites", n_sites, 1)
     omega = np.zeros((2 * n_sites, 2 * n_sites))
     for j in range(n_sites):
         omega[2 * j, 2 * j + 1] = 1.0
@@ -196,6 +199,7 @@ def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
 
     Verification-only: N is capped at 64 sites.
     """
+    n_sites = _check_int("n_sites", n_sites, 1)
     if n_sites > 64:
         raise DomainError(f"verification path is capped at N = 64, got {n_sites}")
     if spec.span > n_sites:

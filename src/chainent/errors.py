@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all chainent modules."""
 
+import numbers
+
 
 class ChainentError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,3 +30,11 @@ class InvalidCovarianceError(ChainentError, ArithmeticError):
 class QuadratureError(ChainentError, ArithmeticError):
     """A field propagator left the floating-point range and has no finite
     value to report (CLI exit code 3)."""
+
+
+def _check_int(name: str, value, low: int) -> int:
+    """`value` as an int; DomainError unless it is a Python or NumPy integer
+    >= `low` (an integral float such as 2.0 is refused too)."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

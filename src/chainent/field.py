@@ -66,10 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import iti0k0, k0, k1, roots_legendre
 
-from .blocks import lag_count_array
+from .blocks import BlockSpec
 from .entanglement import (CollectiveCovariance, EntanglementResult,
-                           negativity)
-from .errors import DomainError, QuadratureError
+                           lag_counts, negativity)
+from .errors import DomainError, QuadratureError, _check_int
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(16)
 
@@ -291,18 +291,15 @@ def periodic_field_negativity(mass: float, length: float, gap: float,
     1/sqrt(windows * length) per collective operator keeps the commutator at
     i, so the vacuum product stays 1/4).
     """
-    if not (windows >= 1 and float(windows).is_integer()):
-        raise DomainError(f"windows must be a positive integer, got {windows}")
+    windows = _check_int("windows", windows, 1)
     period = length + gap
     if not period > length:
         raise DomainError(
             f"window gap must be positive to keep regions disjoint, got {gap}")
-    windows = int(windows)
     spec = FieldRegionSpec(mass=mass, length=length, separation=period)
-    # window k is centered at k * period: A holds the even k, B the odd k
-    index_a = np.arange(0, 2 * windows, 2)
-    intra = lag_count_array(index_a, index_a)
-    cross = lag_count_array(index_a, index_a + 1)
+    # window k is centered at k * period: the chain layout of `windows`
+    # one-site subblocks per party, A on the even k, B on the odd k
+    intra, cross = lag_counts(BlockSpec(windows, 1, 0))
 
     def lag_sum(prop, counts):
         # only lags that occur: a zero count must not meet D_pi(0) = +inf

@@ -1,3 +1,4 @@
+import argparse
 import importlib.resources
 import json
 import math
@@ -35,6 +36,22 @@ class TestParsing:
         with pytest.raises(cli.DomainError):
             cli.parse_float_values(text) if ":" in text or "." in text \
                 else cli.parse_int_values(text)
+
+    @pytest.mark.parametrize("parse,text", [
+        (cli.parse_int_values, "1..x"), (cli.parse_int_values, "1,3..1"),
+        (cli.parse_int_values, "1.5"), (cli.parse_float_values, "1:2..3"),
+        (cli.parse_float_values, "0..1:0"), (cli.parse_float_values, "0.5,"),
+        (cli.parse_float_values, "0..inf:3")])
+    def test_rejects_malformed_item(self, parse, text):
+        with pytest.raises(cli.DomainError):
+            parse(text)
+
+    def test_malformed_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--alphas", "0.5", "--m", "1..x"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --m: invalid parse_int_values value: '1..x'\n")
 
     def test_snap(self):
         assert cli._snap(5e-13) == 0.0
@@ -293,6 +310,35 @@ class TestValidateCommand:
 
 
 class TestOutputFile:
+    @pytest.mark.parametrize("argv,code", [
+        (["correlations", "--alpha", "0.9", "--l-max", "5"], 0),
+        (["sweep", "--alphas", "0.5,0.9", "--m", "1..2", "--s", "1..2",
+          "--d", "0,1", "--format", "json"], 0),
+        (["field", "--mass", "1", "--length", "1", "--r", "0.5,2"], 0),
+        (["validate", "--oracle-n", str(2**16)], 0),
+        (["validate", "--oracle-n", str(2**16), "--report", "json"], 0),
+        (["validate", "--oracle-n", "60"], 1)],
+        ids=["correlations", "sweep-json", "field", "validate-text",
+             "validate-json", "validate-failing"])
+    def test_out_bytes_equal_stdout(self, capsys, tmp_path, argv, code):
+        assert run(argv) == code
+        stdout = capsys.readouterr().out
+        target = tmp_path / "out.txt"
+        assert run(argv + ["--out", str(target)]) == code
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sweep", "--alphas", "1.5"], 2),
+        (["sweep", "--alphas", "0.5", "--m", "1", "--s", "20", "--d", "0",
+          "--oracle-n", "50"], 3),
+        (["correlations", "--alpha", "0.999999999999999"], 3)],
+        ids=["domain-error", "oracle-cross-check", "alpha-next-to-one"])
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, code):
+        target = tmp_path / "out.txt"
+        assert run(argv + ["--out", str(target)]) == code
+        assert not target.exists()
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         assert run(["field", "--mass", "1", "--length", "1", "--r", "2",
@@ -301,6 +347,58 @@ class TestOutputFile:
         assert captured.err.startswith("chainent: ")
         assert captured.err.count("\n") == 1
         assert not target.parent.exists()
+
+
+class TestCsvJsonAgree:
+    @pytest.mark.parametrize("argv", [
+        ["correlations", "--alpha", "0.9", "--l-max", "6", "--oracle-n",
+         "4096"],
+        ["sweep", "--alphas", "0.5", "--m", "1,2", "--s", "2", "--d", "0..2"],
+        ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,2"]],
+        ids=lambda argv: argv[0])
+    def test_cells_agree(self, capsys, argv):
+        assert run(argv) == 0
+        columns, *lines = capsys.readouterr().out.splitlines()[1:]
+        assert run(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == len(lines)
+        for line, row in zip(lines, rows):
+            assert list(row) == columns.split(",")
+            for cell, value in zip(line.split(","), row.values()):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, int):
+                    assert cell == str(value)
+                else:
+                    assert float(cell) == value
+        values = [value for row in rows for value in row.values()]
+        if argv[0] != "correlations":
+            assert None in values  # epsilon_approx at d > 0, epsilon at r <= L
+        if argv[0] == "field":
+            assert math.inf in values  # JSON Infinity
+
+
+class TestFlagInventory:
+    # every option a subcommand accepts; a new flag must be added here
+    OPTIONS = {
+        "correlations": [("--alpha",), ("--l-max",), ("--oracle-n",),
+                         ("--format",), ("--out",)],
+        "sweep": [("--alphas", "--alpha"), ("--m",), ("--s",), ("--d",),
+                  ("--specs",), ("--oracle-n",), ("--format",), ("--out",)],
+        "field": [("--mass",), ("--length",), ("--r",), ("--format",),
+                  ("--out",)],
+        "validate": [("--report",), ("--oracle-n",), ("--out",)],
+    }
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        found = {name: [tuple(a.option_strings) for a in p._actions
+                        if a.option_strings and a.dest != "help"]
+                 for name, p in sub.choices.items()}
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 21
 
 
 class TestBenchmarkContract:
