@@ -17,7 +17,7 @@ cli          : sweep / correlations / field / validate command line
 """
 
 from .blocks import BlockSpec, block_indices
-from .correlations import (CorrelationTable, Coupling, correlation_table,
+from .correlations import (CorrelationTable, correlation_table,
                            finite_correlation_table)
 from .entanglement import (CollectiveCovariance, EntanglementResult,
                            approx_negativity, block_entanglement,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSpec", "ChainentError", "CollectiveCovariance", "ConvergenceError",
-    "CorrelationTable", "Coupling", "DomainError", "EntanglementResult",
+    "CorrelationTable", "DomainError", "EntanglementResult",
     "FieldRegionSpec", "InvalidCovarianceError", "KERNEL_BACKEND",
     "LagBoundError", "QuadratureError", "approx_negativity",
     "block_entanglement", "block_indices", "collective_symplectic",

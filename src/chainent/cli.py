@@ -193,15 +193,15 @@ def _checked_table(alpha, l_max, oracle_n):
 
 def _sweep_row(table, spec, counts):
     """The row of one coupling and geometry; counts is
-    entanglement.lag_counts(spec)."""
-    cov = entanglement.covariance_of_blocks(table, spec, counts)
+    entanglement.lag_counts(spec) and the table covers spec.max_lag."""
+    cov = entanglement._covariance_from_counts(table, spec, counts)
     res = entanglement.negativity(cov)
     approx = None
     if spec.d == 0:
         approx = entanglement.approx_negativity(
             table.g[0], table.g[1], table.h[0], table.h[1], n=spec.n, m=spec.m)
     return {
-        "alpha": table.alpha.alpha, "m": spec.m, "s": spec.s, "d": spec.d,
+        "alpha": table.alpha, "m": spec.m, "s": spec.s, "d": spec.d,
         "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
         "G_AB": cov.g_cross, "H_AB": cov.h_cross,
         "delta1": res.delta1, "delta2": res.delta2,
@@ -211,9 +211,8 @@ def _sweep_row(table, spec, counts):
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    alphas = args.alphas  # sorted and unique, see parse_float_values
-    for a in alphas:
-        correlations.as_coupling(a)  # validate the whole grid up front
+    # sorted and unique (see parse_float_values), validated up front
+    alphas = [correlations._check_coupling(a) for a in args.alphas]
     if args.specs:
         specs = sorted({BlockSpec.from_text(token.strip())
                         for token in args.specs.split(",")})

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError, _check_int
+from .errors import ConvergenceError, DomainError, _check_int, _check_real
 
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 10**6
@@ -30,40 +30,20 @@ MAX_RECURRENCE_STEPS = 3 * _MAX_TERMS
 _LOG_EPS = math.log(2.0**-53)
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Dimensionless nearest-neighbor coupling, restricted to 0 < alpha < 1.
-
-    `z` and `mu` are the derived quantities entering the closed-form
-    correlations: z = (1 - sqrt(1 - alpha^2))/alpha and mu = 1/sqrt(1 + z^2).
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = self.alpha
-        if not (isinstance(a, (int, float)) and math.isfinite(a)):
-            raise DomainError(f"coupling must be a finite real, got {a!r}")
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"coupling must satisfy 0 < alpha < 1, got {a}")
-
-    @property
-    def z(self) -> float:
-        # algebraically (1 - sqrt(1 - a^2))/a, written to avoid cancellation
-        a = self.alpha
-        return a / (1.0 + math.sqrt((1.0 - a) * (1.0 + a)))
-
-    @property
-    def mu(self) -> float:
-        z = self.z
-        return 1.0 / math.sqrt(1.0 + z * z)
+def _check_coupling(alpha) -> float:
+    """alpha as a float; DomainError unless it is a real with 0 < alpha < 1."""
+    a = _check_real("coupling", alpha)
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"coupling must satisfy 0 < alpha < 1, got {a}")
+    return a
 
 
-def as_coupling(alpha) -> Coupling:
-    """Coerce a float (or pass through a Coupling) with domain validation."""
-    if isinstance(alpha, Coupling):
-        return alpha
-    return Coupling(float(alpha))
+def _reduced_coupling(alpha: float) -> tuple[float, float]:
+    """z = (1 - sqrt(1 - alpha^2))/alpha and mu = 1/sqrt(1 + z^2), the
+    derived quantities entering the closed-form correlations."""
+    # algebraically (1 - sqrt(1 - a^2))/a, written to avoid cancellation
+    z = alpha / (1.0 + math.sqrt((1.0 - alpha) * (1.0 + alpha)))
+    return z, 1.0 / math.sqrt(1.0 + z * z)
 
 
 def _seed_series(a: float, x: float) -> float:
@@ -85,11 +65,12 @@ class CorrelationTable:
     Immutable after construction.
     """
 
-    alpha: Coupling
+    alpha: float
     g: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _check_coupling(self.alpha))
         g = np.asarray(self.g, dtype=np.float64)
         h = np.asarray(self.h, dtype=np.float64)
         if g.shape != h.shape or g.ndim != 1 or g.size == 0:
@@ -126,19 +107,19 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap.
     """
     l_max = _check_int("l_max", l_max, 0)
-    c = as_coupling(alpha)
-    z = c.z
+    alpha = _check_coupling(alpha)
+    z, mu = _reduced_coupling(alpha)
     # z is 0 for alpha below about 1e-323, where every ratio is 0 to rounding
     steps = math.ceil(_LOG_EPS / (2.0 * math.log(z))) if z > 0.0 else 0
     if steps > MAX_RECURRENCE_STEPS:
         raise ConvergenceError(
             f"backward recurrence needs {steps} steps past l_max, more than "
-            f"{MAX_RECURRENCE_STEPS} (alpha={c.alpha}); alpha is too close "
+            f"{MAX_RECURRENCE_STEPS} (alpha={alpha}); alpha is too close "
             f"to 1")
     x = z * z
-    seeds = (1.0 / (2.0 * c.mu) * _seed_series(0.5, x),
-             c.mu / 2.0 * _seed_series(-0.5, x))
-    half = 0.5 * c.alpha
+    seeds = (1.0 / (2.0 * mu) * _seed_series(0.5, x),
+             mu / 2.0 * _seed_series(-0.5, x))
+    half = 0.5 * alpha
     rg = rh = 0.0
     ratios = []
     for l in range(l_max + steps, 0, -1):
@@ -148,7 +129,7 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
             ratios.append((rg, rh))
     ratios.append(seeds)
     g, h = np.cumprod(ratios[::-1], axis=0).T.copy()
-    return CorrelationTable(alpha=c, g=g, h=h)
+    return CorrelationTable(alpha=alpha, g=g, h=h)
 
 
 def finite_correlation_table(alpha, n_sites: int,
@@ -163,15 +144,15 @@ def finite_correlation_table(alpha, n_sites: int,
     0 <= l_max < N is covered.  A validation path, independent of the
     hypergeometric production route.
     """
-    c = as_coupling(alpha)
+    alpha = _check_coupling(alpha)
     n_sites = _check_int("n_sites", n_sites, 2)
     l_max = _check_int("l_max", l_max, 0)
     if l_max >= n_sites:
         raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
     theta = (2.0 * np.pi / n_sites) * np.arange(n_sites, dtype=np.float64)
-    nu = np.sqrt(1.0 - c.alpha * np.cos(theta))
+    nu = np.sqrt(1.0 - alpha * np.cos(theta))
     lags = np.arange(l_max + 1)
     lags = np.minimum(lags, n_sites - lags)
     g = np.fft.rfft(1.0 / nu).real[lags] / (2.0 * n_sites)
     h = np.fft.rfft(nu).real[lags] / (2.0 * n_sites)
-    return CorrelationTable(alpha=c, g=g, h=h)
+    return CorrelationTable(alpha=alpha, g=g, h=h)

@@ -24,7 +24,7 @@ import numpy as np
 from .blocks import BlockSpec, block_indices, lag_count_array
 from .correlations import CorrelationTable
 from .errors import (DomainError, InvalidCovarianceError, LagBoundError,
-                     _check_int)
+                     _check_int, _check_real)
 
 #: squared Heisenberg bound (delta1*delta2)_0 for [Q, P] = i
 VACUUM_PRODUCT = 0.25
@@ -43,6 +43,9 @@ class CollectiveCovariance:
     h_cross: float  # H_AB = <P_A P_B>
 
     def __post_init__(self):
+        # infinite only by design: the field's D_pi(0) = +inf, D_pi(L) = -inf
+        for name in ("g_diag", "h_diag", "g_cross", "h_cross"):
+            _check_real(name, getattr(self, name), infinite=True)
         if not (self.g_diag > 0.0 and self.h_diag > 0.0):
             raise InvalidCovarianceError(
                 f"diagonal moments must be positive, got G={self.g_diag}, "
@@ -58,7 +61,8 @@ class CollectiveCovariance:
 
     def rescaled(self, q_scale: float, p_scale: float) -> "CollectiveCovariance":
         """Covariance after Q -> q_scale*Q, P -> p_scale*P on both blocks."""
-        if not (q_scale > 0.0 and p_scale > 0.0):
+        if not (_check_real("q_scale", q_scale) > 0.0
+                and _check_real("p_scale", p_scale) > 0.0):
             raise DomainError("scale factors must be positive")
         return CollectiveCovariance(
             g_diag=q_scale**2 * self.g_diag,
@@ -75,6 +79,10 @@ class EntanglementResult:
     duan: float
     cov: CollectiveCovariance
     vacuum_product: float = VACUUM_PRODUCT
+
+    def __post_init__(self):
+        for name in ("epsilon", "delta1", "delta2", "duan", "vacuum_product"):
+            _check_real(name, getattr(self, name), infinite=True)
 
     @property
     def separable(self) -> bool:
@@ -100,12 +108,9 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
             lag_count_array(a, b, length).astype(np.float64))
 
 
-def covariance_of_blocks(table: CorrelationTable, spec: BlockSpec,
-                         counts=None) -> CollectiveCovariance:
+def covariance_of_blocks(table: CorrelationTable,
+                         spec: BlockSpec) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
-
-    `counts` is `lag_counts(spec)`, computed here when not given; a sweep
-    over couplings passes it to count each geometry once.
 
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
@@ -114,11 +119,16 @@ def covariance_of_blocks(table: CorrelationTable, spec: BlockSpec,
         raise LagBoundError(
             f"table covers lags <= {table.l_max} but spec {spec} needs "
             f"{spec.max_lag}")
-    intra, cross = lag_counts(spec) if counts is None else counts
+    return _covariance_from_counts(table, spec, lag_counts(spec))
+
+
+def _covariance_from_counts(table: CorrelationTable, spec: BlockSpec,
+                            counts) -> CollectiveCovariance:
+    """The covariance from `counts` = lag_counts(spec), for a table that
+    covers spec.max_lag; a sweep over couplings counts each geometry once."""
+    intra, cross = counts
+    g, h = table.g[:intra.size], table.h[:intra.size]
     n = spec.n
-    length = spec.max_lag + 1
-    g = table.g[:length]
-    h = table.h[:length]
     return CollectiveCovariance(
         g_diag=float(g @ intra) / n,
         h_diag=float(h @ intra) / n,
@@ -134,9 +144,13 @@ def negativity(cov: CollectiveCovariance,
     commutator; pass the matching value when the covariance was computed
     under a different normalization convention (e.g. n^2/4 for plain sums).
     """
+    if not _check_real("vacuum_product", vacuum_product) > 0.0:
+        raise DomainError(
+            f"vacuum_product must be positive, got {vacuum_product}")
     d1 = cov.delta1
     d2 = cov.delta2
-    if not (d1 > 0.0 and d2 > 0.0):
+    # the product can underflow to 0 while both factors are positive
+    if not (d1 > 0.0 and d2 > 0.0 and d1 * d2 > 0.0):
         raise InvalidCovarianceError(
             f"delta1={d1}, delta2={d2} must both be positive; the covariance "
             f"is unphysical (upstream numerical failure)")
@@ -167,22 +181,22 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
     and the blocks meet at 2m - 1 boundaries.  Returned unclamped so the
     crossover to a non-positive estimate stays visible in sweep output.
     """
+    g0, g1, h0, h1 = (_check_real(name, value) for name, value in
+                      (("g0", g0), ("g1", g1), ("h0", h0), ("h1", h1)))
     n, m = _check_int("n", n, 1), _check_int("m", m, 1)
     if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     d1 = g0 + (2.0 - (4.0 * m - 1.0) / n) * g1
     d2 = h0 + (2.0 - 1.0 / n) * h1
+    if not abs(d1 * d2) > 0.0:
+        raise InvalidCovarianceError(f"delta1*delta2 = {d1}*{d2} is 0")
     return 1.0 / (4.0 * d1 * d2) - 1.0
 
 
 def symplectic_form(n_sites: int) -> np.ndarray:
     """Direct sum of n_sites copies of [[0, 1], [-1, 0]] (qpqp... ordering)."""
     n_sites = _check_int("n_sites", n_sites, 1)
-    omega = np.zeros((2 * n_sites, 2 * n_sites))
-    for j in range(n_sites):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
-    return omega
+    return np.kron(np.eye(n_sites), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
@@ -206,20 +220,16 @@ def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
         raise DomainError(
             f"spec {spec} spans {spec.span} sites, exceeding N = {n_sites}")
     a, b = block_indices(spec)
+    rest = np.setdiff1d(np.arange(n_sites), np.concatenate((a, b)))
     n = spec.n
+    # phase[k, rank] = exp(2 pi i rank k / n) / sqrt(n)
+    angle = np.outer(np.arange(n), 2.0 * np.pi * np.arange(n)) / n
+    phase = np.exp(1j * angle) / np.sqrt(n)
     s_mat = np.zeros((2 * n_sites, 2 * n_sites), dtype=complex)
     row = 0
-    for sites in (a, b):
-        for k in range(n):
-            for rank, j in enumerate(sites):
-                phase = np.exp(2j * np.pi * rank * k / n) / np.sqrt(n)
-                s_mat[row, 2 * j] = phase              # Q^(k) over q_j
-                s_mat[row + 1, 2 * j + 1] = phase.conjugate()  # P^(k) over p_j
-            row += 2
-    involved = set(a.tolist()) | set(b.tolist())
-    for j in range(n_sites):
-        if j not in involved:
-            s_mat[row, 2 * j] = 1.0
-            s_mat[row + 1, 2 * j + 1] = 1.0
-            row += 2
+    for sites, block in ((a, phase), (b, phase), (rest, np.eye(rest.size))):
+        rows = row + 2 * np.arange(sites.size)
+        s_mat[np.ix_(rows, 2 * sites)] = block                # Q rows over q_j
+        s_mat[np.ix_(rows + 1, 2 * sites + 1)] = block.conj()  # P rows over p_j
+        row += 2 * sites.size
     return s_mat

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all chainent modules."""
 
+import math
 import numbers
 
 
@@ -38,3 +39,16 @@ def _check_int(name: str, value, low: int) -> int:
     if not (isinstance(value, numbers.Integral) and value >= low):
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value, infinite: bool = False) -> float:
+    """`value` as a float; DomainError unless it is a Python or NumPy real
+    (strings are not parsed) that is finite, or with `infinite` not NaN."""
+    try:                # float first: the numbers.Real check alone is slow
+        if isinstance(value, (float, numbers.Real)) and (
+                math.isfinite(value) or infinite and not math.isnan(value)):
+            return float(value)
+    except OverflowError:           # an integer beyond the float range
+        pass
+    kind = "real other than NaN" if infinite else "finite real"
+    raise DomainError(f"{name} must be a {kind}, got {value!r}")

@@ -69,7 +69,7 @@ from scipy.special import iti0k0, k0, k1, roots_legendre
 from .blocks import BlockSpec
 from .entanglement import (CollectiveCovariance, EntanglementResult,
                            lag_counts, negativity)
-from .errors import DomainError, QuadratureError, _check_int
+from .errors import DomainError, QuadratureError, _check_int, _check_real
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(16)
 
@@ -105,10 +105,10 @@ class FieldRegionSpec:
     separation: float
 
     def __post_init__(self):
-        for name, value in (("mass", self.mass), ("window length", self.length),
-                            ("separation", self.separation)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        for name, label in (("mass", "mass"), ("length", "window length"),
+                            ("separation", "separation")):
+            object.__setattr__(self, name,
+                               _check_real(label, getattr(self, name)))
         if not self.mass > 0.0:
             raise DomainError(
                 f"mass must be positive (the massless window-averaged field "
@@ -190,13 +190,6 @@ def _triangle_integral(kernel, mu: float, rho: float, gap: float) -> float:
     return float(weights @ kernel(s))
 
 
-def _distance(at) -> float:
-    r = abs(float(at))
-    if not math.isfinite(r):
-        raise DomainError(f"separation must be finite, got {at}")
-    return r
-
-
 def _unit_mass(spec: FieldRegionSpec) -> float:
     """mu = m L, the mass at unit window length."""
     mu = spec.mass * spec.length
@@ -221,7 +214,7 @@ def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     Finite for every separation; even in `at`.  `tol` is accepted and unused
     (the evaluation is a closed form, see the module docstring).
     """
-    length, r = spec.length, _distance(at)
+    length, r = spec.length, abs(_check_real("separation", at))
     mu, rho = _unit_mass(spec), r / length
     if r > length:
         unit = _triangle_integral(lambda s: k0(mu * s), mu, rho,
@@ -240,7 +233,7 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     unit log-cutoff), so no finite value exists.  `tol` is accepted and
     unused.
     """
-    length, r = spec.length, _distance(at)
+    length, r = spec.length, abs(_check_real("separation", at))
     if r == 0.0:
         return math.inf
     if r == length:
@@ -292,7 +285,8 @@ def periodic_field_negativity(mass: float, length: float, gap: float,
     i, so the vacuum product stays 1/4).
     """
     windows = _check_int("windows", windows, 1)
-    period = length + gap
+    length = _check_real("window length", length)
+    period = length + _check_real("window gap", gap)
     if not period > length:
         raise DomainError(
             f"window gap must be positive to keep regions disjoint, got {gap}")

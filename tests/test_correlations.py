@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainent import (ConvergenceError, Coupling, DomainError,
-                      correlation_table, finite_correlation_table)
+from chainent import (ConvergenceError, DomainError, correlation_table,
+                      finite_correlation_table)
+from chainent.correlations import _reduced_coupling
 from tests import _frozen, oracles
 
 couplings = st.floats(min_value=1e-6, max_value=0.999)
@@ -18,30 +19,27 @@ class TestCoupling:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.7, float("nan")])
     def test_rejects_out_of_domain(self, alpha):
         with pytest.raises(DomainError):
-            Coupling(alpha)
+            correlation_table(alpha, 0)
 
     def test_weak_coupling_z_is_half_alpha(self):
         alpha = 1e-8
-        c = Coupling(alpha)
-        z, mu = c.z, c.mu
+        z, mu = _reduced_coupling(alpha)
         assert z == pytest.approx(alpha / 2, rel=1e-8)
         assert mu == pytest.approx(1.0, abs=1e-15)
 
     def test_z_at_09(self):
-        z = Coupling(0.9).z
+        z, _ = _reduced_coupling(0.9)
         assert z == pytest.approx(_frozen.Z_AT_09, rel=1e-15)
         assert z == pytest.approx((1 - math.sqrt(0.19)) / 0.9, rel=1e-13)
 
     def test_strong_coupling_z_approaches_one(self):
-        c = Coupling(1 - 1e-12)
-        z, mu = c.z, c.mu
+        z, mu = _reduced_coupling(1 - 1e-12)
         assert 0.999 < z < 1.0
         assert mu == pytest.approx(1 / math.sqrt(2), rel=1e-5)
 
     @given(alpha=couplings)
     def test_reduced_bounds(self, alpha):
-        c = Coupling(alpha)
-        z, mu = c.z, c.mu
+        z, mu = _reduced_coupling(alpha)
         assert 0.0 < z < 1.0
         assert 1 / math.sqrt(2) < mu < 1.0
 
