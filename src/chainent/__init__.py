@@ -4,7 +4,8 @@ smeared field regions.
 The chain side has one route per quantity: `correlation_table` gives the
 correlations g_l, h_l (`finite_correlation_table` is the N-site oracle),
 `block_indices` a layout's sites, and `covariance_of_blocks` with
-`negativity` the collective covariance and epsilon.
+`negativity` the collective covariance and the epsilon derived from it.
+The field side has `field_covariance` for any number of windows per party.
 
 Submodules
 ----------
@@ -26,7 +27,7 @@ from .entanglement import (CollectiveCovariance, EntanglementResult,
 from .errors import (ChainentError, ConvergenceError, DomainError,
                      InvalidCovarianceError, LagBoundError, QuadratureError)
 from .field import (FieldRegionSpec, d_phi, d_pi, field_covariance,
-                    field_negativity, periodic_field_negativity)
+                    field_negativity)
 from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
@@ -39,6 +40,5 @@ __all__ = [
     "block_entanglement", "block_indices", "collective_symplectic",
     "correlation_table", "covariance_of_blocks", "d_phi", "d_pi",
     "duan_witness", "field_covariance", "field_negativity",
-    "finite_correlation_table", "negativity", "periodic_field_negativity",
-    "symplectic_form",
+    "finite_correlation_table", "negativity", "symplectic_form",
 ]

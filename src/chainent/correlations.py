@@ -71,10 +71,15 @@ class CorrelationTable:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_coupling(self.alpha))
-        g = np.asarray(self.g, dtype=np.float64)
-        h = np.asarray(self.h, dtype=np.float64)
+        try:
+            g, h = (np.asarray(v, dtype=np.float64) for v in (self.g, self.h))
+        except (TypeError, ValueError):
+            raise DomainError("g and h must be arrays of reals") from None
         if g.shape != h.shape or g.ndim != 1 or g.size == 0:
             raise DomainError("g and h must be equal-length 1-D arrays")
+        for name, values in (("g", g), ("h", h)):
+            if not np.isfinite(values).all():
+                raise DomainError(f"{name} must hold finite reals only")
         g.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "g", g)

@@ -17,6 +17,7 @@ Delta = 2 (G - G_AB + H + H_AB) < 2 is a sufficient but weaker entanglement
 condition.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +74,43 @@ class CollectiveCovariance:
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    epsilon: float
-    delta1: float
-    delta2: float
-    duan: float
+    """Negativity of `cov`, which determines epsilon, delta1, delta2 and Delta;
+    `vacuum_product` is the squared Heisenberg bound of the collective
+    commutator in the covariance's convention (n^2/4 for plain sums)."""
+
     cov: CollectiveCovariance
     vacuum_product: float = VACUUM_PRODUCT
 
     def __post_init__(self):
-        for name in ("epsilon", "delta1", "delta2", "duan", "vacuum_product"):
-            _check_real(name, getattr(self, name), infinite=True)
+        vac = _check_real("vacuum_product", self.vacuum_product)
+        if not vac > 0.0:
+            raise DomainError(f"vacuum_product must be positive, got {vac}")
+        object.__setattr__(self, "vacuum_product", vac)
+        d1, d2 = self.delta1, self.delta2
+        # a product of positive factors can underflow to 0, or overflow vac/it
+        if not (d1 > 0.0 and d2 > 0.0 and d1 * d2 > 0.0
+                and vac / (d1 * d2) < math.inf):
+            raise InvalidCovarianceError(
+                f"delta1={d1}, delta2={d2} must both be positive with "
+                f"{vac}/(delta1*delta2) finite; the covariance is "
+                f"unphysical (upstream numerical failure)")
+
+    @property
+    def delta1(self) -> float:
+        return self.cov.delta1
+
+    @property
+    def delta2(self) -> float:
+        return self.cov.delta2
+
+    @property
+    def epsilon(self) -> float:
+        return max(0.0, self.vacuum_product / (self.delta1 * self.delta2)
+                   - 1.0)
+
+    @property
+    def duan(self) -> float:
+        return duan_witness(self.cov)
 
     @property
     def separable(self) -> bool:
@@ -138,26 +166,9 @@ def _covariance_from_counts(table: CorrelationTable, spec: BlockSpec,
 
 def negativity(cov: CollectiveCovariance,
                vacuum_product: float = VACUUM_PRODUCT) -> EntanglementResult:
-    """Entanglement degree eps from the partial-transpose criterion.
-
-    `vacuum_product` is the squared Heisenberg bound of the collective
-    commutator; pass the matching value when the covariance was computed
-    under a different normalization convention (e.g. n^2/4 for plain sums).
-    """
-    if not _check_real("vacuum_product", vacuum_product) > 0.0:
-        raise DomainError(
-            f"vacuum_product must be positive, got {vacuum_product}")
-    d1 = cov.delta1
-    d2 = cov.delta2
-    # the product can underflow to 0 while both factors are positive
-    if not (d1 > 0.0 and d2 > 0.0 and d1 * d2 > 0.0):
-        raise InvalidCovarianceError(
-            f"delta1={d1}, delta2={d2} must both be positive; the covariance "
-            f"is unphysical (upstream numerical failure)")
-    eps = max(0.0, vacuum_product / (d1 * d2) - 1.0)
-    return EntanglementResult(epsilon=eps, delta1=d1, delta2=d2,
-                              duan=duan_witness(cov), cov=cov,
-                              vacuum_product=vacuum_product)
+    """Entanglement degree eps from the partial-transpose criterion: the
+    `EntanglementResult` of `cov` (see there for `vacuum_product`)."""
+    return EntanglementResult(cov, vacuum_product)
 
 
 def duan_witness(cov: CollectiveCovariance) -> float:
@@ -188,9 +199,11 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
     d1 = g0 + (2.0 - (4.0 * m - 1.0) / n) * g1
     d2 = h0 + (2.0 - 1.0 / n) * h1
-    if not abs(d1 * d2) > 0.0:
-        raise InvalidCovarianceError(f"delta1*delta2 = {d1}*{d2} is 0")
-    return 1.0 / (4.0 * d1 * d2) - 1.0
+    product = 4.0 * d1 * d2
+    # a subnormal product is not 0 but still leaves 1/product infinite
+    if not (product != 0.0 and math.isfinite(1.0 / product)):
+        raise InvalidCovarianceError(f"1/(4*{d1}*{d2}) is not finite")
+    return 1.0 / product - 1.0
 
 
 def symplectic_form(n_sites: int) -> np.ndarray:

@@ -17,7 +17,9 @@ r = 0 and r = L, where one frequency degenerates to zero and the integral
 diverges logarithmically (sharp windows do not regularize the momentum
 variance).  Those two separations return signed infinity; the entanglement
 measure is evaluated only for non-overlapping windows r > L, where every
-quantity it consumes is finite and epsilon comes out 0 throughout.
+quantity it consumes is finite and epsilon comes out 0 throughout.  A
+party of several windows, alternating with the other party's, sums these
+propagators over the window-center distances (`FieldRegionSpec.windows`).
 
 Numerical scheme: Int dk e^{ikx} / sqrt(k^2+m^2) = 2 K0(m|x|) and
 sin^2(kL/2)/k^2 = (1/4) Int (L - |t|) e^{ikt} dt, so both propagators are the
@@ -66,9 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import iti0k0, k0, k1, roots_legendre
 
-from .blocks import BlockSpec
-from .entanglement import (CollectiveCovariance, EntanglementResult,
-                           lag_counts, negativity)
+from .entanglement import CollectiveCovariance, EntanglementResult, negativity
 from .errors import DomainError, QuadratureError, _check_int, _check_real
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(16)
@@ -98,11 +98,13 @@ _SMALL_U_INV, _SMALL_U_PSI = _small_u_coefficients()
 
 @dataclass(frozen=True)
 class FieldRegionSpec:
-    """Two smeared field regions: mass, window length and center separation."""
+    """Two smeared field regions: mass, window length, center separation and
+    windows per party, alternating A, B, A, ... `separation` apart."""
 
     mass: float
     length: float
     separation: float
+    windows: int = 1
 
     def __post_init__(self):
         for name, label in (("mass", "mass"), ("length", "window length"),
@@ -119,6 +121,12 @@ class FieldRegionSpec:
                 f"the contact divergence), got {self.length}")
         if not self.separation >= 0.0:
             raise DomainError(f"separation must be >= 0, got {self.separation}")
+        windows = _check_int("windows", self.windows, 1)
+        object.__setattr__(self, "windows", windows)
+        if windows > 1 and not self.separation > self.length:
+            raise DomainError(
+                f"{windows} windows per party need separation > length to "
+                f"stay disjoint, got r={self.separation}, L={self.length}")
 
 
 def _one_minus_u_k1(u: float) -> float:
@@ -252,57 +260,30 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
 
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
-    """Collective covariance of the two windows at the spec's separation."""
+    """Collective covariance of the two parties: single-window propagators
+    summed over center distances l r.  Of the alternating windows' ordered
+    pairs, (A, A) sit at even lags and (A, B) at odd ones, 2 windows - l at
+    0 < l < 2 windows and `windows` at l = 0.  A 1/sqrt(windows L) norm per
+    collective operator keeps [Q, P] = i: the vacuum product stays 1/4."""
+    w, r = spec.windows, spec.separation
+
+    def lag_sum(prop, first):
+        # only lags with a positive count: 0 * D_pi(0) = 0 * inf is NaN
+        return math.fsum((2 * w - lag if lag else w) * prop(spec, lag * r)
+                         for lag in range(first, 2 * w, 2)) / w
+
     return CollectiveCovariance(
-        g_diag=d_phi(spec, 0.0),
-        h_diag=d_pi(spec, 0.0),
-        g_cross=d_phi(spec, spec.separation),
-        h_cross=d_pi(spec, spec.separation))
+        g_diag=lag_sum(d_phi, 0),
+        h_diag=lag_sum(d_pi, 0),
+        g_cross=lag_sum(d_phi, 1),
+        h_cross=lag_sum(d_pi, 1))
 
 
 def field_negativity(spec: FieldRegionSpec) -> EntanglementResult:
-    """Entanglement degree between the two smeared regions.
-
-    Requires non-overlapping windows, separation > length.  The collective
-    commutator is unit-normalized exactly as for the chain blocks, so the
-    same vacuum product 1/4 applies.
-    """
+    """Entanglement degree between the two smeared regions; requires
+    non-overlapping windows, separation > length."""
     if not spec.separation > spec.length:
         raise DomainError(
             f"entanglement evaluation needs non-overlapping windows "
             f"(separation > length), got r={spec.separation}, L={spec.length}")
     return negativity(field_covariance(spec))
-
-
-def periodic_field_negativity(mass: float, length: float, gap: float,
-                              windows: int) -> EntanglementResult:
-    """Negativity for blocks made of `windows` alternating windows per party.
-
-    Windows of length `length` alternate A, B, A, B, ... with `gap` > 0
-    between consecutive windows; party covariances sum the pairwise
-    single-window propagators over window-center distances (normalization
-    1/sqrt(windows * length) per collective operator keeps the commutator at
-    i, so the vacuum product stays 1/4).
-    """
-    windows = _check_int("windows", windows, 1)
-    length = _check_real("window length", length)
-    period = length + _check_real("window gap", gap)
-    if not period > length:
-        raise DomainError(
-            f"window gap must be positive to keep regions disjoint, got {gap}")
-    spec = FieldRegionSpec(mass=mass, length=length, separation=period)
-    # window k is centered at k * period: the chain layout of `windows`
-    # one-site subblocks per party, A on the even k, B on the odd k
-    intra, cross = lag_counts(BlockSpec(windows, 1, 0))
-
-    def lag_sum(prop, counts):
-        # only lags that occur: a zero count must not meet D_pi(0) = +inf
-        return math.fsum(int(count) * prop(spec, lag * period)
-                         for lag, count in enumerate(counts) if count) / windows
-
-    cov = CollectiveCovariance(
-        g_diag=lag_sum(d_phi, intra),
-        h_diag=lag_sum(d_pi, intra),
-        g_cross=lag_sum(d_phi, cross),
-        h_cross=lag_sum(d_pi, cross))
-    return negativity(cov)

@@ -6,7 +6,9 @@ None, the string '0.5', 1j and the extremes of its kind (alpha = 5e-324 and
 the same non-finite and non-real values.  Each call must return within
 `TIME_LIMIT` seconds, either a value holding no NaN (a plain float or array
 finite too) or a `ChainentError` subclass.  pyproject.toml turns warnings
-into errors, so a NumPy RuntimeWarning counts as a breach.
+into errors, so a NumPy RuntimeWarning counts as a breach.  The arrays of a
+correlation table are fed the same values and arrays with one non-finite
+entry.
 
 Objects may carry infinities: the momentum variance of a sharp window,
 D_pi(0) = +inf, is infinite by design (see chainent.field), and a
@@ -30,7 +32,7 @@ from chainent import (BlockSpec, ChainentError, CollectiveCovariance,
                       approx_negativity, cli, collective_symplectic,
                       correlation_table, d_phi, d_pi, field_covariance,
                       field_negativity, finite_correlation_table, negativity,
-                      periodic_field_negativity, symplectic_form)
+                      symplectic_form)
 
 TIME_LIMIT = 2.0
 
@@ -45,13 +47,17 @@ SCALE = {"1e200": 1e200, "1e-200": 1e-200}  # m L = 1e+-200, the other is 1
 PLAIN = {}
 
 TABLE = correlation_table(0.5, 3)
+#: a table array with one non-finite entry, for g and h
+ENTRY = {f"{label}-entry": [TABLE.g[0], bad, *TABLE.g[2:]]
+         for label, bad in (("nan", math.nan), ("inf", math.inf),
+                            ("-inf", -math.inf))}
 COV = CollectiveCovariance(0.6, 0.5, 0.3, -0.2)
 SPEC = FieldRegionSpec(1.0, 1.0, 2.0)
 
 
 def _field_spec(func):
-    return lambda mass, length, separation: func(
-        FieldRegionSpec(mass, length, separation))
+    return lambda mass, length, separation, windows: func(
+        FieldRegionSpec(mass, length, separation, windows))
 
 
 #: public callable -> (function, base arguments, {parameter: extremes})
@@ -63,7 +69,7 @@ CALLS = {
         {"alpha": ALPHA, "n_sites": PLAIN, "l_max": PLAIN}),
     "CorrelationTable": (CorrelationTable,
                          dict(alpha=0.5, g=TABLE.g, h=TABLE.h),
-                         {"alpha": ALPHA}),
+                         {"alpha": ALPHA, "g": ENTRY, "h": ENTRY}),
     "BlockSpec": (BlockSpec, dict(m=2, s=3, d=1),
                   {"m": PLAIN, "s": PLAIN, "d": PLAIN}),
     "CollectiveCovariance": (
@@ -73,12 +79,9 @@ CALLS = {
     "CollectiveCovariance.rescaled": (COV.rescaled,
                                       dict(q_scale=2.0, p_scale=0.5),
                                       {"q_scale": PLAIN, "p_scale": PLAIN}),
-    "EntanglementResult": (
-        EntanglementResult,
-        dict(epsilon=0.1, delta1=0.3, delta2=0.7, duan=1.9, cov=COV,
-             vacuum_product=0.25),
-        dict.fromkeys(("epsilon", "delta1", "delta2", "duan",
-                       "vacuum_product"), PLAIN)),
+    "EntanglementResult": (EntanglementResult,
+                           dict(cov=COV, vacuum_product=0.25),
+                           {"vacuum_product": PLAIN}),
     "negativity": (negativity, dict(cov=COV, vacuum_product=0.25),
                    {"vacuum_product": PLAIN}),
     "approx_negativity": (
@@ -90,25 +93,22 @@ CALLS = {
                               dict(n_sites=8, spec=BlockSpec(1, 2, 1)),
                               {"n_sites": PLAIN}),
     "FieldRegionSpec": (FieldRegionSpec,
-                        dict(mass=1.0, length=1.0, separation=2.0),
+                        dict(mass=1.0, length=1.0, separation=2.0, windows=1),
                         {"mass": SCALE, "length": SCALE,
-                         "separation": SEPARATION}),
+                         "separation": SEPARATION, "windows": PLAIN}),
     "d_phi": (d_phi, dict(spec=SPEC, at=2.0, tol=None),
               {"at": SEPARATION, "tol": PLAIN}),
     "d_pi": (d_pi, dict(spec=SPEC, at=2.0, tol=None),
              {"at": SEPARATION, "tol": PLAIN}),
     "field_covariance": (_field_spec(field_covariance),
-                         dict(mass=1.0, length=1.0, separation=2.0),
+                         dict(mass=1.0, length=1.0, separation=2.0, windows=1),
                          {"mass": SCALE, "length": SCALE,
-                          "separation": SEPARATION}),
+                          "separation": SEPARATION, "windows": PLAIN}),
+    # two windows per party: the lag sum beyond the single pair
     "field_negativity": (_field_spec(field_negativity),
-                         dict(mass=1.0, length=1.0, separation=2.0),
+                         dict(mass=1.0, length=1.0, separation=2.0, windows=2),
                          {"mass": SCALE, "length": SCALE,
-                          "separation": SEPARATION}),
-    "periodic_field_negativity": (
-        periodic_field_negativity,
-        dict(mass=1.0, length=1.0, gap=0.5, windows=2),
-        {"mass": SCALE, "length": SCALE, "gap": PLAIN, "windows": PLAIN}),
+                          "separation": SEPARATION, "windows": PLAIN}),
 }
 
 #: public callables that take neither a real nor an integer parameter
@@ -124,12 +124,18 @@ def _cases():
                                    id=f"{name}({param}={label})")
 
 
+#: derived quantities of a returned record, checked besides its fields
+DERIVED = ("epsilon", "delta1", "delta2", "duan")
+
+
 def _check_value(value, top=True):
-    """No NaN and only real numbers in `value`, walking dataclass fields;
-    arrays and a returned number are finite too."""
+    """No NaN and only real numbers in `value`, walking dataclass fields and
+    the DERIVED quantities a record has; arrays and a returned number are
+    finite too."""
     if dataclasses.is_dataclass(value):
-        for item in dataclasses.fields(value):
-            _check_value(getattr(value, item.name), top=False)
+        names = [item.name for item in dataclasses.fields(value)]
+        for name in names + [n for n in DERIVED if hasattr(value, n)]:
+            _check_value(getattr(value, name), top=False)
     elif isinstance(value, np.ndarray):
         assert np.all(np.isfinite(value))
     elif value is not None:
@@ -146,14 +152,13 @@ PUBLIC_NAMES = (
     "block_entanglement", "block_indices", "collective_symplectic",
     "correlation_table", "covariance_of_blocks", "d_phi", "d_pi",
     "duan_witness", "field_covariance", "field_negativity",
-    "finite_correlation_table", "negativity", "periodic_field_negativity",
-    "symplectic_form",
+    "finite_correlation_table", "negativity", "symplectic_form",
 )
 
 
 def test_public_api_inventory():
     assert sorted(chainent.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
 
 
 def test_every_public_callable_is_covered():

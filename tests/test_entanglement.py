@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainent import (BlockSpec, CollectiveCovariance, DomainError,
-                      InvalidCovarianceError, LagBoundError, approx_negativity,
+                      EntanglementResult, InvalidCovarianceError, LagBoundError, approx_negativity,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks, duan_witness,
                       negativity, symplectic_form)
@@ -120,6 +120,31 @@ class TestNegativity:
     def test_rescale_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             make_cov(0.5, 0.5, 0.0, 0.0).rescaled(0.0, 1.0)
+
+
+class TestEntanglementResult:
+    COV = make_cov(0.6, 0.5, 0.3, -0.2)
+
+    def test_record_reports_its_covariance(self):
+        res = EntanglementResult(self.COV)
+        assert (res.delta1, res.delta2) == (self.COV.delta1, self.COV.delta2)
+        assert (res.delta1, res.delta2) == pytest.approx((0.3, 0.3))
+        assert res.duan == duan_witness(self.COV)
+        assert res.epsilon == pytest.approx(0.25 / 0.09 - 1.0)
+        assert res == negativity(self.COV)
+
+    def test_record_holds_only_its_covariance(self):
+        # epsilon, delta1, delta2 and Delta can no longer be stored beside
+        # a covariance that contradicts them
+        with pytest.raises(TypeError):
+            EntanglementResult(0.1, 0.3, 0.7, 1.9, self.COV)
+        with pytest.raises(TypeError):
+            EntanglementResult(self.COV, delta2=0.7)
+
+    def test_vacuum_product_is_stored_as_float(self):
+        res = EntanglementResult(self.COV, np.float32(0.25))
+        assert type(res.vacuum_product) is float
+        assert res.epsilon == negativity(self.COV).epsilon
 
 
 class TestDuanWitness:

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from chainent import (BlockSpec, CollectiveCovariance, CorrelationTable,
-                      DomainError, EntanglementResult, FieldRegionSpec,
-                      InvalidCovarianceError, approx_negativity,
-                      collective_symplectic, correlation_table, d_phi,
-                      finite_correlation_table, negativity,
-                      periodic_field_negativity, symplectic_form)
+                      DomainError, FieldRegionSpec, InvalidCovarianceError,
+                      approx_negativity, collective_symplectic,
+                      correlation_table, d_phi, finite_correlation_table,
+                      negativity, symplectic_form)
 
 NAN, INF = math.nan, math.inf
 
@@ -36,8 +35,8 @@ NON_INTEGER_CALLS = {
     "collective_symplectic(N=nan)":
         lambda: collective_symplectic(NAN, BlockSpec(1, 1, 0)),
     "symplectic_form(N=nan)": lambda: symplectic_form(NAN),
-    "periodic_field_negativity(windows=2.0)":
-        lambda: periodic_field_negativity(1.0, 1.0, 0.5, windows=2.0),
+    "FieldRegionSpec(windows=2.0)":
+        lambda: FieldRegionSpec(1.0, 1.0, 1.5, windows=2.0),
 }
 
 
@@ -76,16 +75,20 @@ BAD_REAL_CALLS = {
     "negativity(underflowing delta1*delta2)": (
         InvalidCovarianceError,
         lambda: negativity(CollectiveCovariance(1e-200, 1e-200, 0, 0))),
+    "negativity(subnormal delta1*delta2)": (
+        InvalidCovarianceError,
+        lambda: negativity(CollectiveCovariance(1e-160, 1e-160, 0, 0))),
+    "approx_negativity(subnormal delta1*delta2)": (
+        InvalidCovarianceError,
+        lambda: approx_negativity(1e-160, 0, 1e-160, 0, n=1, m=1)),
     "CollectiveCovariance(g_diag=None)":
         (DomainError, lambda: CollectiveCovariance(None, 0.5, 0.3, -0.2)),
     "CollectiveCovariance(g_cross=nan)":
         (DomainError, lambda: CollectiveCovariance(0.6, 0.5, NAN, -0.2)),
     "CollectiveCovariance.rescaled(q_scale=inf)":
         (DomainError, lambda: COV.rescaled(INF, 1)),
-    "EntanglementResult(epsilon=nan)": (DomainError, lambda: (
-        EntanglementResult(NAN, 0.3, 0.7, 1.9, COV))),
-    "periodic_field_negativity(length='1')": (
-        DomainError, lambda: periodic_field_negativity(1, "1", 0.5, 2)),
+    "FieldRegionSpec(length='1', windows=2)": (
+        DomainError, lambda: FieldRegionSpec(1, "1", 1.5, windows=2)),
 }
 
 
@@ -134,3 +137,11 @@ def test_real_message_names_the_argument():
     with pytest.raises(DomainError) as err:
         FieldRegionSpec(1.0, "1", 2.0)
     assert str(err.value) == "window length must be a finite real, got '1'"
+
+
+@pytest.mark.parametrize("name,g,h", [("g", [NAN, 0.1], [0.5, -0.1]),
+                                      ("h", [0.5, 0.1], [0.5, -INF])])
+def test_table_message_names_the_array(name, g, h):
+    with pytest.raises(DomainError) as err:
+        CorrelationTable(0.5, g, h)
+    assert str(err.value) == f"{name} must hold finite reals only"

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from chainent import (DomainError, FieldRegionSpec, QuadratureError, d_phi,
-                      d_pi, field_covariance, field_negativity,
-                      periodic_field_negativity)
+from chainent import (BlockSpec, DomainError, FieldRegionSpec,
+                      QuadratureError, d_phi, d_pi, field_covariance,
+                      field_negativity)
+from chainent.entanglement import lag_counts
 from tests import _frozen, oracles
 
 
@@ -194,16 +195,12 @@ class TestFieldNegativity:
 
 
 class TestPeriodicRegions:
-    def test_single_window_matches_plain_negativity(self):
-        gap = 1.5
-        res_multi = periodic_field_negativity(1.0, 1.0, gap, windows=1)
-        res_plain = field_negativity(spec(separation=1.0 + gap))
-        assert res_multi.delta1 == pytest.approx(res_plain.delta1, rel=1e-10)
-        assert res_multi.epsilon == res_plain.epsilon == 0.0
+    """Parties of several windows: FieldRegionSpec(..., windows=w) with
+    windows alternating A, B, A, ... at center spacing `separation`."""
 
     @pytest.mark.parametrize("windows", [2, 3])
     def test_null_result_persists(self, windows):
-        res = periodic_field_negativity(1.0, 1.0, 0.5, windows=windows)
+        res = field_negativity(FieldRegionSpec(1.0, 1.0, 1.5, windows=windows))
         assert res.epsilon == 0.0
         assert res.separable
         assert res.delta1 > 0
@@ -211,27 +208,56 @@ class TestPeriodicRegions:
     @pytest.mark.parametrize("windows", [1, 2, 4])
     def test_lag_counts_match_pairwise_sums(self, windows):
         length, gap = 1.0, 0.5
-        res = periodic_field_negativity(1.0, length, gap, windows=windows)
+        period = length + gap
+        cov = field_covariance(FieldRegionSpec(1.0, length, period, windows))
         s = spec(length=length)
-        a = [2 * k * (length + gap) for k in range(windows)]
-        b = [x + length + gap for x in a]
+        a = [2 * k * period for k in range(windows)]
+        b = [x + period for x in a]
 
         def pair_sum(prop, xs):
             return math.fsum(prop(s, x - y) for x in a for y in xs) / windows
 
-        assert res.cov.g_diag == pytest.approx(pair_sum(d_phi, a), rel=1e-12)
-        assert res.cov.g_cross == pytest.approx(pair_sum(d_phi, b), rel=1e-12)
-        assert res.cov.h_cross == pytest.approx(pair_sum(d_pi, b), rel=1e-12)
-        assert res.cov.h_diag == math.inf
+        assert cov.g_diag == pytest.approx(pair_sum(d_phi, a), rel=1e-12)
+        assert cov.g_cross == pytest.approx(pair_sum(d_phi, b), rel=1e-12)
+        assert cov.h_cross == pytest.approx(pair_sum(d_pi, b), rel=1e-12)
+        assert cov.h_diag == math.inf
+
+    @pytest.mark.parametrize("windows", range(1, 21))
+    def test_closed_form_counts_match_chain_layout(self, windows):
+        # the windows are the chain layout of `windows` one-site subblocks
+        intra, cross = lag_counts(BlockSpec(windows, 1, 0))
+        lags = np.arange(2 * windows)
+        count = np.where(lags == 0, windows, 2 * windows - lags)
+        assert np.array_equal(intra, np.where(lags % 2 == 0, count, 0))
+        assert np.array_equal(cross, np.where(lags % 2 == 1, count, 0))
+        # and field_covariance sums exactly those lags
+        r = 1.3
+        s = FieldRegionSpec(0.7, 1.0, r, windows)
+
+        def lag_sum(prop, counts):
+            return math.fsum(int(c) * prop(s, lag * r)
+                             for lag, c in enumerate(counts) if c) / windows
+
+        cov = field_covariance(s)
+        assert (cov.g_diag, cov.h_diag, cov.g_cross, cov.h_cross) == (
+            lag_sum(d_phi, intra), lag_sum(d_pi, intra),
+            lag_sum(d_phi, cross), lag_sum(d_pi, cross))
+
+    def test_single_window_is_the_plain_pair(self):
+        for r in (0.0, 0.3, 1.0, 1.5):
+            cov = field_covariance(spec(separation=r))
+            assert (cov.g_diag, cov.h_diag, cov.g_cross, cov.h_cross) == (
+                d_phi(spec(), 0.0), d_pi(spec(), 0.0),
+                d_phi(spec(), r), d_pi(spec(), r))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            periodic_field_negativity(1.0, 1.0, 0.0, windows=2)
-        with pytest.raises(DomainError):
-            periodic_field_negativity(1.0, 1.0, 0.5, windows=0)
-        for windows in (1.5, math.nan, math.inf):
+        for r in (0.5, 1.0):        # windows of length 1 would overlap
+            with pytest.raises(DomainError, match="stay disjoint"):
+                FieldRegionSpec(1.0, 1.0, r, windows=2)
+        for windows in (0, 1.5, math.nan, math.inf):
             with pytest.raises(DomainError):
-                periodic_field_negativity(1.0, 1.0, 0.5, windows=windows)
+                FieldRegionSpec(1.0, 1.0, 1.5, windows=windows)
+        assert FieldRegionSpec(1.0, 1.0, 0.5).windows == 1
 
 
 class TestDivergenceSlope:
