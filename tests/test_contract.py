@@ -60,6 +60,16 @@ def _field_spec(func):
         FieldRegionSpec(mass, length, separation, windows))
 
 
+def _gapped(func):
+    """`func` on windows `gap` apart, centers `length + gap` apart; a
+    non-real length or gap reaches the spec as it is, to be refused there."""
+    def call(mass, length, gap, windows):
+        real = all(isinstance(x, numbers.Real) for x in (length, gap))
+        return func(FieldRegionSpec(mass, length,
+                                    length + gap if real else gap, windows))
+    return call
+
+
 #: public callable -> (function, base arguments, {parameter: extremes})
 CALLS = {
     "correlation_table": (correlation_table, dict(alpha=0.5, l_max=10),
@@ -104,11 +114,20 @@ CALLS = {
                          dict(mass=1.0, length=1.0, separation=2.0, windows=1),
                          {"mass": SCALE, "length": SCALE,
                           "separation": SEPARATION, "windows": PLAIN}),
-    # two windows per party: the lag sum beyond the single pair
     "field_negativity": (_field_spec(field_negativity),
-                         dict(mass=1.0, length=1.0, separation=2.0, windows=2),
+                         dict(mass=1.0, length=1.0, separation=2.0, windows=1),
                          {"mass": SCALE, "length": SCALE,
                           "separation": SEPARATION, "windows": PLAIN}),
+}
+
+#: routes under the name of the public callable they replace, keeping its
+#: arguments: two windows per party `gap` apart, the lag sum beyond the
+#: single pair
+FORMER = {
+    "periodic_field_negativity": (
+        _gapped(field_negativity),
+        dict(mass=1.0, length=1.0, gap=0.5, windows=2),
+        {"mass": SCALE, "length": SCALE, "gap": PLAIN, "windows": PLAIN}),
 }
 
 #: public callables that take neither a real nor an integer parameter
@@ -117,7 +136,7 @@ NO_NUMBER = {"block_indices", "covariance_of_blocks", "block_entanglement",
 
 
 def _cases():
-    for name, (func, base, params) in CALLS.items():
+    for name, (func, base, params) in {**CALLS, **FORMER}.items():
         for param, extremes in params.items():
             for label, value in {**BAD, **extremes}.items():
                 yield pytest.param(func, dict(base, **{param: value}),
