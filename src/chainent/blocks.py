@@ -81,6 +81,7 @@ def lag_count_array(x, y, length: int | None = None) -> np.ndarray:
     """
     xa = np.asarray(x, dtype=np.int64)
     ya = np.asarray(y, dtype=np.int64)
-    lags = np.abs(xa[:, None] - ya[None, :]).ravel()
-    return np.bincount(lags, minlength=0 if length is None else length)
+    lags = (xa[:, None] - ya[None, :]).ravel()
+    return np.bincount(np.abs(lags, out=lags),
+                       minlength=0 if length is None else length)
 

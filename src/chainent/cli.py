@@ -191,10 +191,9 @@ def _checked_table(alpha, l_max, oracle_n):
     return table
 
 
-def _sweep_row(table, spec, counts):
-    """The row of one coupling and geometry; counts is
-    entanglement.lag_counts(spec) and the table covers spec.max_lag."""
-    cov = entanglement._covariance_from_counts(table, spec, counts)
+def _sweep_row(table, spec):
+    """The row of one coupling and geometry."""
+    cov = entanglement.covariance_of_blocks(table, spec)
     res = entanglement.negativity(cov)
     approx = None
     if spec.d == 0:
@@ -223,13 +222,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
     tables = [_checked_table(alpha, l_max, args.oracle_n) for alpha in alphas]
-    # one geometry's lag counts serve every coupling; rows stay alpha-major
-    by_alpha = [[] for _ in tables]
-    for spec in specs:
-        counts = entanglement.lag_counts(spec)
-        for table, table_rows in zip(tables, by_alpha):
-            table_rows.append(_sweep_row(table, spec, counts))
-    rows = [row for table_rows in by_alpha for row in table_rows]
+    rows = [_sweep_row(table, spec) for table in tables for spec in specs]
     return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, rows), EXIT_OK
 
 

@@ -129,11 +129,20 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     intra[l] counts the site pairs at lag l within block A (block B has the
     same counts), cross[l] those between A and B; both run to lag
     spec.max_lag.  They do not depend on the coupling.
+
+    Two runs of s sites whose starts differ by D share s - |k| pairs at lag
+    |D + k| for |k| < s.  This triangle is symmetric in k, so it suffices to
+    count the (A start, start) pairs j subblocks apart, |D| = j*(s + d) (even
+    j: A-A, odd j: A-B), and spread each: O(m^2 + m*s), not O((m*s)^2).
     """
-    a, b = block_indices(spec)
-    length = spec.max_lag + 1
-    return (lag_count_array(a, a, length).astype(np.float64),
-            lag_count_array(a, b, length).astype(np.float64))
+    s, p, length = spec.s, spec.s + spec.d, spec.max_lag + 1
+    j = np.arange(2 * spec.m)          # subblock j starts at site j*p
+    offsets = lag_count_array(j[0::2], j)
+    j, k = j[:, None], np.arange(1 - s, s)
+    lags = np.abs(p * j + k) + length * (j % 2)
+    weights = offsets[:, None] * (s - np.abs(k))
+    counts = np.bincount(lags.ravel(), weights.ravel(), 2 * length)
+    return counts[:length], counts[length:]
 
 
 def covariance_of_blocks(table: CorrelationTable,
@@ -147,14 +156,7 @@ def covariance_of_blocks(table: CorrelationTable,
         raise LagBoundError(
             f"table covers lags <= {table.l_max} but spec {spec} needs "
             f"{spec.max_lag}")
-    return _covariance_from_counts(table, spec, lag_counts(spec))
-
-
-def _covariance_from_counts(table: CorrelationTable, spec: BlockSpec,
-                            counts) -> CollectiveCovariance:
-    """The covariance from `counts` = lag_counts(spec), for a table that
-    covers spec.max_lag; a sweep over couplings counts each geometry once."""
-    intra, cross = counts
+    intra, cross = lag_counts(spec)
     g, h = table.g[:intra.size], table.h[:intra.size]
     n = spec.n
     return CollectiveCovariance(

@@ -151,8 +151,11 @@ def _ki2(u: float) -> float:
     """Bickley function Ki2(u) = Int_0^inf exp(-u cosh t) / cosh^2 t dt.
 
     Ki2(u) = 1 - pi u/2 + u^2 f(u)/2; for u >= 2 the trapezoid rule in t,
-    whose absolute error there is below 1e-16.
+    whose absolute error there is below 1e-16.  Above u = 746, exp(-u) and
+    with it every node underflows to 0, and u cosh t could overflow.
     """
+    if u > 746.0:
+        return 0.0
     if u >= 2.0:
         return float(np.exp(-u * _KI2_COSH) @ _KI2_WEIGHTS)
     return 1.0 - 0.5 * math.pi * u + (0.5 * u * u * _phi_shape(u) if u else 0.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
 from chainent.blocks import lag_count_array
+from chainent.entanglement import lag_counts
 
 spec_strategy = st.builds(BlockSpec,
                           m=st.integers(1, 4),
@@ -100,6 +101,22 @@ class TestLagMultiset:
     def test_translation_symmetry(self, spec):
         a, b = block_indices(spec)
         assert np.array_equal(lag_count_array(a, a), lag_count_array(b, b))
+
+    @given(spec=spec_strategy)
+    @example(spec=BlockSpec(1, 1, 0))
+    @example(spec=BlockSpec(1, 7, 0))
+    @example(spec=BlockSpec(6, 1, 0))
+    @example(spec=BlockSpec(3, 4, 2))
+    @example(spec=BlockSpec(50, 2, 9))
+    def test_lag_counts_match_pair_enumeration(self, spec):
+        # the triangle-kernel counts against the O(n^2) pairwise counter
+        a, b = block_indices(spec)
+        length = spec.max_lag + 1
+        intra, cross = lag_counts(spec)
+        for got, want in ((intra, lag_count_array(a, a, length)),
+                          (cross, lag_count_array(a, b, length))):
+            assert got.dtype == np.float64 and got.shape == (length,)
+            assert np.array_equal(got, want)
 
     def test_count_array_padding(self):
         arr = lag_count_array((0, 1), (0, 1), length=6)

@@ -173,8 +173,8 @@ class TestSweepCommand:
                     "--format", "json"]) == 0
         specs = [BlockSpec(m, s, d) for m in (1, 3) for s in (1, 2)
                  for d in (0, 2)]
-        # the lag counts do not depend on alpha: two per geometry
-        assert len(calls) == 2 * len(specs)
+        # one count per row
+        assert len(calls) == len(alphas) * len(specs)
         monkeypatch.undo()
         rows = json.loads(capsys.readouterr().out)["rows"]
         l_max = max(spec.max_lag for spec in specs)

@@ -14,8 +14,10 @@ Objects may carry infinities: the momentum variance of a sharp window,
 D_pi(0) = +inf, is infinite by design (see chainent.field), and a
 covariance passes it on to delta2 and Delta.
 
-Sizes stay bounded (l_max <= 10^4, N <= 2^16, m s <= 10^3): the lag counts
-cost O((m s)^2) memory, so unbounded work is a separate question.
+Sizes stay bounded (l_max <= 10^4, N <= 2^16, m s <= 10^3 in calls, up to
+10^5 in the CLI net, where lag counting costs O(m^2 + m s)), so unbounded
+work is a separate question.  The CLI net also reaches m L = 1e307, past
+where the Bickley function's exponent would overflow.
 """
 
 import dataclasses
@@ -210,6 +212,8 @@ CLI_ARGVS = [
       for a in ("nan", "inf", "5e-324", "0.9999999999999999", "0..1:3",
                 "nan..1:3", "0.5..inf:3")),
     ["sweep", "--alphas", "0.5", "--m", "10", "--s", "100", "--d", "0"],
+    ["sweep", "--alphas", "0.5", "--m", "1", "--s", "100000", "--d", "0"],
+    ["sweep", "--alphas", "0.5", "--m", "1000", "--s", "100", "--d", "3"],
     ["sweep", "--alphas", "0.5", "--d", "10000"],
     *(["field", "--mass", m, "--length", "1", "--r", "2"]
       for m in ("nan", "inf", "-inf", "0", "1e200", "1e-200")),
@@ -221,6 +225,7 @@ CLI_ARGVS = [
       for r in ("nan", "inf", "-inf", "1..inf:3")),
     ["field", "--mass", "1e200", "--length", "1e200", "--r", "3e200"],
     ["field", "--mass", "1e-200", "--length", "1e-200", "--r", "3e-200"],
+    ["field", "--mass", "1", "--length", "1e307", "--r", "0"],
     *(["validate", "--oracle-n", n] for n in ("-1", "1", "51")),
 ]
 

@@ -10,6 +10,7 @@ from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks, duan_witness,
                       negativity, symplectic_form)
+from chainent.entanglement import lag_counts
 from tests import oracles
 
 
@@ -183,6 +184,67 @@ class TestApproxNegativity:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             approx_negativity(0.5, 0.0, 0.5, 0.0, n=2, m=3)
+
+
+#: the grid of the boundary-scaling check; every divisor m of n is a layout
+BOUNDARY_ALPHAS = (0.3, 0.5, 0.9, 0.99)
+BOUNDARY_SIZES = (60, 720, 5040)
+
+
+def divisor_layouts(n):
+    return [BlockSpec(m, n // m, 0) for m in range(1, n + 1) if n % m == 0]
+
+
+class TestBoundaryScaling:
+    """The abstract's claim that entanglement scales at most with the total
+    boundary region, as a bound on eps over the layouts m*s = n at d = 0.
+
+    Let b = (2m - 1)/n be the boundary density (2m - 1 subblock boundaries
+    per block site) and S_f = sum_{l>=1} min(l, s)|f_l| for f = g, h.
+
+    * Robertson's inequality for the block's own collective mode, whose
+      [Q_A, P_A] = i, gives G*H >= 1/4.
+    * An A-B pair at lag l leaves its A subblock through a first boundary.
+      Per boundary and direction at most min(l, s) A sites lie within l of
+      it, so cross_l <= 2(2m - 1) min(l, s), and with |f_l| summed,
+      |G_AB| <= 2b S_g and |H_AB| <= 2b S_h.
+    * delta1*delta2 = (G - |G_AB|)(H - |H_AB|) >= GH - G|H_AB| - H|G_AB|
+      >= GH - b X with X = 2(G S_h + H S_g), and b X <= 4bX * GH.
+    * Where 4bX < 1 this gives delta1*delta2 >= GH (1 - 4bX) >= (1 - 4bX)/4,
+      so eps = 1/(4 delta1 delta2) - 1 <= 4bX/(1 - 4bX) (or eps = 0).
+
+    S_f stays bounded as s grows, so at fixed coupling eps is at most of
+    order b: the boundary count, not the block size, sets its scale.
+    """
+
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_cross_lags_cross_a_boundary(self, n):
+        for spec in divisor_layouts(n):
+            cross = lag_counts(spec)[1]
+            lags = np.arange(1, cross.size)
+            assert cross[0] == 0
+            assert np.all(cross[1:] <= 2 * (2 * spec.m - 1)
+                          * np.minimum(lags, spec.s))
+
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("alpha", BOUNDARY_ALPHAS)
+    def test_epsilon_bounded_by_boundary_density(self, alpha, n):
+        table = correlation_table(alpha, 2 * n - 1)   # every layout's max_lag
+        lags = np.arange(1, 2 * n)
+        bounded = []
+        for spec in divisor_layouts(n):
+            res = block_entanglement(table, spec)
+            cov, b = res.cov, (2 * spec.m - 1) / n
+            s_g, s_h = (np.minimum(lags, spec.s) @ np.abs(f[1:2 * n])
+                        for f in (table.g, table.h))
+            assert abs(cov.g_cross) <= 2 * b * s_g
+            assert abs(cov.h_cross) <= 2 * b * s_h
+            x = 2 * (cov.g_diag * s_h + cov.h_diag * s_g)
+            if 4 * b * x < 1:
+                assert res.epsilon <= 4 * b * x / (1 - 4 * b * x)
+                bounded.append(spec.m)
+        # non-vacuous: the bound applies at least to the coarsest layouts
+        assert {1, 2} <= set(bounded)
 
 
 class TestCollectiveSymplectic:
