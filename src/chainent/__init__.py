@@ -23,7 +23,7 @@ from .correlations import (CorrelationTable, correlation_table,
 from .entanglement import (CollectiveCovariance, EntanglementResult,
                            approx_negativity, block_entanglement,
                            collective_symplectic, covariance_of_blocks,
-                           duan_witness, negativity, symplectic_form)
+                           negativity, symplectic_form)
 from .errors import (ChainentError, ConvergenceError, DomainError,
                      InvalidCovarianceError, LagBoundError, QuadratureError)
 from .field import (FieldRegionSpec, d_phi, d_pi, field_covariance,
@@ -39,6 +39,6 @@ __all__ = [
     "LagBoundError", "QuadratureError", "approx_negativity",
     "block_entanglement", "block_indices", "collective_symplectic",
     "correlation_table", "covariance_of_blocks", "d_phi", "d_pi",
-    "duan_witness", "field_covariance", "field_negativity",
+    "field_covariance", "field_negativity",
     "finite_correlation_table", "negativity", "symplectic_form",
 ]

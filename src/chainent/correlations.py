@@ -80,10 +80,8 @@ class CorrelationTable:
         for name, values in (("g", g), ("h", h)):
             if not np.isfinite(values).all():
                 raise DomainError(f"{name} must hold finite reals only")
-        g.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def l_max(self) -> int:

@@ -8,11 +8,13 @@ cross moments G_AB, H_AB; QP cross terms vanish in the ground state.
 
 The entanglement degree is
 
-    epsilon = max(0, (delta1*delta2)_0 / (delta1*delta2) - 1),
+    epsilon = (delta1*delta2)_0 / (delta1*delta2) - 1,
 
 with delta1 = G - |G_AB|, delta2 = H - |H_AB| and (delta1*delta2)_0 = 1/4
 for unit-normalized collective commutators.  epsilon > 0 if and only if the
-partially transposed state fails to be positive.  The variance witness
+partially transposed state fails to be positive; it is exactly 0 once
+delta1*delta2 >= (delta1*delta2)_0 (1 - 4e-12), a relative slack, so the
+verdict is the same in every normalization of Q and P.  The variance witness
 Delta = 2 (G - G_AB + H + H_AB) < 2 is a sufficient but weaker entanglement
 condition.
 """
@@ -30,7 +32,7 @@ from .errors import (DomainError, InvalidCovarianceError, LagBoundError,
 #: squared Heisenberg bound (delta1*delta2)_0 for [Q, P] = i
 VACUUM_PRODUCT = 0.25
 
-#: rounding slack absorbed when deciding separability from delta1*delta2
+#: rounding slack of the separability test, relative to 4 (delta1*delta2)_0
 SEPARABILITY_ATOL = 1e-12
 
 
@@ -105,18 +107,22 @@ class EntanglementResult:
 
     @property
     def epsilon(self) -> float:
-        return max(0.0, self.vacuum_product / (self.delta1 * self.delta2)
-                   - 1.0)
+        return 0.0 if self.separable else (
+            self.vacuum_product / (self.delta1 * self.delta2) - 1.0)
 
     @property
     def duan(self) -> float:
-        return duan_witness(self.cov)
+        """Variance witness Delta = <(Q_A - Q_B)^2> + <(P_A + P_B)^2>; < 2
+        certifies entanglement."""
+        cov = self.cov
+        return 2.0 * (cov.g_diag - cov.g_cross + cov.h_diag + cov.h_cross)
 
     @property
     def separable(self) -> bool:
-        """Separability decided at delta1*delta2 >= (delta1*delta2)_0 - atol,
-        absorbing rounding at the boundary."""
-        return self.delta1 * self.delta2 >= self.vacuum_product - SEPARABILITY_ATOL
+        """Separability decided at delta1*delta2 >= (delta1*delta2)_0
+        (1 - 4 atol), absorbing rounding at the boundary in any convention."""
+        return (self.delta1 * self.delta2
+                >= self.vacuum_product * (1.0 - 4.0 * SEPARABILITY_ATOL))
 
     @property
     def entangled(self) -> bool:
@@ -171,12 +177,6 @@ def negativity(cov: CollectiveCovariance,
     """Entanglement degree eps from the partial-transpose criterion: the
     `EntanglementResult` of `cov` (see there for `vacuum_product`)."""
     return EntanglementResult(cov, vacuum_product)
-
-
-def duan_witness(cov: CollectiveCovariance) -> float:
-    """Variance witness Delta = <(Q_A - Q_B)^2> + <(P_A + P_B)^2>; < 2 certifies
-    entanglement."""
-    return 2.0 * (cov.g_diag - cov.g_cross + cov.h_diag + cov.h_cross)
 
 
 def block_entanglement(table: CorrelationTable,

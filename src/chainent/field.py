@@ -95,6 +95,9 @@ def _small_u_coefficients(terms: int = 14):
 
 _SMALL_U_INV, _SMALL_U_PSI = _small_u_coefficients()
 
+#: most windows per party: `field_covariance` makes 4 propagator calls each
+MAX_WINDOWS = 1000
+
 
 @dataclass(frozen=True)
 class FieldRegionSpec:
@@ -123,6 +126,8 @@ class FieldRegionSpec:
             raise DomainError(f"separation must be >= 0, got {self.separation}")
         windows = _check_int("windows", self.windows, 1)
         object.__setattr__(self, "windows", windows)
+        if windows > MAX_WINDOWS:
+            raise DomainError(f"windows must be <= {MAX_WINDOWS}, got {windows}")
         if windows > 1 and not self.separation > self.length:
             raise DomainError(
                 f"{windows} windows per party need separation > length to "
@@ -251,7 +256,12 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
         return -math.inf
     mu, rho = _unit_mass(spec), r / length
     if r > length:
-        unit = -_triangle_integral(lambda s: mu * k1(mu * s) / s, mu, rho,
+        # where k1 overflows (mu s < 5.6e-309) the kernel is its limit 1/s^2,
+        # as x K1(x) = 1 + O(x^2 ln x); 1/s/s, since s^2 can overflow
+        def kernel(s):
+            bessel = k1(mu * s)
+            return np.where(np.isinf(bessel), 1.0 / s / s, mu * bessel / s)
+        unit = -_triangle_integral(kernel, mu, rho,
                                    (r - length) / length) / (2.0 * math.pi)
     else:
         rest = (length - r) / length

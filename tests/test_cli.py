@@ -53,10 +53,6 @@ class TestParsing:
         assert capsys.readouterr().err.endswith(
             "error: argument --m: invalid parse_int_values value: '1..x'\n")
 
-    def test_snap(self):
-        assert cli._snap(5e-13) == 0.0
-        assert cli._snap(5e-12) == 5e-12
-
 
 class TestCorrelationsCommand:
     def test_csv_shape(self, capsys):
@@ -191,7 +187,7 @@ class TestSweepCommand:
                     "n": spec.n, "G": res.cov.g_diag, "H": res.cov.h_diag,
                     "G_AB": res.cov.g_cross, "H_AB": res.cov.h_cross,
                     "delta1": res.delta1, "delta2": res.delta2,
-                    "epsilon": cli._snap(res.epsilon), "Delta": res.duan,
+                    "epsilon": res.epsilon, "Delta": res.duan,
                     "epsilon_approx": approx})
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):

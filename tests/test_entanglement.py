@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       EntanglementResult, InvalidCovarianceError, LagBoundError, approx_negativity,
                       block_entanglement, block_indices, collective_symplectic,
-                      correlation_table, covariance_of_blocks, duan_witness,
+                      correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
 from chainent.entanglement import lag_counts
 from tests import oracles
@@ -107,16 +107,35 @@ class TestNegativity:
         scaled = negativity(cov.rescaled(c, 1.0 / c)).epsilon
         assert scaled == pytest.approx(base, rel=1e-11)
 
-    @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_sum_convention_invariance(self, tables, n):
-        cov = covariance_of_blocks(tables(0.9, 40), BlockSpec(1, n, 0))
-        base = negativity(cov).epsilon
+    @pytest.mark.parametrize("alpha,n", [(0.9, 1), (0.9, 4), (0.9, 9),
+                                         (0.5, 10000)],
+                             ids=["1", "4", "9", "0.5-10000"])
+    def test_sum_convention_invariance(self, alpha, n):
+        # at alpha = 0.5, n = 10^4, epsilon is about 2.7e-5: far below an
+        # absolute slack of 1e-12 on the averaged vacuum product 1/(4 n^2)
+        spec = BlockSpec(1, n, 0)
+        cov = covariance_of_blocks(correlation_table(alpha, spec.max_lag),
+                                   spec)
+        base = negativity(cov)
         plain = negativity(cov.rescaled(math.sqrt(n), math.sqrt(n)),
-                           vacuum_product=n * n / 4.0).epsilon
+                           vacuum_product=n * n / 4.0)
         averaged = negativity(cov.rescaled(1 / math.sqrt(n), 1 / math.sqrt(n)),
-                              vacuum_product=1.0 / (4.0 * n * n)).epsilon
-        assert plain == pytest.approx(base, rel=1e-14)
-        assert averaged == pytest.approx(base, rel=1e-14)
+                              vacuum_product=1.0 / (4.0 * n * n))
+        assert base.entangled
+        for other in (plain, averaged):
+            assert other.epsilon == pytest.approx(base.epsilon, rel=1e-14)
+            assert other.entangled == base.entangled
+
+    def test_epsilon_is_zero_exactly_when_separable(self):
+        # just inside the slack: separable, and epsilon exactly 0 (the
+        # ratio alone would give 2e-12)
+        d = math.sqrt(0.25 - 5e-13)
+        res = negativity(make_cov(d, d, 0.0, 0.0))
+        assert res.separable and res.epsilon == 0.0
+        # just beyond it: entangled with a positive epsilon
+        d = math.sqrt(0.25 * (1.0 - 1e-11))
+        res = negativity(make_cov(d, d, 0.0, 0.0))
+        assert res.entangled and res.epsilon > 0.0
 
     def test_rescale_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -130,7 +149,7 @@ class TestEntanglementResult:
         res = EntanglementResult(self.COV)
         assert (res.delta1, res.delta2) == (self.COV.delta1, self.COV.delta2)
         assert (res.delta1, res.delta2) == pytest.approx((0.3, 0.3))
-        assert res.duan == duan_witness(self.COV)
+        assert res.duan == pytest.approx(2.0 * (0.6 - 0.3 + 0.5 - 0.2))
         assert res.epsilon == pytest.approx(0.25 / 0.09 - 1.0)
         assert res == negativity(self.COV)
 
@@ -142,6 +161,19 @@ class TestEntanglementResult:
         with pytest.raises(TypeError):
             EntanglementResult(self.COV, delta2=0.7)
 
+    @given(gab=st.floats(0.0, 0.3), hab=st.floats(-0.2, 0.0),
+           exponent=st.integers(-40, 40))
+    @settings(max_examples=200)
+    def test_one_verdict_in_every_normalization(self, gab, hab, exponent):
+        # epsilon is 0 exactly when separable; a power-of-two rescaling is
+        # exact, so the verdict must not move with the vacuum product
+        res = negativity(make_cov(0.6, 0.5, gab, hab))
+        assert (res.epsilon == 0.0) == res.separable
+        scale = 2.0**exponent
+        other = negativity(res.cov.rescaled(scale, scale),
+                           vacuum_product=0.25 * scale**4)
+        assert other.separable == res.separable
+
     def test_vacuum_product_is_stored_as_float(self):
         res = EntanglementResult(self.COV, np.float32(0.25))
         assert type(res.vacuum_product) is float
@@ -150,12 +182,12 @@ class TestEntanglementResult:
 
 class TestDuanWitness:
     def test_boundary(self):
-        assert duan_witness(make_cov(0.5, 0.5, 0.0, 0.0)) == pytest.approx(2.0)
+        assert negativity(make_cov(0.5, 0.5, 0.0, 0.0)).duan == pytest.approx(2.0)
 
     def test_substitution_identity(self):
         g, h = 0.8, 0.6
         cov = make_cov(g, h, g / 2, -h / 2)
-        assert duan_witness(cov) == pytest.approx(g + h, rel=1e-15)
+        assert negativity(cov).duan == pytest.approx(g + h, rel=1e-15)
 
     def test_consistent_with_result_field(self, tables):
         res = block_entanglement(tables(0.99, 10), BlockSpec(1, 1, 0))

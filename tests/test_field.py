@@ -8,6 +8,7 @@ from chainent import (BlockSpec, DomainError, FieldRegionSpec,
                       QuadratureError, d_phi, d_pi, field_covariance,
                       field_negativity)
 from chainent.entanglement import lag_counts
+from chainent.field import MAX_WINDOWS
 from tests import _frozen, oracles
 
 
@@ -85,6 +86,13 @@ class TestPropagators:
         value = func(spec(mass, length), r)
         assert value == pytest.approx(
             _frozen.FIELD_EDGE_ORACLE[(kind, mass, length, r)], rel=1e-13)
+
+    def test_subnormal_mass_times_length(self):
+        # at m L = 1e-315, k1 overflows on every node; the kernel's limit
+        # 1/s^2 gives the value of a normal m L next to it
+        near = d_pi(spec(1e-5, 1e-300), 2e-300)
+        assert d_pi(spec(1e-15, 1e-300), 2e-300) == pytest.approx(
+            near, rel=1e-14)
 
     def test_even_in_separation(self):
         s = spec()
@@ -254,9 +262,10 @@ class TestPeriodicRegions:
         for r in (0.5, 1.0):        # windows of length 1 would overlap
             with pytest.raises(DomainError, match="stay disjoint"):
                 FieldRegionSpec(1.0, 1.0, r, windows=2)
-        for windows in (0, 1.5, math.nan, math.inf):
+        for windows in (0, 1.5, math.nan, math.inf, MAX_WINDOWS + 1):
             with pytest.raises(DomainError):
                 FieldRegionSpec(1.0, 1.0, 1.5, windows=windows)
+        assert FieldRegionSpec(1.0, 1.0, 1.5, MAX_WINDOWS).windows == MAX_WINDOWS
         assert FieldRegionSpec(1.0, 1.0, 0.5).windows == 1
 
 
