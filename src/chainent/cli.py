@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
 3 numerical failure.  Each subcommand returns its whole output as text with
 its exit code, and `main` does the single write to stdout or --out, so a
 failing grid point never leaves partial output behind.
+
+The chain commands (`sweep`, `correlations`) need numpy alone; `field` and
+validate's field check import `chainent.field`, and with it scipy, when they
+run.  A sweep counts each geometry's lags once and shares the counts across
+its couplings.
 """
 
 import argparse
@@ -15,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import correlations, entanglement, field
+from . import correlations, entanglement
 from .blocks import BlockSpec
 from .errors import ChainentError, DomainError
 from .kernels import BACKEND
@@ -183,9 +188,8 @@ def _checked_table(alpha, l_max, oracle_n):
     return table
 
 
-def _sweep_row(table, spec):
-    """The row of one coupling and geometry."""
-    cov = entanglement.covariance_of_blocks(table, spec)
+def _sweep_row(table, spec, cov):
+    """The row of one coupling and geometry, with their covariance `cov`."""
     res = entanglement.negativity(cov)
     approx = None
     if spec.d == 0:
@@ -214,7 +218,13 @@ def cmd_sweep(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
     tables = [_checked_table(alpha, l_max, args.oracle_n) for alpha in alphas]
-    rows = [_sweep_row(table, spec) for table in tables for spec in specs]
+    # geometry by geometry, so each geometry's lags are counted once and only
+    # one geometry's counts are held; the rows stay in (alpha, spec) order
+    rows = [None] * (len(tables) * len(specs))
+    for k, spec in enumerate(specs):
+        covs = entanglement._covariances(tables, spec)
+        for i, (table, cov) in enumerate(zip(tables, covs)):
+            rows[i * len(specs) + k] = _sweep_row(table, spec, cov)
     return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, rows), EXIT_OK
 
 
@@ -222,6 +232,7 @@ def cmd_sweep(args) -> tuple[str, int]:
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
+    from . import field     # loads scipy, which the chain commands never need
     rows = []
     for r in args.r:
         spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
@@ -311,6 +322,7 @@ def _check_chain_cutoffs(oracle_n: int):
 
 
 def _check_field_null(oracle_n: int):
+    from . import field
     spec = field.FieldRegionSpec(mass=1.0, length=1.0, separation=0.0)
     dphi0 = field.d_phi(spec, 0.0)
     dpi0 = field.d_pi(spec, 0.0)

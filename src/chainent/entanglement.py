@@ -151,6 +151,27 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     return counts[:length], counts[length:]
 
 
+def _covariances(tables, spec: BlockSpec) -> list[CollectiveCovariance]:
+    """Collective covariances of one layout under each of `tables`, from one
+    lag count (the counts do not depend on the coupling)."""
+    for table in tables:
+        if table.l_max < spec.max_lag:
+            raise LagBoundError(
+                f"table covers lags <= {table.l_max} but spec {spec} needs "
+                f"{spec.max_lag}")
+    intra, cross = lag_counts(spec)
+    n, length = spec.n, intra.size
+    covs = []
+    for table in tables:
+        g, h = table.g[:length], table.h[:length]
+        covs.append(CollectiveCovariance(
+            g_diag=float(g @ intra) / n,
+            h_diag=float(h @ intra) / n,
+            g_cross=float(g @ cross) / n,
+            h_cross=float(h @ cross) / n))
+    return covs
+
+
 def covariance_of_blocks(table: CorrelationTable,
                          spec: BlockSpec) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
@@ -158,18 +179,7 @@ def covariance_of_blocks(table: CorrelationTable,
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
     """
-    if table.l_max < spec.max_lag:
-        raise LagBoundError(
-            f"table covers lags <= {table.l_max} but spec {spec} needs "
-            f"{spec.max_lag}")
-    intra, cross = lag_counts(spec)
-    g, h = table.g[:intra.size], table.h[:intra.size]
-    n = spec.n
-    return CollectiveCovariance(
-        g_diag=float(g @ intra) / n,
-        h_diag=float(h @ intra) / n,
-        g_cross=float(g @ cross) / n,
-        h_cross=float(h @ cross) / n)
+    return _covariances((table,), spec)[0]
 
 
 def negativity(cov: CollectiveCovariance,

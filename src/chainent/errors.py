@@ -35,17 +35,20 @@ class QuadratureError(ChainentError, ArithmeticError):
 
 def _check_int(name: str, value, low: int) -> int:
     """`value` as an int; DomainError unless it is a Python or NumPy integer
-    >= `low` (an integral float such as 2.0 is refused too)."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
+    >= `low` (an integral float such as 2.0 is refused too, as is a bool)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
 def _check_real(name: str, value, infinite: bool = False) -> float:
     """`value` as a float; DomainError unless it is a Python or NumPy real
-    (strings are not parsed) that is finite, or with `infinite` not NaN."""
+    (strings are not parsed, bools are refused) that is finite, or with
+    `infinite` not NaN."""
     try:                # float first: the numbers.Real check alone is slow
-        if isinstance(value, (float, numbers.Real)) and (
+        if (isinstance(value, float) or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)) and (
                 math.isfinite(value) or infinite and not math.isnan(value)):
             return float(value)
     except OverflowError:           # an integer beyond the float range

@@ -154,8 +154,17 @@ class TestSweepCommand:
         assert run(["sweep", "--alphas", "1.5", "--m", "1", "--s", "1",
                     "--d", "0"]) == 2
 
-    @pytest.mark.parametrize("alphas", [(0.9,), (0.3, 0.9, 0.999)])
-    def test_rows_equal_block_entanglement(self, capsys, monkeypatch, alphas):
+    GRID = (["--m", "1,3", "--s", "1,2", "--d", "0,2"],
+            [BlockSpec(m, s, d)
+             for m in (1, 3) for s in (1, 2) for d in (0, 2)])
+
+    @pytest.mark.parametrize("alphas,geometry", [
+        ((0.9,), GRID), ((0.3, 0.9, 0.999), GRID),
+        ((0.9999,), (["--specs", "1:100:0,4:25:1"],
+                     [BlockSpec(1, 100, 0), BlockSpec(4, 25, 1)]))],
+        ids=["alphas0", "alphas1", "strong"])
+    def test_rows_equal_block_entanglement(self, capsys, monkeypatch, alphas,
+                                           geometry):
         calls = []
         original = entanglement.lag_count_array
 
@@ -164,13 +173,11 @@ class TestSweepCommand:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(entanglement, "lag_count_array", counted)
-        assert run(["sweep", "--alphas", ",".join(map(repr, alphas)),
-                    "--m", "1,3", "--s", "1,2", "--d", "0,2",
+        flags, specs = geometry
+        assert run(["sweep", "--alphas", ",".join(map(repr, alphas)), *flags,
                     "--format", "json"]) == 0
-        specs = [BlockSpec(m, s, d) for m in (1, 3) for s in (1, 2)
-                 for d in (0, 2)]
-        # one count per row
-        assert len(calls) == len(alphas) * len(specs)
+        # one count per geometry, shared by every coupling
+        assert len(calls) == len(specs)
         monkeypatch.undo()
         rows = json.loads(capsys.readouterr().out)["rows"]
         l_max = max(spec.max_lag for spec in specs)

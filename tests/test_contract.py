@@ -1,14 +1,15 @@
 """Typed-error contract of the public API and the command line.
 
 Every real-valued parameter of every public callable is fed NaN, +-inf,
-None, the string '0.5', 1j and the extremes of its kind (alpha = 5e-324 and
-1 - 1e-16, r = L(1 +- 1e-12), m L = 1e+-200); integer parameters are fed
-the same non-finite and non-real values.  Each call must return within
+None, the string '0.5', 1j, True, numpy.True_ and the extremes of its kind
+(alpha = 5e-324 and 1 - 1e-16, r = L(1 +- 1e-12), m L = 1e+-200); integer
+parameters are fed the same non-finite, non-real and bool values.  Each call must return within
 `TIME_LIMIT` seconds, either a value holding no NaN (a plain float or array
 finite too) or a `ChainentError` subclass.  pyproject.toml turns warnings
 into errors, so a NumPy RuntimeWarning counts as a breach.  The arrays of a
 correlation table are fed the same values and arrays with one non-finite
-entry.
+entry.  A bool is not a number here: every numeric parameter but the
+ignored `tol` refuses both kinds with `DomainError`.
 
 Objects may carry infinities: the momentum variance of a sharp window,
 D_pi(0) = +inf, is infinite by design (see chainent.field), and a
@@ -31,17 +32,19 @@ import pytest
 
 import chainent
 from chainent import (BlockSpec, ChainentError, CollectiveCovariance,
-                      CorrelationTable, EntanglementResult, FieldRegionSpec,
-                      approx_negativity, cli, collective_symplectic,
-                      correlation_table, d_phi, d_pi, field_covariance,
-                      field_negativity, finite_correlation_table, negativity,
-                      symplectic_form)
+                      CorrelationTable, DomainError, EntanglementResult,
+                      FieldRegionSpec, approx_negativity, cli,
+                      collective_symplectic, correlation_table, d_phi, d_pi,
+                      field_covariance, field_negativity,
+                      finite_correlation_table, negativity, symplectic_form)
 
 TIME_LIMIT = 2.0
 
+#: bools, which Python counts as integers and NumPy does not
+BOOLS = {"True": True, "np.True_": np.True_}
 #: fed to every real-valued and every integer parameter
 BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "None": None,
-       "str": "0.5", "complex": 1j}
+       "str": "0.5", "complex": 1j, **BOOLS}
 #: extremes of each kind of real parameter, added to BAD
 ALPHA = {"5e-324": 5e-324, "1-1e-16": 1 - 1e-16}
 SEPARATION = {"L(1-1e-12)": 1 - 1e-12, "L(1+1e-12)": 1 + 1e-12}  # at L = 1
@@ -146,6 +149,14 @@ def _cases():
                                    id=f"{name}({param}={label})")
 
 
+def _bool_cases():
+    for name, (func, base, params) in CALLS.items():
+        for param in (p for p in params if p != "tol"):  # tol is unused
+            for label, value in BOOLS.items():
+                yield pytest.param(func, dict(base, **{param: value}),
+                                   id=f"{name}({param}={label})")
+
+
 #: derived quantities of a returned record, checked besides its fields
 DERIVED = ("epsilon", "delta1", "delta2", "duan")
 
@@ -200,6 +211,12 @@ def test_returns_sane_value_or_typed_error(func, kwargs):
         result = None
     assert time.perf_counter() - start < TIME_LIMIT
     _check_value(result)
+
+
+@pytest.mark.parametrize("func,kwargs", _bool_cases())
+def test_bool_is_refused(func, kwargs):
+    with pytest.raises(DomainError):
+        func(**kwargs)
 
 
 CLI_ARGVS = [
