@@ -13,7 +13,6 @@ its couplings.
 """
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -96,21 +95,18 @@ def parse_float_values(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.17g}"
-
-
 def render_csv(schema_tag: str, columns, rows) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {schema_tag}\n")
-    buf.write(",".join(columns) + "\n")
+    """CSV under a `# schema` line and a header, one %-format per row: a
+    None cell is empty (%.0s), an int is written with %d and any other
+    value with %.17g."""
+    lines = [f"# {schema_tag}", ",".join(columns)]
     for row in rows:
-        buf.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
-    return buf.getvalue()
+        cells = tuple(map(row.__getitem__, columns))
+        fmt = ",".join(["%.0s" if cell is None else
+                        "%d" if isinstance(cell, int) else "%.17g"
+                        for cell in cells])
+        lines.append(fmt % cells)
+    return "\n".join(lines) + "\n"
 
 
 def render_json(schema_tag: str, rows) -> str:
@@ -139,11 +135,18 @@ def _emit(text: str, out_path) -> None:
 
 def _check_oracle_n(oracle_n, lag: int) -> None:
     """An N-site ring holds lags 0..N-1: N must exceed the largest lag
-    compared, and a ring has at least 2 sites."""
+    compared, a ring has at least 2 sites, and the oracle sums over at most
+    `correlations.MAX_ORACLE_SITES`."""
+    if oracle_n is None:
+        return
     need = max(2, lag + 1)
-    if oracle_n is not None and oracle_n < need:
+    if oracle_n < need:
         raise DomainError(f"--oracle-n must be >= {need} sites to compare "
                           f"lags up to {lag}, got {oracle_n}")
+    if oracle_n > correlations.MAX_ORACLE_SITES:
+        raise DomainError(f"--oracle-n must be <= "
+                          f"{correlations.MAX_ORACLE_SITES} sites, got "
+                          f"{oracle_n}")
 
 
 def _oracle_deviation(table, oracle_n: int, lags: int) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 import chainent
@@ -381,6 +382,41 @@ class TestCsvJsonAgree:
             assert math.inf in values  # JSON Infinity
 
 
+class TestRenderCsv:
+    EDGE_CELLS = [None, 0, 10**18, 3.0, -0.0, math.inf, -math.inf, 5e-324,
+                  1.7976931348623157e308, np.float64(0.1)]
+
+    @staticmethod
+    def per_cell(schema_tag, columns, rows):
+        # the former renderer: one formatting call per cell
+        def fmt(value):
+            if value is None:
+                return ""
+            if isinstance(value, int):
+                return str(value)
+            return f"{float(value):.17g}"
+
+        lines = [f"# {schema_tag}", ",".join(columns)]
+        lines += [",".join(fmt(row[c]) for c in columns) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_edge_cells_match_the_per_cell_formatter(self):
+        columns = [f"c{i}" for i in range(len(self.EDGE_CELLS))]
+        # each cell in every column, so every position sees every kind
+        rows = [dict(zip(columns, self.EDGE_CELLS[k:] + self.EDGE_CELLS[:k]))
+                for k in range(len(self.EDGE_CELLS))]
+        text = cli.render_csv("tag", columns, rows)
+        assert text == self.per_cell("tag", columns, rows)
+        assert text.splitlines()[2] == (
+            ",0,1000000000000000000,3,-0,inf,-inf,4.9406564584124654e-324,"
+            "1.7976931348623157e+308,0.10000000000000001")
+
+    def test_single_column_and_no_rows(self):
+        rows = [{"x": None}, {"x": 7}, {"x": 2.5}]
+        assert cli.render_csv("t", ["x"], rows) == "# t\nx\n\n7\n2.5\n"
+        assert cli.render_csv("t", ["x", "y"], []) == "# t\nx,y\n"
+
+
 class TestFlagInventory:
     # every option a subcommand accepts; a new flag must be added here
     OPTIONS = {
@@ -448,6 +484,24 @@ class TestUsageErrors:
         assert captured.err == (
             f"chainent: domain error: --oracle-n must be >= {lag + 1} sites "
             f"to compare lags up to {lag}, got {argv[-1]}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["correlations", "--alpha", "0.5", "--l-max", "3"],
+        ["sweep", "--alphas", "0.5"],
+        ["validate"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("oracle_n", [str(2**24 + 1), str(2**40)])
+    def test_oracle_n_above_the_cap_is_usage_error(self, capsys, monkeypatch,
+                                                   argv, oracle_n):
+        def no_work(*args, **kwargs):
+            raise AssertionError("--oracle-n is checked before any table")
+
+        monkeypatch.setattr(correlations, "correlation_table", no_work)
+        assert run(argv + ["--oracle-n", oracle_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"chainent: domain error: --oracle-n must be <= 16777216 sites, "
+            f"got {oracle_n}\n")
 
     def test_alpha_next_to_one_is_numerical_failure(self, capsys):
         assert run(["correlations", "--alpha", "0.999999999999999"]) == 3

@@ -27,7 +27,7 @@ PINS = [
      "1011c3d04111367fc5049186b5562627951b9e73c72463ed4a08edf8b010de7d", 0),
     (["correlations", "--alpha", "0.9", "--l-max", "40", "--oracle-n",
       "65536"],
-     "17f26a3b974f9dee0bcef37f8a2abe2377f580f6892713b4d2655eeca47c22ff", 0),
+     "7ee8ee9d585b79490ee6adfae20b8629e309c3bc96a2c4590c956aa107fcce3c", 0),
     # r = 0 and r = L carry D_pi = +inf and -inf; 0.5 overlaps; the rest
     # are separated and also carry epsilon
     (FIELD, "0a9f3f490d1413c7ec066fc238044d23cddbd200ca72b55349392c3d922d4dea",

@@ -17,9 +17,10 @@ covariance passes it on to delta2 and Delta.
 
 Sizes stay bounded (l_max <= 10^4, N <= 2^16, m s <= 10^3 in calls, up to
 10^5 in the CLI net, where lag counting costs O(m^2 + m s)), so unbounded
-work is a separate question; only a field party's window count, 10^7, must
-be refused rather than summed.  The CLI net also reaches m L = 1e307, past
-where the Bickley function's exponent would overflow.
+work is a separate question; only a field party's window count, 10^7, and
+an oracle ring of 2^40 sites must be refused rather than summed.  The CLI
+net also reaches m L = 1e307, past where the Bickley function's exponent
+would overflow.
 """
 
 import dataclasses
@@ -50,6 +51,7 @@ ALPHA = {"5e-324": 5e-324, "1-1e-16": 1 - 1e-16}
 SEPARATION = {"L(1-1e-12)": 1 - 1e-12, "L(1+1e-12)": 1 + 1e-12}  # at L = 1
 SCALE = {"1e200": 1e200, "1e-200": 1e-200}  # m L = 1e+-200, the other is 1
 WINDOWS = {"1e7": 10**7}  # 4 * 10^7 propagator calls if it were accepted
+RING = {"2^40": 2**40}  # an 8 TiB oracle ring if it were accepted
 #: no extremes beyond BAD: integers, moments, scale factors, tolerances
 PLAIN = {}
 
@@ -83,7 +85,7 @@ CALLS = {
                           {"alpha": ALPHA, "l_max": PLAIN}),
     "finite_correlation_table": (
         finite_correlation_table, dict(alpha=0.5, n_sites=64, l_max=10),
-        {"alpha": ALPHA, "n_sites": PLAIN, "l_max": PLAIN}),
+        {"alpha": ALPHA, "n_sites": RING, "l_max": PLAIN}),
     "CorrelationTable": (CorrelationTable,
                          dict(alpha=0.5, g=TABLE.g, h=TABLE.h),
                          {"alpha": ALPHA, "g": ENTRY, "h": ENTRY}),
@@ -226,6 +228,8 @@ CLI_ARGVS = [
     ["correlations", "--alpha", "5e-324", "--l-max", "10", "--oracle-n",
      "64"],
     ["correlations", "--alpha", "0.5", "--l-max", "10000"],
+    ["correlations", "--alpha", "0.5", "--l-max", "3", "--oracle-n",
+     "1099511627776"],
     *(["sweep", "--alphas", a, "--m", "1", "--s", "2"]
       for a in ("nan", "inf", "5e-324", "0.9999999999999999", "0..1:3",
                 "nan..1:3", "0.5..inf:3")),
@@ -244,7 +248,9 @@ CLI_ARGVS = [
     ["field", "--mass", "1e200", "--length", "1e200", "--r", "3e200"],
     ["field", "--mass", "1e-200", "--length", "1e-200", "--r", "3e-200"],
     ["field", "--mass", "1", "--length", "1e307", "--r", "0"],
-    *(["validate", "--oracle-n", n] for n in ("-1", "1", "51")),
+    ["sweep", "--alphas", "0.5", "--oracle-n", "1099511627776"],
+    *(["validate", "--oracle-n", n]
+      for n in ("-1", "1", "51", "1099511627776")),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chainent import (ConvergenceError, DomainError, correlation_table,
                       finite_correlation_table)
-from chainent.correlations import _reduced_coupling
+from chainent.correlations import MAX_ORACLE_SITES, _reduced_coupling
 from tests import _frozen, oracles
 
 couplings = st.floats(min_value=1e-6, max_value=0.999)
@@ -134,6 +134,38 @@ class TestFiniteChain:
                 oracles.finite_correlation_fsum(l, 0.5, 8, -1.0), abs=1e-15)
             assert small.h[l] == pytest.approx(
                 oracles.finite_correlation_fsum(l, 0.5, 8, +1.0), abs=1e-15)
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 7, 8, 9, 512])
+    @pytest.mark.parametrize("alpha", [0.1, 0.7, 0.99])
+    def test_ring_fold_at_every_lag(self, n_sites, alpha):
+        # h_l = g_l - (alpha/2)(g_{l-1} + g_{l+1}) folds g_{-1} = g_1 and
+        # g_N = g_0 on the ring; l = 0, N/2 and N - 1 for both parities
+        table = finite_correlation_table(alpha, n_sites, n_sites - 1)
+        tol = 1e-15 if n_sites < 10 else 1e-13
+        for l in range(n_sites):
+            assert table.g[l] == pytest.approx(oracles.finite_correlation_fsum(
+                l, alpha, n_sites, -1.0), abs=tol)
+            assert table.h[l] == pytest.approx(oracles.finite_correlation_fsum(
+                l, alpha, n_sites, +1.0), abs=tol)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99, 1 - 1e-5])
+    def test_matches_the_two_fft_route(self, alpha):
+        # g is the rfft of 1/nu bit for bit; h, derived from g, stays within
+        # 1e-15 absolute of the rfft of nu
+        n_sites, l_max = 2**20, 100
+        theta = (2.0 * np.pi / n_sites) * np.arange(n_sites, dtype=np.float64)
+        nu = np.sqrt(1.0 - alpha * np.cos(theta))
+        g = np.fft.rfft(1.0 / nu).real[:l_max + 1] / (2.0 * n_sites)
+        h = np.fft.rfft(nu).real[:l_max + 1] / (2.0 * n_sites)
+        table = finite_correlation_table(alpha, n_sites, l_max)
+        assert np.array_equal(table.g, g)
+        assert np.max(np.abs(table.h - h)) <= 1e-15
+
+    def test_refuses_an_oversized_ring(self):
+        assert MAX_ORACLE_SITES == 2**24
+        for n_sites in (MAX_ORACLE_SITES + 1, 2**40):
+            with pytest.raises(DomainError, match="n_sites must be <="):
+                finite_correlation_table(0.5, n_sites, 3)
 
 
 class TestCorrelationTable:
