@@ -73,14 +73,11 @@ def block_indices(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     return sites[0::2].ravel(), sites[1::2].ravel()
 
 
-def lag_count_array(x, y, length: int | None = None) -> np.ndarray:
-    """counts[l] = number of pairs (i in x, j in y) with |i - j| = l.
-
-    `length` sets the minimum array length (defaults to max lag + 1).
-    """
+def lag_count_array(x, y) -> np.ndarray:
+    """counts[l] = number of pairs (i in x, j in y) with |i - j| = l, for
+    l up to the largest lag."""
     xa = np.asarray(x, dtype=np.int64)
     ya = np.asarray(y, dtype=np.int64)
     lags = (xa[:, None] - ya[None, :]).ravel()
-    return np.bincount(np.abs(lags, out=lags),
-                       minlength=0 if length is None else length)
+    return np.bincount(np.abs(lags, out=lags))
 

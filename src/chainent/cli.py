@@ -22,7 +22,6 @@ import numpy as np
 from . import correlations, entanglement
 from .blocks import BlockSpec
 from .errors import ChainentError, DomainError
-from .kernels import BACKEND
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -367,8 +366,7 @@ def cmd_validate(args) -> tuple[str, int]:
     else:
         lines = [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
                  f"{c['detail']}" for c in checks]
-        lines.append(f"overall: {'PASS' if all_ok else 'FAIL'} "
-                     f"(kernel backend: {BACKEND})")
+        lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
         text = "\n".join(lines) + "\n"
     return text, EXIT_OK if all_ok else EXIT_VALIDATION
 

@@ -2,12 +2,13 @@
 
 The infinite-chain position and momentum correlations at integer lag l have
 hypergeometric closed forms and obey a three-term recurrence in l.  The
-production path runs that recurrence backward from far out, seeded at lag 0
-by two Gauss series.  The finite chain of N sites admits an exact spectral
-sum over its N normal modes, an independent validation oracle: one real FFT
-of 1/nu_k gives every g_l, and since nu_k^2 = 1 - alpha cos theta_k each
-h_l follows from g_{l-1}, g_l and g_{l+1} on the ring, accurate to a few
-ulp of g_0 absolute.
+production path runs that recurrence backward from far out, in place in
+the arrays it returns, seeded at lag 0 by `kernels.hyp2f1_series`.  The
+finite chain of N sites admits an exact spectral sum over its N normal
+modes, an independent validation oracle: one real FFT of 1/nu_k gives every
+g_l, and since nu_k^2 = 1 - alpha cos theta_k each h_l follows from
+g_{l-1}, g_l and g_{l+1} on the ring, accurate to a few ulp of g_0
+absolute.
 
 Units: the dimensionless chain Hamiltonian, so the single uncoupled
 oscillator has <q^2> = <p^2> = 1/2.
@@ -21,14 +22,11 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DomainError, _check_int, _check_real
 
-_SERIES_TOL = 1e-14
-_MAX_TERMS = 10**6
-
 #: cap on the backward recurrence's steps past l_max.  The lag-0 seed series
 #: reaches its term cap at 1 - alpha = 3.7e-11, where the recurrence takes
 #: 2.1e6 steps; below 1 - alpha = 1.9e-11 this cap refuses at once instead
 #: of summing the seed first.
-MAX_RECURRENCE_STEPS = 3 * _MAX_TERMS
+MAX_RECURRENCE_STEPS = 3 * kernels.MAX_TERMS
 _LOG_EPS = math.log(2.0**-53)
 
 #: largest ring `finite_correlation_table` sums over.  It is a verification
@@ -50,18 +48,6 @@ def _reduced_coupling(alpha: float) -> tuple[float, float]:
     # algebraically (1 - sqrt(1 - a^2))/a, written to avoid cancellation
     z = alpha / (1.0 + math.sqrt((1.0 - alpha) * (1.0 + alpha)))
     return z, 1.0 / math.sqrt(1.0 + z * z)
-
-
-def _seed_series(a: float, x: float) -> float:
-    """2F1(a, a; 1; x), a lag-0 seed of `correlation_table`."""
-    value, converged = kernels.hyp2f1_series(a, a, 1.0, x, _SERIES_TOL,
-                                             _MAX_TERMS)
-    if not converged:
-        raise ConvergenceError(
-            f"lag-0 seed series 2F1({a}, {a}; 1; z^2) did not reach "
-            f"tol={_SERIES_TOL} within {_MAX_TERMS} terms (z^2={x}); alpha "
-            f"is too close to 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -106,7 +92,8 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     decaying like z^l.  So the ratios r_l = f_l/f_{l-1} are run backward
     (Miller's algorithm, Gautschi, SIAM Rev. 9, 1967) from r_{l_max+K+1} = 0,
     with K the least integer where z^(2K) <= 2^-53: the start's error has
-    died out below rounding by lag l_max.  One cumulative product
+    died out below rounding by lag l_max.  The ratios for lags 1..l_max
+    land in the returned arrays, and one cumulative product in place
     from the lag-0 seeds, 2F1(1/2, 1/2; 1; z^2)/(2 mu) and
     mu 2F1(-1/2, -1/2; 1; z^2)/2, gives the table with relative accuracy at
     every lag (about 1e-14 for alpha <= 0.99; near alpha = 1 the seed's
@@ -126,18 +113,20 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
             f"{MAX_RECURRENCE_STEPS} (alpha={alpha}); alpha is too close "
             f"to 1")
     x = z * z
-    seeds = (1.0 / (2.0 * mu) * _seed_series(0.5, x),
-             mu / 2.0 * _seed_series(-0.5, x))
+    g = np.empty(l_max + 1)
+    h = np.empty(l_max + 1)
+    g[0] = 1.0 / (2.0 * mu) * kernels.hyp2f1_series(0.5, x)
+    h[0] = mu / 2.0 * kernels.hyp2f1_series(-0.5, x)
     half = 0.5 * alpha
     rg = rh = 0.0
-    ratios = []
     for l in range(l_max + steps, 0, -1):
         rg = half * (l - 0.5) / (l - half * (l + 0.5) * rg)
         rh = half * (l - 1.5) / (l - half * (l + 1.5) * rh)
         if l <= l_max:
-            ratios.append((rg, rh))
-    ratios.append(seeds)
-    g, h = np.cumprod(ratios[::-1], axis=0).T.copy()
+            g[l] = rg
+            h[l] = rh
+    np.cumprod(g, out=g)
+    np.cumprod(h, out=h)
     return CorrelationTable(alpha=alpha, g=g, h=h)
 
 

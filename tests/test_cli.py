@@ -445,11 +445,6 @@ class TestBenchmarkContract:
     def test_kernel_backend_is_pure(self):
         assert chainent.KERNEL_BACKEND == "pure"
 
-    def test_validate_report_names_the_backend(self, capsys):
-        assert run(["validate", "--oracle-n", str(2**16)]) == 0
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last.endswith("(kernel backend: pure)")
-
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

@@ -35,7 +35,7 @@ PINS = [
     (FIELD + ["--format", "json"],
      "ad25a02771ad7b49d131416ac6ffd9113913c97ef6ed63d58f8cfc948c07a841", 0),
     (["validate", "--oracle-n", "4096", "--report", "text"],
-     "c9e2ca081669ed20b9912f8b1ae6f0ae19973486a8c6e74399dff00208e8595f", 0),
+     "c59f1880956217f0364b789bd6101229e9140f9c75c26eeb65828ad455a4b8b9", 0),
     (["validate", "--oracle-n", "4096", "--report", "json"],
      "ec6fe442cf50140656b30e7710f2f981125f402333d40af1393ab6395a3ee26a", 0),
 ]

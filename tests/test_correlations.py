@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainent import (ConvergenceError, DomainError, correlation_table,
-                      finite_correlation_table)
+                      finite_correlation_table, kernels)
 from chainent.correlations import MAX_ORACLE_SITES, _reduced_coupling
 from tests import _frozen, oracles
 
@@ -249,6 +249,29 @@ class TestRecurrence:
         with pytest.raises(ConvergenceError, match="backward recurrence"):
             correlation_table(0.999999999999999, 5)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("l_max", [0, 1, 5, 206, 753, 5000])
+    @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.5, 0.9, 0.99, 0.9999,
+                                       1 - 1e-5, 1 - 1e-7])
+    def test_in_place_build_matches_the_list_build(self, alpha, l_max):
+        # the ratios collected as (rg, rh) tuples, reversed behind the
+        # seeds and multiplied up column by column, as the table was once
+        # built: the in-place cumulative products give the same bits
+        z, mu = _reduced_coupling(alpha)
+        steps = math.ceil(math.log(2.0**-53) / (2.0 * math.log(z)))
+        half = 0.5 * alpha
+        rg = rh = 0.0
+        ratios = []
+        for l in range(l_max + steps, 0, -1):
+            rg = half * (l - 0.5) / (l - half * (l + 0.5) * rg)
+            rh = half * (l - 1.5) / (l - half * (l + 1.5) * rh)
+            if l <= l_max:
+                ratios.append((rg, rh))
+        ratios.append((1.0 / (2.0 * mu) * kernels.hyp2f1_series(0.5, z * z),
+                       mu / 2.0 * kernels.hyp2f1_series(-0.5, z * z)))
+        g, h = np.cumprod(ratios[::-1], axis=0).T.copy()
+        table = correlation_table(alpha, l_max)
+        assert np.array_equal(table.g, g) and np.array_equal(table.h, h)
 
     def test_subnormal_coupling(self):
         # z = alpha/2 rounds to 0, so the step count cannot use log z
