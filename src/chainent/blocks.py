@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import MAX_TABLE_LAGS
 from .errors import DomainError, _check_int
 
 
@@ -18,6 +19,8 @@ class BlockSpec:
     """Periodic two-block layout: m subblocks x s sites, separated by d sites.
 
     Specs order as (m, s, d) tuples, the row order of `chainent sweep`.
+    The span is at most `correlations.MAX_TABLE_LAGS`, the longest table
+    the layout's lags can be read from.
     """
 
     m: int
@@ -28,6 +31,9 @@ class BlockSpec:
         for name, low in (("m", 1), ("s", 1), ("d", 0)):
             object.__setattr__(self, name,
                                _check_int(name, getattr(self, name), low))
+        if self.span > MAX_TABLE_LAGS:
+            raise DomainError(f"block spec {self} spans {self.span} sites, "
+                              f"more than {MAX_TABLE_LAGS}")
 
     @property
     def n(self) -> int:

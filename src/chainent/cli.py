@@ -10,6 +10,10 @@ The chain commands (`sweep`, `correlations`) need numpy alone; `field` and
 validate's field check import `chainent.field`, and with it scipy, when they
 run.  A sweep counts each geometry's lags once and shares the counts across
 its couplings.
+
+Every size is bounded: a list token expands to at most `MAX_GRID` values
+and a sweep holds at most `MAX_GRID` rows, and the library bounds tables,
+layouts and lag counting.  A size past its bound exits 2.
 """
 
 import argparse
@@ -37,6 +41,9 @@ ORACLE_TOL = 1e-8
 SWEEP_ORACLE_LAGS = 100
 VALIDATE_ORACLE_LAGS = 50
 
+#: most values one list token expands to, and most rows of one sweep
+MAX_GRID = 10**5
+
 SWEEP_SCHEMA = "chainent-sweep-v1"
 CORRELATIONS_SCHEMA = "chainent-correlations-v1"
 FIELD_SCHEMA = "chainent-field-v1"
@@ -51,14 +58,20 @@ FIELD_COLUMNS = ("mass", "L", "r", "D_phi0", "D_pi0", "D_phi_r", "D_pi_r",
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
+class _GridError(DomainError, argparse.ArgumentTypeError):
+    """A list flag past `MAX_GRID` values; argparse prints its text."""
+
+
 def _parse_values(text: str, scalar, read_range) -> list:
     """Comma-separated scalars and 'a..b' ranges (read by read_range), sorted
     and unique; an item that does not parse or holds no value is a
-    DomainError."""
+    DomainError, a range past `MAX_GRID` values a _GridError."""
     values = []
     for token in map(str.strip, text.split(",")):
         try:
             new = read_range(token) if ".." in token else [scalar(token)]
+        except _GridError:
+            raise
         except ValueError:
             new = []
         if not new:
@@ -67,9 +80,16 @@ def _parse_values(text: str, scalar, read_range) -> list:
     return sorted(set(values))
 
 
+def _check_grid(token: str, count: int) -> None:
+    if count > MAX_GRID:
+        raise _GridError(f"{token!r} holds {count} values, more than "
+                        f"{MAX_GRID}")
+
+
 def _int_range(token: str) -> range:
-    lo, hi = token.split("..", 1)
-    return range(int(lo), int(hi) + 1)
+    lo, hi = map(int, token.split("..", 1))
+    _check_grid(token, hi - lo + 1)
+    return range(lo, hi + 1)
 
 
 def _linspace_range(token: str) -> list[float]:
@@ -78,6 +98,7 @@ def _linspace_range(token: str) -> list[float]:
     count = int(count)
     if count < 2 or not (math.isfinite(lo) and math.isfinite(hi)):
         return []
+    _check_grid(token, count)
     return np.linspace(lo, hi, count).tolist()
 
 
@@ -210,9 +231,14 @@ def _sweep_row(table, spec, cov):
 def cmd_sweep(args) -> tuple[str, int]:
     # sorted and unique (see parse_float_values), validated up front
     alphas = [correlations._check_coupling(a) for a in args.alphas]
-    if args.specs:
+    tokens = args.specs.split(",") if args.specs else ()
+    rows = len(alphas) * (len(tokens) or
+                          len(args.m) * len(args.s) * len(args.d))
+    if rows > MAX_GRID:
+        raise DomainError(f"sweep of {rows} rows, more than {MAX_GRID}")
+    if tokens:
         specs = sorted({BlockSpec.from_text(token.strip())
-                        for token in args.specs.split(",")})
+                        for token in tokens})
     else:
         specs = [BlockSpec(m=m, s=s, d=d) for m in args.m for s in args.s
                  for d in args.d]

@@ -29,6 +29,11 @@ from .errors import ConvergenceError, DomainError, _check_int, _check_real
 MAX_RECURRENCE_STEPS = 3 * kernels.MAX_TERMS
 _LOG_EPS = math.log(2.0**-53)
 
+#: most lags, l_max + 1, of a `correlation_table`, and so the largest span
+#: of a `BlockSpec`.  At the cap g and h take 64 MB, and the build peaks
+#: near 100 MB.
+MAX_TABLE_LAGS = 2**22
+
 #: largest ring `finite_correlation_table` sums over.  It is a verification
 #: path whose buffers take about 16 bytes a site, 256 MB at this cap.
 MAX_ORACLE_SITES = 2**24
@@ -100,9 +105,12 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     series sets it, 2e-13 at 0.9999); the far tail underflows to 0.
 
     Raises ConvergenceError when alpha is so close to 1 that K exceeds
-    `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap.
+    `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap, and
+    DomainError when l_max + 1 exceeds `MAX_TABLE_LAGS`.
     """
     l_max = _check_int("l_max", l_max, 0)
+    if l_max >= MAX_TABLE_LAGS:
+        raise DomainError(f"l_max must be < {MAX_TABLE_LAGS}, got {l_max}")
     alpha = _check_coupling(alpha)
     z, mu = _reduced_coupling(alpha)
     # z is 0 for alpha below about 1e-323, where every ratio is 0 to rounding

@@ -35,6 +35,16 @@ VACUUM_PRODUCT = 0.25
 #: rounding slack of the separability test, relative to 4 (delta1*delta2)_0
 SEPARABILITY_ATOL = 1e-12
 
+#: most subblocks per block `lag_counts` takes.  Its m x 2m int64 offset
+#: array takes 576 MB at the cap; the cap goes with that array once the
+#: offset multiplicities come from their closed form (m at j = 0, 2m - j
+#: above).
+MAX_COUNTED_SUBBLOCKS = 6000
+
+#: most sites of the verification-only `symplectic_form` and
+#: `collective_symplectic`
+MAX_VERIFY_SITES = 64
+
 
 @dataclass(frozen=True)
 class CollectiveCovariance:
@@ -140,7 +150,11 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     |D + k| for |k| < s.  This triangle is symmetric in k, so it suffices to
     count the (A start, start) pairs j subblocks apart, |D| = j*(s + d) (even
     j: A-A, odd j: A-B), and spread each: O(m^2 + m*s), not O((m*s)^2).
+    m above `MAX_COUNTED_SUBBLOCKS` is refused.
     """
+    if spec.m > MAX_COUNTED_SUBBLOCKS:
+        raise DomainError(f"lag counting takes at most "
+                          f"{MAX_COUNTED_SUBBLOCKS} subblocks, got m={spec.m}")
     s, p, length = spec.s, spec.s + spec.d, spec.max_lag + 1
     j = np.arange(2 * spec.m)          # subblock j starts at site j*p
     offsets = lag_count_array(j[0::2], j)
@@ -218,9 +232,20 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
     return 1.0 / product - 1.0
 
 
-def symplectic_form(n_sites: int) -> np.ndarray:
-    """Direct sum of n_sites copies of [[0, 1], [-1, 0]] (qpqp... ordering)."""
+def _check_verify_sites(n_sites) -> int:
     n_sites = _check_int("n_sites", n_sites, 1)
+    if n_sites > MAX_VERIFY_SITES:
+        raise DomainError(f"verification path is capped at N = "
+                          f"{MAX_VERIFY_SITES}, got {n_sites}")
+    return n_sites
+
+
+def symplectic_form(n_sites: int) -> np.ndarray:
+    """Direct sum of n_sites copies of [[0, 1], [-1, 0]] (qpqp... ordering).
+
+    Verification-only: N is capped at `MAX_VERIFY_SITES`.
+    """
+    n_sites = _check_verify_sites(n_sites)
     return np.kron(np.eye(n_sites), [[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -236,11 +261,9 @@ def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
     index only by a global phase per frequency).  Satisfies S^T Omega S =
     Omega with the plain (unconjugated) transpose and det S = 1.
 
-    Verification-only: N is capped at 64 sites.
+    Verification-only: N is capped at `MAX_VERIFY_SITES`.
     """
-    n_sites = _check_int("n_sites", n_sites, 1)
-    if n_sites > 64:
-        raise DomainError(f"verification path is capped at N = 64, got {n_sites}")
+    n_sites = _check_verify_sites(n_sites)
     if spec.span > n_sites:
         raise DomainError(
             f"spec {spec} spans {spec.span} sites, exceeding N = {n_sites}")

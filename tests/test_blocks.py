@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
 from chainent.blocks import lag_count_array
+from chainent.correlations import MAX_TABLE_LAGS
 from chainent.entanglement import lag_counts
 
 spec_strategy = st.builds(BlockSpec,
@@ -27,6 +28,13 @@ class TestBlockSpec:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
             BlockSpec(**kwargs)
+
+    def test_span_is_capped_at_the_table_length(self):
+        assert BlockSpec(m=1, s=1, d=MAX_TABLE_LAGS - 2).span == MAX_TABLE_LAGS
+        with pytest.raises(DomainError, match="more than 4194304"):
+            BlockSpec(m=1, s=1, d=MAX_TABLE_LAGS - 1)
+        with pytest.raises(DomainError):
+            BlockSpec(m=10**6, s=10**6, d=0)
 
     def test_text_roundtrip(self):
         spec = BlockSpec(m=2, s=3, d=1)

@@ -47,6 +47,24 @@ class TestParsing:
         with pytest.raises(cli.DomainError):
             parse(text)
 
+    def test_range_up_to_the_grid_bound(self):
+        assert len(cli.parse_int_values(f"1..{cli.MAX_GRID}")) == cli.MAX_GRID
+        assert len(cli.parse_float_values(f"0..1:{cli.MAX_GRID}")) == \
+            cli.MAX_GRID
+
+    @pytest.mark.parametrize("flag,token,count", [
+        ("--alphas", "0.5..0.6:100000001", 100000001),
+        ("--m", "1..100000000", 100000000),
+        ("--d", "0..99999999999999999999", 10**20)])
+    def test_range_past_the_grid_bound_is_usage_error(self, capsys, flag,
+                                                      token, count):
+        # refused from the count alone, before any value is built
+        with pytest.raises(SystemExit) as err:
+            run(["sweep", "--alphas", "0.5", flag, token])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f": {token!r} holds {count} values, more than 100000\n")
+
     def test_malformed_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["sweep", "--alphas", "0.5", "--m", "1..x"])
@@ -497,6 +515,34 @@ class TestUsageErrors:
         assert captured.err == (
             f"chainent: domain error: --oracle-n must be <= 16777216 sites, "
             f"got {oracle_n}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--alphas", "0.1..0.9:1000", "--m", "1..101"],
+         "sweep of 101000 rows, more than 100000"),
+        (["sweep", "--alphas", "0.5", "--specs", "1:100000000:0"],
+         "block spec 1:100000000:0 spans 200000000 sites, more than "
+         "4194304"),
+        (["sweep", "--alphas", "0.5", "--d", "4194303"],
+         "block spec 1:1:4194303 spans 4194305 sites, more than 4194304"),
+        (["correlations", "--alpha", "0.5", "--l-max", "4194304"],
+         "l_max must be < 4194304, got 4194304")],
+        ids=["rows", "span", "span-edge", "l-max"])
+    def test_size_past_its_bound_is_usage_error(self, capsys, monkeypatch,
+                                                argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sizes are checked before any table")
+
+        monkeypatch.setattr(correlations, "_reduced_coupling", no_work)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chainent: domain error: {message}\n"
+
+    def test_subblocks_past_the_counting_bound_is_usage_error(self, capsys):
+        assert run(["sweep", "--alphas", "0.5", "--specs", "6001:1:0"]) == 2
+        assert capsys.readouterr().err == (
+            "chainent: domain error: lag counting takes at most 6000 "
+            "subblocks, got m=6001\n")
 
     def test_alpha_next_to_one_is_numerical_failure(self, capsys):
         assert run(["correlations", "--alpha", "0.999999999999999"]) == 3

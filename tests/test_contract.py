@@ -15,12 +15,13 @@ Objects may carry infinities: the momentum variance of a sharp window,
 D_pi(0) = +inf, is infinite by design (see chainent.field), and a
 covariance passes it on to delta2 and Delta.
 
-Sizes stay bounded (l_max <= 10^4, N <= 2^16, m s <= 10^3 in calls, up to
-10^5 in the CLI net, where lag counting costs O(m^2 + m s)), so unbounded
-work is a separate question; only a field party's window count, 10^7, and
-an oracle ring of 2^40 sites must be refused rather than summed.  The CLI
-net also reaches m L = 1e307, past where the Bickley function's exponent
-would overflow.
+Every size has a bound that is refused with `DomainError` before anything
+is allocated, and each bound is fed one size past it: a table of 2^22 + 1
+lags, a block layout spanning 10^7 sites, 10^6 sites on the verification
+path, a field party of 10^7 windows, an oracle ring of 2^40 sites, and in
+the CLI net 50000 subblocks to count and list flags of 10^8 values.  The
+CLI net also reaches m L = 1e307, past where the Bickley function's
+exponent would overflow.
 """
 
 import dataclasses
@@ -52,6 +53,9 @@ SEPARATION = {"L(1-1e-12)": 1 - 1e-12, "L(1+1e-12)": 1 + 1e-12}  # at L = 1
 SCALE = {"1e200": 1e200, "1e-200": 1e-200}  # m L = 1e+-200, the other is 1
 WINDOWS = {"1e7": 10**7}  # 4 * 10^7 propagator calls if it were accepted
 RING = {"2^40": 2**40}  # an 8 TiB oracle ring if it were accepted
+LAGS = {"2^22": 2**22}  # one lag past the table cap
+SPAN = {"1e7": 10**7}  # a layout spanning 10^7 sites and more
+SITES = {"1e6": 10**6}  # a 7.3 TiB symplectic form if it were accepted
 #: no extremes beyond BAD: integers, moments, scale factors, tolerances
 PLAIN = {}
 
@@ -82,7 +86,7 @@ def _gapped(func):
 #: public callable -> (function, base arguments, {parameter: extremes})
 CALLS = {
     "correlation_table": (correlation_table, dict(alpha=0.5, l_max=10),
-                          {"alpha": ALPHA, "l_max": PLAIN}),
+                          {"alpha": ALPHA, "l_max": LAGS}),
     "finite_correlation_table": (
         finite_correlation_table, dict(alpha=0.5, n_sites=64, l_max=10),
         {"alpha": ALPHA, "n_sites": RING, "l_max": PLAIN}),
@@ -90,7 +94,7 @@ CALLS = {
                          dict(alpha=0.5, g=TABLE.g, h=TABLE.h),
                          {"alpha": ALPHA, "g": ENTRY, "h": ENTRY}),
     "BlockSpec": (BlockSpec, dict(m=2, s=3, d=1),
-                  {"m": PLAIN, "s": PLAIN, "d": PLAIN}),
+                  {"m": SPAN, "s": SPAN, "d": SPAN}),
     "CollectiveCovariance": (
         CollectiveCovariance,
         dict(g_diag=0.6, h_diag=0.5, g_cross=0.3, h_cross=-0.2),
@@ -107,10 +111,10 @@ CALLS = {
         approx_negativity, dict(g0=0.5, g1=0.1, h0=0.5, h1=-0.1, n=3, m=1),
         {"g0": PLAIN, "g1": PLAIN, "h0": PLAIN, "h1": PLAIN, "n": PLAIN,
          "m": PLAIN}),
-    "symplectic_form": (symplectic_form, dict(n_sites=4), {"n_sites": PLAIN}),
+    "symplectic_form": (symplectic_form, dict(n_sites=4), {"n_sites": SITES}),
     "collective_symplectic": (collective_symplectic,
                               dict(n_sites=8, spec=BlockSpec(1, 2, 1)),
-                              {"n_sites": PLAIN}),
+                              {"n_sites": SITES}),
     "FieldRegionSpec": (FieldRegionSpec,
                         dict(mass=1.0, length=1.0, separation=2.0, windows=1),
                         {"mass": SCALE, "length": SCALE,
@@ -251,6 +255,16 @@ CLI_ARGVS = [
     ["sweep", "--alphas", "0.5", "--oracle-n", "1099511627776"],
     *(["validate", "--oracle-n", n]
       for n in ("-1", "1", "51", "1099511627776")),
+    # sizes past their bounds: subblocks to count, table lags, list values
+    # and sweep rows
+    ["sweep", "--alphas", "0.99999999", "--specs", "50000:1:0"],
+    ["sweep", "--alphas", "0.5", "--specs", "20000:1:0"],
+    ["sweep", "--alphas", "0.5", "--specs", "1:100000000:0"],
+    ["correlations", "--alpha", "0.5", "--l-max", "100000000"],
+    ["sweep", "--alphas", "0.5..0.6:100000000", "--m", "1"],
+    ["field", "--mass", "1", "--length", "1", "--r", "2..3:100000000"],
+    ["sweep", "--alphas", "0.5", "--m", "1..100000000"],
+    ["sweep", "--alphas", "0.1..0.9:1000", "--m", "1..101"],
 ]
 
 
