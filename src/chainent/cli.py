@@ -8,12 +8,15 @@ failing grid point never leaves partial output behind.
 
 The chain commands (`sweep`, `correlations`) need numpy alone; `field` and
 validate's field check import `chainent.field`, and with it scipy, when they
-run.  A sweep counts each geometry's lags once and shares the counts across
-its couplings.
+run.  A sweep holds its couplings' tables in one array, counts each
+geometry's lags once, and computes its rows as columns with the array
+forms of the library's rules.  Every table is rendered from rows of cells
+in column order.
 
-Every size is bounded: a list token expands to at most `MAX_GRID` values
-and a sweep holds at most `MAX_GRID` rows, and the library bounds tables,
-layouts and lag counting.  A size past its bound exits 2.
+Every size is bounded: a list token expands to at most `MAX_GRID` values,
+a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
+table lags in all, and the library bounds tables, layouts and lag
+counting.  A size past its bound exits 2.
 """
 
 import argparse
@@ -116,12 +119,12 @@ def parse_float_values(text: str) -> list[float]:
 # output formatting
 
 def render_csv(schema_tag: str, columns, rows) -> str:
-    """CSV under a `# schema` line and a header, one %-format per row: a
-    None cell is empty (%.0s), an int is written with %d and any other
-    value with %.17g."""
+    """CSV under a `# schema` line and a header, from rows of cells in
+    column order, one %-format per row: a None cell is empty (%.0s), an int
+    is written with %d and any other value with %.17g."""
     lines = [f"# {schema_tag}", ",".join(columns)]
     for row in rows:
-        cells = tuple(map(row.__getitem__, columns))
+        cells = tuple(row)
         fmt = ",".join(["%.0s" if cell is None else
                         "%d" if isinstance(cell, int) else "%.17g"
                         for cell in cells])
@@ -129,8 +132,9 @@ def render_csv(schema_tag: str, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(schema_tag: str, rows) -> str:
+def render_json(schema_tag: str, columns, rows) -> str:
     # cells are int, None or float; np.float64 is a float subclass
+    rows = [dict(zip(columns, row)) for row in rows]
     return json.dumps({"schema": schema_tag, "rows": rows}, indent=2) + "\n"
 
 
@@ -138,7 +142,7 @@ def _render_table(args, schema_tag: str, columns, rows) -> str:
     """A table subcommand's output in its --format."""
     if args.format == "csv":
         return render_csv(schema_tag, columns, rows)
-    return render_json(schema_tag, rows)
+    return render_json(schema_tag, columns, rows)
 
 
 def _emit(text: str, out_path) -> None:
@@ -184,13 +188,14 @@ def _oracle_deviation(table, oracle_n: int, lags: int) -> float:
 def cmd_correlations(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, args.l_max)
     table = correlations.correlation_table(args.alpha, args.l_max)
-    columns = {"l": range(args.l_max + 1), "g": table.g, "h": table.h}
+    cells = [range(args.l_max + 1), table.g, table.h]
     if args.oracle_n:
         oracle = correlations.finite_correlation_table(
             args.alpha, n_sites=args.oracle_n, l_max=args.l_max)
-        columns.update(g_fin=oracle.g, h_fin=oracle.h)
-    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-    return _render_table(args, CORRELATIONS_SCHEMA, columns, rows), EXIT_OK
+        cells += [oracle.g, oracle.h]
+    columns = ("l", "g", "h", "g_fin", "h_fin")[:len(cells)]
+    return _render_table(args, CORRELATIONS_SCHEMA, columns,
+                         zip(*cells)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +216,6 @@ def _checked_table(alpha, l_max, oracle_n):
     return table
 
 
-def _sweep_row(table, spec, cov):
-    """The row of one coupling and geometry, with their covariance `cov`."""
-    res = entanglement.negativity(cov)
-    approx = None
-    if spec.d == 0:
-        approx = entanglement.approx_negativity(
-            table.g[0], table.g[1], table.h[0], table.h[1], n=spec.n, m=spec.m)
-    return {
-        "alpha": table.alpha, "m": spec.m, "s": spec.s, "d": spec.d,
-        "n": spec.n, "G": cov.g_diag, "H": cov.h_diag,
-        "G_AB": cov.g_cross, "H_AB": cov.h_cross,
-        "delta1": res.delta1, "delta2": res.delta2,
-        "epsilon": res.epsilon, "Delta": res.duan,
-        "epsilon_approx": approx,
-    }
-
-
 def cmd_sweep(args) -> tuple[str, int]:
     # sorted and unique (see parse_float_values), validated up front
     alphas = [correlations._check_coupling(a) for a in args.alphas]
@@ -243,16 +231,32 @@ def cmd_sweep(args) -> tuple[str, int]:
         specs = [BlockSpec(m=m, s=s, d=d) for m in args.m for s in args.s
                  for d in args.d]
     l_max = max(spec.max_lag for spec in specs)
+    if len(alphas) * (l_max + 1) > correlations.MAX_TABLE_LAGS:
+        raise DomainError(f"sweep of {len(alphas)} tables of {l_max + 1} "
+                          f"lags, more than {correlations.MAX_TABLE_LAGS} "
+                          f"lags in all")
     _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
-    tables = [_checked_table(alpha, l_max, args.oracle_n) for alpha in alphas]
-    # geometry by geometry, so each geometry's lags are counted once and only
-    # one geometry's counts are held; the rows stay in (alpha, spec) order
-    rows = [None] * (len(tables) * len(specs))
-    for k, spec in enumerate(specs):
-        covs = entanglement._covariances(tables, spec)
-        for i, (table, cov) in enumerate(zip(tables, covs)):
-            rows[i * len(specs) + k] = _sweep_row(table, spec, cov)
+    # every coupling's (g, h) rows in one array, filled table by table
+    gh = np.empty((len(alphas), 2, l_max + 1))
+    for alpha, pair in zip(alphas, gh):
+        table = _checked_table(alpha, l_max, args.oracle_n)
+        pair[0], pair[1] = table.g, table.h
+    # the grid in (alpha, spec) row order, each geometry counted once
+    moments = np.stack([entanglement._moments(gh, spec) for spec in specs],
+                       axis=1).reshape(-1, 4).T
+    verdict = entanglement._verdict(*moments, entanglement.VACUUM_PRODUCT)
+
+    geometry = np.array([(spec.m, spec.s, spec.d, spec.n) for spec in specs])
+    m, s, d, n = np.tile(geometry, (len(alphas), 1)).T
+    # the estimate from each coupling's g_0, g_1, h_0, h_1, at d = 0 only
+    adjacent, approx = d == 0, np.full(d.size, None)
+    seeds = np.repeat(gh[:, :, :2].reshape(-1, 4), len(specs), axis=0)
+    approx[adjacent] = entanglement._approx(*seeds[adjacent].T, n[adjacent],
+                                            m[adjacent])
+    columns = (np.repeat(alphas, len(specs)), m, s, d, n, *moments, *verdict,
+               approx)
+    rows = zip(*(column.tolist() for column in columns))
     return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, rows), EXIT_OK
 
 
@@ -270,12 +274,8 @@ def cmd_field(args) -> tuple[str, int]:
             cov, eps = res.cov, res.epsilon
         else:
             cov, eps = field.field_covariance(spec), None
-        rows.append({
-            "mass": args.mass, "L": args.length, "r": r,
-            "D_phi0": cov.g_diag, "D_pi0": cov.h_diag,
-            "D_phi_r": cov.g_cross, "D_pi_r": cov.h_cross,
-            "epsilon": eps,
-        })
+        rows.append((args.mass, args.length, r, cov.g_diag, cov.h_diag,
+                     cov.g_cross, cov.h_cross, eps))
     return _render_table(args, FIELD_SCHEMA, FIELD_COLUMNS, rows), EXIT_OK
 
 

@@ -17,6 +17,12 @@ delta1*delta2 >= (delta1*delta2)_0 (1 - 4e-12), a relative slack, so the
 verdict is the same in every normalization of Q and P.  The variance witness
 Delta = 2 (G - G_AB + H + H_AB) < 2 is a sufficient but weaker entanglement
 condition.
+
+Every rule here is written once, elementwise over floats and arrays alike:
+`_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
+takes its values from it), `_moments` the covariance of one layout under
+any number of couplings, `_approx` the nearest-neighbour estimate.  A
+sweep calls them on its whole grid.
 """
 
 import math
@@ -84,11 +90,44 @@ class CollectiveCovariance:
             h_cross=p_scale**2 * self.h_cross)
 
 
+def _require(valid, message: str, *values) -> None:
+    """InvalidCovarianceError unless `valid` holds everywhere, with `message`
+    formatted by `values` at the first element where it fails."""
+    if not (valid.all() if isinstance(valid, np.ndarray) else valid):
+        i = np.argmin(valid)
+        raise InvalidCovarianceError(message.format(*(
+            float(np.broadcast_to(value, np.shape(valid)).flat[i])
+            for value in values)))
+
+
+def _verdict(g, h, g_ab, h_ab, vacuum_product):
+    """delta1, delta2, epsilon and Delta of covariances (G, H, G_AB, H_AB),
+    elementwise over floats or arrays.  epsilon is exactly 0 where
+    delta1*delta2 >= (delta1*delta2)_0 (1 - 4 `SEPARABILITY_ATOL`), which
+    absorbs rounding at the boundary in any convention."""
+    with np.errstate(all="ignore"):     # arrays warn at inf - inf and 1/0
+        d1, d2 = g - abs(g_ab), h - abs(h_ab)
+        product = d1 * d2
+        try:
+            ratio = vacuum_product / product
+        except ZeroDivisionError:       # a float 0; an array gives inf
+            ratio = math.inf
+        duan = 2.0 * (g - g_ab + h + h_ab)
+    # a product of positive factors can underflow to 0, or overflow vac/it
+    valid = (d1 > 0.0) & (d2 > 0.0) & (product > 0.0) & (ratio < math.inf)
+    _require(valid, "delta1={}, delta2={} must both be positive with "
+             "{}/(delta1*delta2) finite; the covariance is unphysical "
+             "(upstream numerical failure)", d1, d2, vacuum_product)
+    # ratio - 1 where entangled, else +-0, which + 0.0 makes 0.0
+    entangled = product < vacuum_product * (1.0 - 4.0 * SEPARABILITY_ATOL)
+    return d1, d2, (ratio - 1.0) * entangled + 0.0, duan
+
+
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Negativity of `cov`, which determines epsilon, delta1, delta2 and Delta;
-    `vacuum_product` is the squared Heisenberg bound of the collective
-    commutator in the covariance's convention (n^2/4 for plain sums)."""
+    """Negativity of `cov`, whose `_verdict` gives epsilon, delta1, delta2
+    and Delta; `vacuum_product` is the squared Heisenberg bound of [Q, P] in
+    the covariance's convention (n^2/4 for plain sums)."""
 
     cov: CollectiveCovariance
     vacuum_product: float = VACUUM_PRODUCT
@@ -98,41 +137,15 @@ class EntanglementResult:
         if not vac > 0.0:
             raise DomainError(f"vacuum_product must be positive, got {vac}")
         object.__setattr__(self, "vacuum_product", vac)
-        d1, d2 = self.delta1, self.delta2
-        # a product of positive factors can underflow to 0, or overflow vac/it
-        if not (d1 > 0.0 and d2 > 0.0 and d1 * d2 > 0.0
-                and vac / (d1 * d2) < math.inf):
-            raise InvalidCovarianceError(
-                f"delta1={d1}, delta2={d2} must both be positive with "
-                f"{vac}/(delta1*delta2) finite; the covariance is "
-                f"unphysical (upstream numerical failure)")
-
-    @property
-    def delta1(self) -> float:
-        return self.cov.delta1
-
-    @property
-    def delta2(self) -> float:
-        return self.cov.delta2
-
-    @property
-    def epsilon(self) -> float:
-        return 0.0 if self.separable else (
-            self.vacuum_product / (self.delta1 * self.delta2) - 1.0)
-
-    @property
-    def duan(self) -> float:
-        """Variance witness Delta = <(Q_A - Q_B)^2> + <(P_A + P_B)^2>; < 2
-        certifies entanglement."""
-        cov = self.cov
-        return 2.0 * (cov.g_diag - cov.g_cross + cov.h_diag + cov.h_cross)
+        # Delta = <(Q_A - Q_B)^2> + <(P_A + P_B)^2> below 2 is entanglement
+        c = self.cov
+        vars(self).update(zip(("delta1", "delta2", "epsilon", "duan"),
+                              _verdict(c.g_diag, c.h_diag, c.g_cross,
+                                       c.h_cross, vac)))
 
     @property
     def separable(self) -> bool:
-        """Separability decided at delta1*delta2 >= (delta1*delta2)_0
-        (1 - 4 atol), absorbing rounding at the boundary in any convention."""
-        return (self.delta1 * self.delta2
-                >= self.vacuum_product * (1.0 - 4.0 * SEPARABILITY_ATOL))
+        return self.epsilon == 0.0
 
     @property
     def entangled(self) -> bool:
@@ -165,25 +178,18 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     return counts[:length], counts[length:]
 
 
-def _covariances(tables, spec: BlockSpec) -> list[CollectiveCovariance]:
-    """Collective covariances of one layout under each of `tables`, from one
-    lag count (the counts do not depend on the coupling)."""
-    for table in tables:
-        if table.l_max < spec.max_lag:
-            raise LagBoundError(
-                f"table covers lags <= {table.l_max} but spec {spec} needs "
-                f"{spec.max_lag}")
+def _moments(gh: np.ndarray, spec: BlockSpec) -> np.ndarray:
+    """(G, H, G_AB, H_AB) of one layout, shape (..., 4), under each
+    coupling's stacked (g, h) rows `gh`, shape (..., 2, lags): one lag count
+    and one dot product of each row with it, as for a single coupling."""
+    if gh.shape[-1] <= spec.max_lag:
+        raise LagBoundError(
+            f"table covers lags <= {gh.shape[-1] - 1} but spec {spec} needs "
+            f"{spec.max_lag}")
     intra, cross = lag_counts(spec)
-    n, length = spec.n, intra.size
-    covs = []
-    for table in tables:
-        g, h = table.g[:length], table.h[:length]
-        covs.append(CollectiveCovariance(
-            g_diag=float(g @ intra) / n,
-            h_diag=float(h @ intra) / n,
-            g_cross=float(g @ cross) / n,
-            h_cross=float(h @ cross) / n))
-    return covs
+    rows = gh[..., :intra.size]
+    return np.concatenate((np.vecdot(rows, intra), np.vecdot(rows, cross)),
+                          axis=-1) / spec.n
 
 
 def covariance_of_blocks(table: CorrelationTable,
@@ -193,7 +199,8 @@ def covariance_of_blocks(table: CorrelationTable,
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
     """
-    return _covariances((table,), spec)[0]
+    gh = np.stack((table.g[:spec.span], table.h[:spec.span]))
+    return CollectiveCovariance(*_moments(gh, spec).tolist())
 
 
 def negativity(cov: CollectiveCovariance,
@@ -223,13 +230,18 @@ def approx_negativity(g0: float, g1: float, h0: float, h1: float,
     n, m = _check_int("n", n, 1), _check_int("m", m, 1)
     if m > n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return float(_approx(g0, g1, h0, h1, n, m))
+
+
+def _approx(g0, g1, h0, h1, n, m):
+    """`approx_negativity`'s estimate and finiteness check, elementwise."""
     d1 = g0 + (2.0 - (4.0 * m - 1.0) / n) * g1
     d2 = h0 + (2.0 - 1.0 / n) * h1
-    product = 4.0 * d1 * d2
-    # a subnormal product is not 0 but still leaves 1/product infinite
-    if not (product != 0.0 and math.isfinite(1.0 / product)):
-        raise InvalidCovarianceError(f"1/(4*{d1}*{d2}) is not finite")
-    return 1.0 / product - 1.0
+    with np.errstate(all="ignore"):
+        # a subnormal product is not 0 but still leaves 1/product infinite
+        inverse = np.divide(1.0, 4.0 * d1 * d2)
+    _require(np.isfinite(inverse), "1/(4*{}*{}) is not finite", d1, d2)
+    return inverse - 1.0
 
 
 def _check_verify_sites(n_sites) -> int:

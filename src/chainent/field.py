@@ -56,7 +56,10 @@ Both propagators are evaluated at unit window length, at mass mu = m L and
 separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
 D_pi = D_pi|_(mu, rho) / L.  No intermediate grows like L^2, so a value is
 returned whenever it and m L fit a float; the branch is still chosen on
-r > L, since r/L can round to 1.
+r > L, since r/L can round to 1.  Where m L overflows, the propagators are
+their large-mass limits D_phi = (L - r)/(2 m L) and D_pi = m (L - r)/(2 L)
+for r < L, and 0 for r > L (at m L = 1e300 the evaluated values agree with
+these to 2 ulp); where m L underflows, QuadratureError.
 
 The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 `tol` for callers written against the earlier quadrature, and ignore it.
@@ -207,9 +210,10 @@ def _triangle_integral(kernel, mu: float, rho: float, gap: float) -> float:
 
 
 def _unit_mass(spec: FieldRegionSpec) -> float:
-    """mu = m L, the mass at unit window length."""
+    """mu = m L, the mass at unit window length; inf where m L overflows, and
+    the callers then return their large-mass limits."""
     mu = spec.mass * spec.length
-    if not 0.0 < mu < math.inf:
+    if not mu > 0.0:
         raise QuadratureError(
             f"m L = {mu} at m={spec.mass}, L={spec.length} "
             f"(floating-point range exceeded)")
@@ -232,6 +236,8 @@ def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """
     length, r = spec.length, abs(_check_real("separation", at))
     mu, rho = _unit_mass(spec), r / length
+    if mu == math.inf:      # the large-mass limit (L - r)/(2 m L), 0 past L
+        return max(length - r, 0.0) / length / spec.mass / 2.0
     if r > length:
         unit = _triangle_integral(lambda s: k0(mu * s), mu, rho,
                                   (r - length) / length) / (2.0 * math.pi)
@@ -255,6 +261,8 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     if r == length:
         return -math.inf
     mu, rho = _unit_mass(spec), r / length
+    if mu == math.inf:      # the large-mass limit m (L - r)/(2 L), 0 past L
+        return max(length - r, 0.0) / length * spec.mass / 2.0
     if r > length:
         # where k1 overflows (mu s < 5.6e-309) the kernel is its limit 1/s^2,
         # as x K1(x) = 1 + O(x^2 ln x); 1/s/s, since s^2 can overflow

@@ -415,13 +415,13 @@ class TestRenderCsv:
             return f"{float(value):.17g}"
 
         lines = [f"# {schema_tag}", ",".join(columns)]
-        lines += [",".join(fmt(row[c]) for c in columns) for row in rows]
+        lines += [",".join(map(fmt, row)) for row in rows]
         return "\n".join(lines) + "\n"
 
     def test_edge_cells_match_the_per_cell_formatter(self):
         columns = [f"c{i}" for i in range(len(self.EDGE_CELLS))]
         # each cell in every column, so every position sees every kind
-        rows = [dict(zip(columns, self.EDGE_CELLS[k:] + self.EDGE_CELLS[:k]))
+        rows = [self.EDGE_CELLS[k:] + self.EDGE_CELLS[:k]
                 for k in range(len(self.EDGE_CELLS))]
         text = cli.render_csv("tag", columns, rows)
         assert text == self.per_cell("tag", columns, rows)
@@ -430,8 +430,9 @@ class TestRenderCsv:
             "1.7976931348623157e+308,0.10000000000000001")
 
     def test_single_column_and_no_rows(self):
-        rows = [{"x": None}, {"x": 7}, {"x": 2.5}]
+        rows = [(None,), [7], (2.5,)]
         assert cli.render_csv("t", ["x"], rows) == "# t\nx\n\n7\n2.5\n"
+        assert cli.render_csv("t", ["x"], iter(rows)) == "# t\nx\n\n7\n2.5\n"
         assert cli.render_csv("t", ["x", "y"], []) == "# t\nx,y\n"
 
 
@@ -525,8 +526,14 @@ class TestUsageErrors:
         (["sweep", "--alphas", "0.5", "--d", "4194303"],
          "block spec 1:1:4194303 spans 4194305 sites, more than 4194304"),
         (["correlations", "--alpha", "0.5", "--l-max", "4194304"],
-         "l_max must be < 4194304, got 4194304")],
-        ids=["rows", "span", "span-edge", "l-max"])
+         "l_max must be < 4194304, got 4194304"),
+        (["sweep", "--alphas", "0.1..0.9:1000", "--specs", "1:1000000:0"],
+         "sweep of 1000 tables of 2000000 lags, more than 4194304 lags in "
+         "all"),
+        (["sweep", "--alphas", "0.5,0.6", "--specs", "1:1048577:0"],
+         "sweep of 2 tables of 2097154 lags, more than 4194304 lags in all")],
+        ids=["rows", "span", "span-edge", "l-max", "sweep-lags",
+             "sweep-lags-edge"])
     def test_size_past_its_bound_is_usage_error(self, capsys, monkeypatch,
                                                 argv, message):
         def no_work(*args, **kwargs):

@@ -19,7 +19,8 @@ Every size has a bound that is refused with `DomainError` before anything
 is allocated, and each bound is fed one size past it: a table of 2^22 + 1
 lags, a block layout spanning 10^7 sites, 10^6 sites on the verification
 path, a field party of 10^7 windows, an oracle ring of 2^40 sites, and in
-the CLI net 50000 subblocks to count and list flags of 10^8 values.  The
+the CLI net 50000 subblocks to count, list flags of 10^8 values and a sweep
+holding 2*10^9 table lags.  The
 CLI net also reaches m L = 1e307, past where the Bickley function's
 exponent would overflow.
 """
@@ -265,6 +266,7 @@ CLI_ARGVS = [
     ["field", "--mass", "1", "--length", "1", "--r", "2..3:100000000"],
     ["sweep", "--alphas", "0.5", "--m", "1..100000000"],
     ["sweep", "--alphas", "0.1..0.9:1000", "--m", "1..101"],
+    ["sweep", "--alphas", "0.1..0.9:1000", "--specs", "1:1000000:0"],
 ]
 
 

@@ -10,7 +10,7 @@ from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
-from chainent.entanglement import lag_counts
+from chainent.entanglement import _approx, _verdict, lag_counts
 from tests import oracles
 
 
@@ -178,6 +178,82 @@ class TestEntanglementResult:
         res = EntanglementResult(self.COV, np.float32(0.25))
         assert type(res.vacuum_product) is float
         assert res.epsilon == negativity(self.COV).epsilon
+
+
+def moment_arrays(covs):
+    return [np.array([getattr(cov, name) for cov in covs])
+            for name in ("g_diag", "h_diag", "g_cross", "h_cross")]
+
+
+class TestArrayVerdict:
+    """`_verdict` over arrays is the record's verdict, element by element."""
+
+    #: covariances whose record raises InvalidCovarianceError
+    BAD = {
+        "zero": make_cov(0.5, 0.5, 0.5, 0.0),
+        "negative": make_cov(0.5, 0.5, 0.6, 0.0),
+        "underflow": make_cov(1e-200, 1e-200, 0.0, 0.0),
+        "subnormal": make_cov(1e-160, 1e-160, 0.0, 0.0),
+        "nan": make_cov(0.5, math.inf, 0.0, -math.inf),
+    }
+
+    @staticmethod
+    def covariances(tables):
+        # delta1 = 0.5 and delta1*delta2 = (1 + k 1e-12)/4 up to rounding,
+        # on both sides of the slack at k = -4, with crosses of either sign
+        covs = [make_cov(0.75, 0.125 + 0.5 * (1.0 + k * 1e-12), 0.25 * sign,
+                         -0.125 * sign)
+                for k in range(-8, 9) for sign in (1.0, -1.0)]
+        covs.append(make_cov(0.6, math.inf, 0.3, -0.2))  # D_pi(0) = inf
+        covs.append(make_cov(0.5, 0.5, 0.0, 0.0))        # the vacuum
+        for alpha in (0.3, 0.9, 0.999):
+            table = tables(alpha, 60)
+            covs += [covariance_of_blocks(table, spec) for spec in
+                     (BlockSpec(1, 1, 0), BlockSpec(3, 2, 1),
+                      BlockSpec(1, 20, 0), BlockSpec(2, 5, 3))]
+        return covs
+
+    @pytest.mark.parametrize("shape", [(-1,), (2, -1)])
+    def test_arrays_match_records_bit_for_bit(self, tables, shape):
+        covs = self.covariances(tables)
+        records = [EntanglementResult(cov) for cov in covs]
+        arrays = [a.reshape(shape) for a in moment_arrays(covs)]
+        verdict = [a.ravel() for a in _verdict(*arrays, 0.25)]
+        for name, values in zip(("delta1", "delta2", "epsilon", "duan"),
+                                verdict):
+            want = np.array([getattr(res, name) for res in records])
+            assert values.tobytes() == want.tobytes(), name
+        separable = [res.separable for res in records]
+        # the slack puts the boundary at k = -4
+        assert separable[:34] == [k >= -4 for k in range(-8, 9)
+                                  for sign in (1, -1)]
+        assert all((eps == 0.0) == sep
+                   for eps, sep in zip(verdict[2], separable))
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_array_raises_where_a_record_would(self, bad, where):
+        with pytest.raises(InvalidCovarianceError) as record:
+            EntanglementResult(bad)
+        covs = [make_cov(0.6, 0.5, 0.3, -0.2)] * 2
+        covs.insert(where, bad)
+        # the message names the first failing element, as its record does
+        with pytest.raises(InvalidCovarianceError) as array:
+            _verdict(*moment_arrays(covs + [bad]), 0.25)
+        assert str(array.value) == str(record.value)
+
+    def test_approx_over_arrays_matches_the_scalar_estimate(self, tables):
+        table = tables(0.5, 2)
+        n, m = np.array([1, 2, 6, 6, 60]), np.array([1, 1, 1, 3, 4])
+        values = _approx(*table.g[:2], *table.h[:2], n, m)
+        want = [approx_negativity(*table.g[:2], *table.h[:2], n=int(k),
+                                  m=int(j)) for k, j in zip(n, m)]
+        assert values.tobytes() == np.array(want).tobytes()
+        with pytest.raises(InvalidCovarianceError) as record:
+            approx_negativity(0, 0, 0.5, 0, n=1, m=1)
+        with pytest.raises(InvalidCovarianceError) as array:
+            _approx(np.array([0.5, 0.0]), 0.0, 0.5, 0.0, np.array([1, 1]), 1)
+        assert str(array.value) == str(record.value)
 
 
 class TestDuanWitness:

@@ -55,11 +55,42 @@ class TestPropagators:
         with pytest.raises(QuadratureError):
             d_pi(spec(mass=1.0, length=1e-310), 2e-310)
 
-    @pytest.mark.parametrize("mass,length", [(1e200, 1e200), (1e-200, 1e-200)])
+    @pytest.mark.parametrize("mass,length", [(1e-200, 1e-200)])
     def test_unit_mass_out_of_range_is_a_numerical_failure(self, mass, length):
-        # the propagators are evaluated at m L, which overflows or underflows
+        # the propagators are evaluated at m L, which underflows
         with pytest.raises(QuadratureError):
             d_phi(spec(mass, length), 0.0)
+
+    @pytest.mark.parametrize("mass,length", [
+        (1e200, 1e200), (1e300, 1e10), (3.0, 1e308)])
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 0.999, 1.0, 1.5])
+    def test_overflowing_unit_mass_gives_the_large_mass_limit(
+            self, mass, length, frac):
+        # m L overflows: D_phi = (L - r)/(2 m L), D_pi = m (L - r)/(2 L) for
+        # r < L, both 0 past L; D_pi(0) and D_pi(L) stay infinite.  Formerly
+        # a QuadratureError; at m = L = 1e200, D_phi(0) = 1/(2m) = 5e-201
+        r = frac * length
+        rest = max(1.0 - r / length, 0.0)
+        tol = 0.0 if frac == 0.0 else 1e-12
+        assert d_phi(spec(mass, length), r) == pytest.approx(
+            rest / (2.0 * mass), rel=tol, abs=0.0)
+        want = {0.0: math.inf, 1.0: -math.inf}.get(frac, rest * mass / 2.0)
+        assert d_pi(spec(mass, length), r) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mass,length", [(1e150, 1e150), (1e300, 1.0),
+                                             (3.0, 1e154)])
+    @pytest.mark.parametrize("frac", [0.3, 0.999])
+    def test_large_mass_limit_continues_the_evaluated_values(
+            self, mass, length, frac):
+        # at m L = 1e300 the evaluated propagators already equal the limit
+        # that an overflowing m L returns, to 2 ulp
+        r = frac * length
+        rest = (length - r) / length
+        assert d_phi(spec(mass, length), r) == pytest.approx(
+            rest / mass / 2.0, rel=4.5e-16, abs=0.0)
+        assert d_pi(spec(mass, length), r) == pytest.approx(
+            rest * mass / 2.0, rel=4.5e-16, abs=0.0)
 
     @pytest.mark.parametrize("mass,length,r", [
         (1.0, 1.0, 0.0), (1.0, 1.0, 0.3), (5.0, 1.0, 0.5), (3.0, 2.0, 1.98),
