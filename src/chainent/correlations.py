@@ -102,7 +102,8 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     from the lag-0 seeds, 2F1(1/2, 1/2; 1; z^2)/(2 mu) and
     mu 2F1(-1/2, -1/2; 1; z^2)/2, gives the table with relative accuracy at
     every lag (about 1e-14 for alpha <= 0.99; near alpha = 1 the seed's
-    series sets it, 2e-13 at 0.9999); the far tail underflows to 0.
+    series sets it, 2e-13 at 0.9999).  The far tail is 0: entries below
+    the smallest normal float are set to 0.
 
     Raises ConvergenceError when alpha is so close to 1 that K exceeds
     `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap, and
@@ -133,8 +134,10 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
         if l <= l_max:
             g[l] = rg
             h[l] = rh
-    np.cumprod(g, out=g)
-    np.cumprod(h, out=h)
+    for f in (g, h):
+        np.cumprod(f, out=f)
+        # 5e-324 r rounds back to 5e-324 for r > 1/2: flush the stalled tail
+        f[np.abs(f) < np.finfo(float).tiny] = 0.0
     return CorrelationTable(alpha=alpha, g=g, h=h)
 
 

@@ -21,8 +21,9 @@ condition.
 Every rule here is written once, elementwise over floats and arrays alike:
 `_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
 takes its values from it), `_moments` the covariance of one layout under
-any number of couplings, `_approx` the nearest-neighbour estimate.  A
-sweep calls them on its whole grid.
+any number of couplings (summed in an order numpy fixes, not a BLAS
+kernel), `_approx` the nearest-neighbour estimate.  A sweep calls them on
+its whole grid.
 """
 
 import math
@@ -69,14 +70,6 @@ class CollectiveCovariance:
             raise InvalidCovarianceError(
                 f"diagonal moments must be positive, got G={self.g_diag}, "
                 f"H={self.h_diag}")
-
-    @property
-    def delta1(self) -> float:
-        return self.g_diag - abs(self.g_cross)
-
-    @property
-    def delta2(self) -> float:
-        return self.h_diag - abs(self.h_cross)
 
     def rescaled(self, q_scale: float, p_scale: float) -> "CollectiveCovariance":
         """Covariance after Q -> q_scale*Q, P -> p_scale*P on both blocks."""
@@ -180,15 +173,16 @@ def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _moments(gh: np.ndarray, spec: BlockSpec) -> np.ndarray:
     """(G, H, G_AB, H_AB) of one layout, shape (..., 4), under each
-    coupling's stacked (g, h) rows `gh`, shape (..., 2, lags): one lag count
-    and one dot product of each row with it, as for a single coupling."""
+    coupling's stacked (g, h) rows `gh`, shape (..., 2, lags): one lag count,
+    and each row times it summed by numpy's pairwise sum, whose order is
+    fixed in numpy's source and not by the host's BLAS kernel."""
     if gh.shape[-1] <= spec.max_lag:
         raise LagBoundError(
             f"table covers lags <= {gh.shape[-1] - 1} but spec {spec} needs "
             f"{spec.max_lag}")
     intra, cross = lag_counts(spec)
     rows = gh[..., :intra.size]
-    return np.concatenate((np.vecdot(rows, intra), np.vecdot(rows, cross)),
+    return np.concatenate(((rows * intra).sum(-1), (rows * cross).sum(-1)),
                           axis=-1) / spec.n
 
 

@@ -1,16 +1,24 @@
 """Byte pins of the command line: the sha256 of stdout and the exit code of
 a fixed set of small runs.
 
-The pins hold for the numpy and scipy this suite was recorded with; another
-build of either can move the last digit of a float and so a hash.  A change
+The pins hold for the numpy and scipy builds this suite was recorded with,
+on any OpenBLAS kernel: every sum that reaches the output is numpy's own,
+in an order fixed in numpy's source, and the cross-kernel test checks it
+in fresh processes with the kernel forced.  Another build of numpy or
+scipy can still move the last digit of a float and so a hash.  A change
 that moves these bytes on purpose updates the pins and says so.
 """
 
 import hashlib
+import json
+import platform
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from chainent import cli
+from tests.test_imports import fresh_python
 
 SWEEP = ["sweep", "--alphas", "0.3,0.9,0.999", "--m", "1..2", "--s", "1..4",
          "--d", "0..1"]
@@ -18,26 +26,30 @@ FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
 
 #: argv -> (sha256 of stdout, exit code)
 PINS = [
-    (SWEEP, "264eb59c1865c8c0f861b8a517d01411952f62c31bf9cf1de9142935ee8f72f3",
+    (SWEEP, "0dcfdb87ed466c6a752ac3686db2ab209138ad6fd15b43a8a133579134b1bed2",
      0),
     (SWEEP + ["--format", "json"],
-     "40fd907d43e7874110a0e265a62474d7fab2a90f05fa6710a80ea3cd45043b8c", 0),
+     "2cbe638da76acfe69bac531f92ffe611bb4d2ea87618d8df320e6030730414ee", 0),
     (["sweep", "--alphas", "0.99", "--specs", "2:3:1,1:6:0", "--oracle-n",
       "4096"],
-     "1011c3d04111367fc5049186b5562627951b9e73c72463ed4a08edf8b010de7d", 0),
+     "72b23d147b6c3b43868ef75c8989466832f6b09b89ccb838a7ebe79399e0836e", 0),
     (["correlations", "--alpha", "0.9", "--l-max", "40", "--oracle-n",
       "65536"],
      "7ee8ee9d585b79490ee6adfae20b8629e309c3bc96a2c4590c956aa107fcce3c", 0),
     # r = 0 and r = L carry D_pi = +inf and -inf; 0.5 overlaps; the rest
     # are separated and also carry epsilon
-    (FIELD, "0a9f3f490d1413c7ec066fc238044d23cddbd200ca72b55349392c3d922d4dea",
+    (FIELD, "fa1de34dd5b79232b08943eac319236cfebd14520c0938fb0df29dc82dfa9ec9",
      0),
     (FIELD + ["--format", "json"],
-     "ad25a02771ad7b49d131416ac6ffd9113913c97ef6ed63d58f8cfc948c07a841", 0),
+     "625013d9d42289675df2c7a040d5a781648fd33ebb74b5eb4678fa38a03cf7c0", 0),
+    # m L = 3: the overlapping windows take the Bickley route, whose Ki2 at
+    # u >= 2 is the trapezoid sum; that sum's order decides the r = 0.7 row
+    (["field", "--mass", "3", "--length", "1", "--r", "0,0.3,0.7,1.2,3"],
+     "7aa0af3646b141abe863620a0d80a6e0e70af4aaaf4fbee8f0f2235b18bd6e9b", 0),
     (["validate", "--oracle-n", "4096", "--report", "text"],
-     "c59f1880956217f0364b789bd6101229e9140f9c75c26eeb65828ad455a4b8b9", 0),
+     "3a6c3028d15b9a40db1987b0126f732335ca36d090913bec8ead9b7449d497d0", 0),
     (["validate", "--oracle-n", "4096", "--report", "json"],
-     "ec6fe442cf50140656b30e7710f2f981125f402333d40af1393ab6395a3ee26a", 0),
+     "de6d1642a4f1d2c857fe88980603d68093b3f730c403b56753c6da4f15b3d60a", 0),
 ]
 
 
@@ -47,3 +59,42 @@ def test_stdout_bytes_are_pinned(argv, digest, code, capsys):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: numpy's BLAS, as its build configuration names it
+BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+#: OpenBLAS kernels to force, each with the CPU features it needs; SkylakeX
+#: is left out, since it needs AVX-512 and a CPU without it dies of SIGILL
+KERNELS = [("Prescott", ()), ("Haswell", ("AVX2", "FMA3"))]
+
+#: prints [sha256 of stdout, exit code] of each argv in argv[1], as JSON
+RUN_PINS = """
+import contextlib, hashlib, io, json, sys
+from chainent import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([hashlib.sha256(out.getvalue().encode()).hexdigest(), code])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are named for x86-64")
+@pytest.mark.skipif("openblas" not in BLAS.lower(),
+                    reason="numpy is not built with OpenBLAS")
+@pytest.mark.parametrize("kernel,features", KERNELS,
+                         ids=[kernel for kernel, _ in KERNELS])
+def test_pins_hold_under_every_blas_kernel(kernel, features):
+    if not all(__cpu_features__.get(name) for name in features):
+        pytest.skip(f"{kernel} needs {', '.join(features)}")
+    done = fresh_python(RUN_PINS, json.dumps([argv for argv, _, _ in PINS]),
+                        OPENBLAS_CORETYPE=kernel)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    moved = [" ".join(argv) for (argv, digest, code), result in zip(PINS, got)
+             if result != [digest, code]]
+    assert len(got) == len(PINS) and not moved, f"{kernel} moved {moved}"

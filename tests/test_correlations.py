@@ -270,6 +270,8 @@ class TestRecurrence:
         ratios.append((1.0 / (2.0 * mu) * kernels.hyp2f1_series(0.5, z * z),
                        mu / 2.0 * kernels.hyp2f1_series(-0.5, z * z)))
         g, h = np.cumprod(ratios[::-1], axis=0).T.copy()
+        for values in (g, h):   # the table flushes its subnormal tail to 0
+            values[np.abs(values) < np.finfo(float).tiny] = 0.0
         table = correlation_table(alpha, l_max)
         assert np.array_equal(table.g, g) and np.array_equal(table.h, h)
 
@@ -289,4 +291,14 @@ class TestRecurrence:
             zero = int(np.argmax(values == 0.0))
             assert 300 < zero < 752
             assert np.all(sign * values[1:zero] > 0)
+            assert np.all(values[zero:] == 0.0)
+
+    def test_far_tail_is_exactly_zero(self):
+        # 5e-324 r rounds back to 5e-324 for r > 1/2: unflushed, 195,044 g
+        # entries of this table stay subnormal and g_200000 is 1.5e-323
+        table = correlation_table(0.99, 200000)
+        for values in (table.g, table.h):
+            normal = np.abs(values) >= np.finfo(float).tiny
+            zero = int(np.argmin(normal))
+            assert 4000 < zero and np.all(normal[:zero])
             assert np.all(values[zero:] == 0.0)

@@ -147,7 +147,9 @@ class TestEntanglementResult:
 
     def test_record_reports_its_covariance(self):
         res = EntanglementResult(self.COV)
-        assert (res.delta1, res.delta2) == (self.COV.delta1, self.COV.delta2)
+        c = self.COV
+        assert (res.delta1, res.delta2) == (c.g_diag - abs(c.g_cross),
+                                            c.h_diag - abs(c.h_cross))
         assert (res.delta1, res.delta2) == pytest.approx((0.3, 0.3))
         assert res.duan == pytest.approx(2.0 * (0.6 - 0.3 + 0.5 - 0.2))
         assert res.epsilon == pytest.approx(0.25 / 0.09 - 1.0)

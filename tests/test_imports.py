@@ -35,12 +35,15 @@ FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
 VALIDATE = ["validate", "--oracle-n", "4096"]
 
 
-def fresh_python(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def fresh_python(code: str, *args: str,
+                 **environ: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports chainent
+    from this checkout, with `environ` added to its environment."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture(scope="module")
