@@ -5,11 +5,9 @@ The chain side has one route per quantity: `correlation_table` gives the
 correlations g_l, h_l (`finite_correlation_table` is the N-site oracle),
 `block_indices` a layout's sites, and `covariance_of_blocks` with
 `negativity` the collective covariance and the epsilon derived from it.
-The field side has `field_covariance` for any number of windows per party.
-
-`import chainent` loads the chain side only, which needs numpy alone.  The
-field names below resolve on first access, which imports `chainent.field`
-and with it scipy.
+The field side has `field_covariance` for any number of windows per party,
+with the Bessel functions it integrates evaluated in `chainent.field`
+itself.  The package needs numpy alone.
 
 Submodules
 ----------
@@ -30,6 +28,8 @@ from .entanglement import (CollectiveCovariance, EntanglementResult,
                            negativity, symplectic_form)
 from .errors import (ChainentError, ConvergenceError, DomainError,
                      InvalidCovarianceError, LagBoundError, QuadratureError)
+from .field import (FieldRegionSpec, d_phi, d_pi, field_covariance,
+                    field_negativity)
 from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
@@ -44,14 +44,3 @@ __all__ = [
     "field_covariance", "field_negativity",
     "finite_correlation_table", "negativity", "symplectic_form",
 ]
-
-_FIELD_NAMES = frozenset(("FieldRegionSpec", "d_phi", "d_pi",
-                          "field_covariance", "field_negativity"))
-
-
-def __getattr__(name):
-    """The field names, loaded with `chainent.field` on first use (PEP 562)."""
-    if name in _FIELD_NAMES:
-        from . import field
-        return getattr(field, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

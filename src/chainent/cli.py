@@ -6,9 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
 its exit code, and `main` does the single write to stdout or --out, so a
 failing grid point never leaves partial output behind.
 
-The chain commands (`sweep`, `correlations`) need numpy alone; `field` and
-validate's field check import `chainent.field`, and with it scipy, when they
-run.  A sweep holds its couplings' tables in one array, counts each
+A sweep holds its couplings' tables in one array, counts each
 geometry's lags once, and computes its rows as columns with the array
 forms of the library's rules.  Every table is rendered from rows of cells
 in column order.
@@ -26,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import correlations, entanglement
+from . import correlations, entanglement, field
 from .blocks import BlockSpec
 from .errors import ChainentError, DomainError
 
@@ -264,7 +262,6 @@ def cmd_sweep(args) -> tuple[str, int]:
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
-    from . import field     # loads scipy, which the chain commands never need
     rows = []
     for r in args.r:
         spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
@@ -352,7 +349,6 @@ def _check_chain_cutoffs(oracle_n: int):
 
 
 def _check_field_null(oracle_n: int):
-    from . import field
     spec = field.FieldRegionSpec(mass=1.0, length=1.0, separation=0.0)
     dphi0 = field.d_phi(spec, 0.0)
     dpi0 = field.d_pi(spec, 0.0)

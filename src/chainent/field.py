@@ -31,11 +31,13 @@ window's triangle kernel integrated against a Bessel function:
   (m^2 - d^2/dx^2) K0(mx) = -m K1(mx)/x gives D_pi the same form with the
   kernel -m K1(m(r-t))/(r-t).  Both integrands keep one sign, so nothing
   cancels.  They are summed by 16-point Gauss-Legendre panels in s = r - t,
-  one vectorized k0 or k1 call and one numpy sum (no BLAS dot) per value.
-  Panel widths double away from s = r - L and start at min(r - L, 1/m):
-  no panel is wider than its distance to the singularity at s = 0, and the
-  first ones resolve the decay length 1/m.  Relative accuracy is about
-  1e-15, also for nearly touching windows, tiny masses and large separations.
+  one vectorized evaluation of K0 and x K1, shared by `d_phi` and `d_pi`
+  at one separation, and one numpy sum (no BLAS dot) per value.  Panel
+  widths double away from s = r - L and start at min(r - L, 1/m): no
+  panel is wider than its distance to the singularity at s = 0, and the
+  first ones resolve the decay length 1/m.  The rules depend on the gap
+  and the mass alone and are cached.  Relative accuracy is about 1e-15,
+  also for nearly touching windows, tiny masses and large separations.
 * Overlapping windows, r <= L: second differences of
   Phi(x) = 2 Int_0^x (x - t) K0(mt) dt, the triangle's second derivative
   being three delta functions:
@@ -44,13 +46,25 @@ window's triangle kernel integrated against a Bessel function:
       D_pi(r)  = [2 K0(mr) - K0(m(r+L)) - K0(m(L-r))] / (2 pi L) + m^2 D_phi(r).
 
   While m(r+L) <= 2, Phi(x) = x^2 f(mx) with f(u) = 2 Int_0^u K0 / u
-  - 2 (1 - u K1(u))/u^2 from iti0k0 and the ascending series of
-  1 - u K1(u) (DLMF 10.31.1; the direct difference loses every digit as
-  u -> 0).  Beyond, Phi(x) = pi x/m - 2/m^2 + 2 Ki2(mx)/m^2: the linear
-  parts add up to 2 pi (L - r)/m exactly and only the Bickley function Ki2
-  (DLMF 10.43) is differenced, so a large m L costs no digits.  Accuracy
-  is a few 1e-14 relative to the largest term, set by iti0k0 (D_pi changes
-  sign between r = 0 and r = L).
+  - 2 (1 - u K1(u))/u^2, both parts from their ascending series (the
+  direct difference 1 - u K1(u) loses every digit as u -> 0).  Beyond,
+  Phi(x) = pi x/m - 2/m^2 + 2 Ki2(mx)/m^2: the linear parts add up to
+  2 pi (L - r)/m exactly and only the Bickley function Ki2 (DLMF 10.43)
+  is differenced, so a large m L costs no digits.  D_phi is accurate to
+  about 1e-15 relative (1.4e-16 at r = L/2, m = L = 1), D_pi to about
+  1e-15 of max(|D_pi|, 1/L): it changes sign between r = 0 and r = L.
+
+The Bessel functions are evaluated here, with numpy alone.  For x <= 2
+they are the ascending series of DLMF 10.31.1-2 in q = x^2/4 and
+ln x - ln 2, with ln(m s) taken as ln m + ln s (never ln(x/2) or
+ln(m s), which underflow at 5e-324); for x > 2, u = sqrt(2x) sinh(t/2) in
+K_nu(x) = Int_0^inf exp(-x cosh t) cosh(nu t) dt gives K0(x) = exp(-x)
+Int_0^inf exp(-u^2) 2 du / sqrt(2x + u^2), and x K1 the extra factor
+x + u^2 in the numerator.  The trapezoid rule in u then has an error
+uniform in x, and both sides stay within 5e-16 relative of mpmath.
+Logarithms and exponentials are taken node by node with `math`: numpy's
+own are dispatched on the CPU's SIMD width and round differently on
+different hosts.
 
 Both propagators are evaluated at unit window length, at mass mu = m L and
 separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
@@ -59,7 +73,8 @@ returned whenever it and m L fit a float; the branch is still chosen on
 r > L, since r/L can round to 1.  Where m L overflows, the propagators are
 their large-mass limits D_phi = (L - r)/(2 m L) and D_pi = m (L - r)/(2 L)
 for r < L, and 0 for r > L (at m L = 1e300 the evaluated values agree with
-these to 2 ulp); where m L underflows, QuadratureError.
+these to 2 ulp); where m L underflows, or r/L leaves the float range,
+QuadratureError.
 
 The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 `tol` for callers written against the earlier quadrature, and ignore it.
@@ -67,36 +82,60 @@ The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import iti0k0, k0, k1, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .entanglement import CollectiveCovariance, EntanglementResult, negativity
 from .errors import DomainError, QuadratureError, _check_int, _check_real
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+
+#: past this argument e^{-x}, and with it K0, x K1 and Ki2, underflow to 0
+_UNDERFLOW = 750.0
 
 #: trapezoid nodes t = 0, 0.15, ..., 4.5 for the Bickley function Ki2
-_KI2_COSH = np.cosh(0.15 * np.arange(31))
-_KI2_WEIGHTS = 0.15 / _KI2_COSH**2
+_KI2_COSH = [math.cosh(0.15 * j) for j in range(31)]
+_KI2_WEIGHTS = 0.15 / np.array(_KI2_COSH)**2
 _KI2_WEIGHTS[0] *= 0.5
 
+#: trapezoid nodes u = 0, 0.25, ..., 6.5 and weights 2 h exp(-u^2) for K0
+#: and x K1 at x > 2 (half weight at u = 0; exp(-6.5^2) is 5e-19)
+_U_SQUARED = (0.25 * np.arange(27))**2
+_U_WEIGHTS = np.array([0.5 * math.exp(-v) for v in _U_SQUARED.tolist()])
+_U_WEIGHTS[0] *= 0.5
 
-def _small_u_coefficients(terms: int = 14):
-    """1/(k!(k+1)!) and (psi(k+1) + psi(k+2))/(k!(k+1)!) for k < terms."""
-    inv, psi = [], []
-    scale, harmonic = 1.0, 0.0      # 1/(k!(k+1)!), H_k
-    for k in range(terms):
+_SERIES_TERMS = 14
+_LN2 = math.log(2.0)
+
+
+def _series_table():
+    """(a_k, a_k b_k), k < `_SERIES_TERMS`, of the three ascending series
+    sum_k q^k a_k (b_k - ln x + ln 2) in q = x^2/4, with psi(k+1) =
+    H_k - gamma (DLMF 10.31.2, 10.31.1, and 10.31.2 integrated term by
+    term); at x = 2 the first term left out is below 1e-22:
+
+        K0(x)                 a_k = 1/k!^2,           b_k = psi(k+1)
+        (1 - x K1(x)) / q     a_k = 2/(k!^2 (k+1)),   b_k = psi(k+1) + 1/(2k+2)
+        Int_0^x K0(t) dt / x  a_k = 1/(k!^2 (2k+1)),  b_k = psi(k+1) + 1/(2k+1)
+    """
+    table = np.empty((3, 2, _SERIES_TERMS))
+    psi = -np.euler_gamma
+    for k in range(_SERIES_TERMS):
         if k:
-            scale /= k * (k + 1)
-            harmonic += 1.0 / k
-        inv.append(scale)
-        psi.append((2.0 * harmonic + 1.0 / (k + 1) - 2.0 * np.euler_gamma)
-                   * scale)
-    return inv[::-1], psi[::-1]
+            psi += 1.0 / k
+        square = float(math.factorial(k))**2
+        for row, (a, b) in enumerate((
+                (1.0 / square, psi),
+                (2.0 / (square * (k + 1)), psi + 0.5 / (k + 1)),
+                (1.0 / (square * (2 * k + 1)), psi + 1.0 / (2 * k + 1)))):
+            table[row, :, k] = a, a * b
+    return table
 
 
-_SMALL_U_INV, _SMALL_U_PSI = _small_u_coefficients()
+_SERIES = _series_table()
+
 
 #: most windows per party: `field_covariance` makes 4 propagator calls each
 MAX_WINDOWS = 1000
@@ -137,36 +176,69 @@ class FieldRegionSpec:
                 f"stay disjoint, got r={self.separation}, L={self.length}")
 
 
-def _one_minus_u_k1(u: float) -> float:
-    """(1 - u K1(u)) / u^2 for 0 < u <= 2, from the ascending series
-    1 - u K1(u) = (u^2/4) sum_k [psi(k+1) + psi(k+2) - 2 ln(u/2)]
-    (u^2/4)^k / (k!(k+1)!) (DLMF 10.31.1); the direct difference loses all
-    digits as u -> 0."""
-    q = 0.25 * u * u
-    log_term = 2.0 * math.log(0.5 * u)
-    total = 0.0
-    for inv, psi in zip(_SMALL_U_INV, _SMALL_U_PSI):
-        total = total * q + (psi - log_term * inv)
-    return 0.25 * total
+def _ascending(mu: float, x):
+    """K0(u), (1 - u K1(u))/q and Int_0^u K0 / u at u = mu x <= 2, for
+    mu > 0 and x a 1-d array of positive values, as the rows of a
+    (3, x.size) array.  ln u is ln mu + ln x, exact also where mu x
+    underflows."""
+    u = mu * x
+    powers = np.ones((x.size, _SERIES_TERMS))
+    powers[:, 1:] = 0.25 * u[:, None] * u[:, None]
+    powers = np.cumprod(powers, axis=1)
+    log_half = (np.array([math.log(v) for v in x.tolist()])
+                + (math.log(mu) - _LN2))
+    a, ab = (powers[:, None, None, :] * _SERIES).sum(-1).T
+    return ab - log_half * a
 
 
-def _phi_shape(u: float) -> float:
-    """f(u) = Phi(x) / x^2 at u = m x, for 0 < u <= 2."""
-    return 2.0 * (float(iti0k0(u)[1]) / u - _one_minus_u_k1(u))
+def _k0_xk1(mu: float, x):
+    """K0(u) and u K1(u) at u = mu x, for mu > 0 and x a 1-d array of
+    positive values: the ascending series up to u = 2, the trapezoid rule in
+    the module docstring's variable beyond.  exp(-u) is applied in two
+    halves, so a value above the underflow threshold keeps its digits; past
+    `_UNDERFLOW` both are 0."""
+    with np.errstate(over="ignore"):    # past the float range, past _UNDERFLOW
+        u = mu * x
+    k0, xk1 = np.zeros(u.shape), np.zeros(u.shape)
+    small = u <= 2.0
+    if small.any():
+        rows = _ascending(mu, x[small])
+        k0[small] = rows[0]
+        xk1[small] = 1.0 - 0.25 * u[small] * u[small] * rows[1]
+    large = (u > 2.0) & (u < _UNDERFLOW)
+    if large.any():
+        col = u[large][:, None]
+        cosh = col + _U_SQUARED             # u cosh t
+        terms = _U_WEIGHTS / np.sqrt(col + cosh)
+        half = np.array([math.exp(-0.5 * v) for v in u[large].tolist()])
+        k0[large] = terms.sum(-1) * half * half
+        xk1[large] = (terms * cosh).sum(-1) * half * half
+    return k0, xk1
+
+
+def _phi_shape(mu: float, x):
+    """f(u) = Phi(x) / x^2 at u = mu x <= 2 (x a 1-d array of positive
+    values): 2 Int_0^u K0 / u - 2 (1 - u K1(u))/u^2."""
+    _, one_minus_k1, int_k0 = _ascending(mu, x)
+    return 2.0 * int_k0 - 0.5 * one_minus_k1
 
 
 def _ki2(u: float) -> float:
     """Bickley function Ki2(u) = Int_0^inf exp(-u cosh t) / cosh^2 t dt.
 
-    Ki2(u) = 1 - pi u/2 + u^2 f(u)/2; for u >= 2 the trapezoid rule in t,
-    whose absolute error there is below 1e-16.  Above u = 746, exp(-u) and
-    with it every node underflows to 0, and u cosh t could overflow.
+    Ki2(u) = 1 - pi u/2 + u^2 f(u)/2; for u > 2 the trapezoid rule in t,
+    whose absolute error there is below 1e-16.  Past `_UNDERFLOW` every
+    node underflows to 0, and u cosh t could overflow.
     """
-    if u > 746.0:
+    if u > _UNDERFLOW:
         return 0.0
-    if u >= 2.0:
-        return float((np.exp(-u * _KI2_COSH) * _KI2_WEIGHTS).sum())
-    return 1.0 - 0.5 * math.pi * u + (0.5 * u * u * _phi_shape(u) if u else 0.0)
+    if u > 2.0:
+        nodes = np.array([math.exp(-u * c) for c in _KI2_COSH])
+        return float((nodes * _KI2_WEIGHTS).sum())
+    if not u:
+        return 1.0
+    return 1.0 - 0.5 * math.pi * u + 0.5 * u * u * float(
+        _phi_shape(1.0, np.array([u]))[0])
 
 
 def _overlap_phi(mu: float, rho: float, rest: float) -> float:
@@ -174,16 +246,21 @@ def _overlap_phi(mu: float, rho: float, rest: float) -> float:
     for rho = r/L <= 1 and rest = (L - r)/L."""
     terms = ((1.0, rho + 1.0), (1.0, rest), (-2.0, rho))
     if mu * (rho + 1.0) <= 2.0:
-        return sum(c * x * x * _phi_shape(mu * x) for c, x in terms if x)
+        terms = [(c, x) for c, x in terms if x]
+        shapes = _phi_shape(mu, np.array([x for _, x in terms])).tolist()
+        return sum(c * x * x * f for (c, x), f in zip(terms, shapes))
     # Phi(x) = pi x/mu - 2/mu^2 + 2 Ki2(mu x)/mu^2: the linear parts add up to
     # 2 pi rest/mu exactly, so only the decaying Bickley parts are differenced
     return (2.0 * math.pi * rest / mu
             + 2.0 / (mu * mu) * sum(c * _ki2(mu * x) for c, x in terms))
 
 
+@lru_cache(maxsize=2)
 def _graded_rule(width: float):
     """Gauss-Legendre offsets and weights on [0, 1], panel widths doubling
-    from `width` (a panel [a, 2a + width] per doubling)."""
+    from `width` (a panel [a, 2a + width] per doubling), read-only.  The
+    far rule depends on the mass alone and the near one on min(gap, 1/m),
+    so the two cached ones serve most separations of one mass."""
     doublings = int(math.log2(1.0 / width + 1.0)) + 1
     edges = width * (2.0 ** np.arange(doublings) - 1.0)
     edges = np.append(edges[edges < 1.0], 1.0)
@@ -191,12 +268,16 @@ def _graded_rule(width: float):
     mid = edges[:-1] + half
     offsets = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    offsets.flags.writeable = weights.flags.writeable = False
     return offsets, weights
 
 
-def _triangle_integral(kernel, mu: float, rho: float, gap: float) -> float:
-    """Int_{-1}^{1} (1 - |t|) kernel(rho - t) dt at unit window length, for
-    separated windows rho = r/L > 1 with gap = (r - L)/L.
+@lru_cache(maxsize=1)
+def _separated(mu: float, rho: float, gap: float) -> tuple[float, float]:
+    """Int_{-1}^{1} (1 - |t|) k(rho - t) dt at unit window length for the
+    kernels K0(mu s) and -mu K1(mu s)/s, i.e. 2 pi D_phi and 2 pi D_pi, for
+    separated windows rho = r/L > 1 with gap = (r - L)/L.  One evaluation
+    serves both propagators, and `field_covariance` calls them back to back.
 
     In s = rho - t the near half [gap, rho] has weight s - gap and the far
     half [rho, rho + 1] weight rho + 1 - s; both are graded away from their
@@ -206,18 +287,25 @@ def _triangle_integral(kernel, mu: float, rho: float, gap: float) -> float:
     far, far_w = _graded_rule(min(1.0, 1.0 / mu))
     s = np.concatenate([gap + near, rho + far])
     weights = np.concatenate([near * near_w, (1.0 - far) * far_w])
-    return float((weights * kernel(s)).sum())
+    k0, xk1 = _k0_xk1(mu, s)
+    # mu K1(mu s)/s = x K1(x)/s^2 keeps its limit 1/s^2 where mu s
+    # underflows; 1/s/s, since s^2 can overflow
+    return (float((weights * k0).sum()),
+            -float((weights * (xk1 / s / s)).sum()))
 
 
-def _unit_mass(spec: FieldRegionSpec) -> float:
-    """mu = m L, the mass at unit window length; inf where m L overflows, and
-    the callers then return their large-mass limits."""
-    mu = spec.mass * spec.length
-    if not mu > 0.0:
+def _unit(spec: FieldRegionSpec, r: float) -> tuple[float, float]:
+    """mu = m L and rho = r/L, the mass and separation at unit window length.
+    mu is inf where m L overflows, and the callers then return their
+    large-mass limits; where m L underflows, or r/L overflows or underflows,
+    QuadratureError."""
+    mu, rho = spec.mass * spec.length, r / spec.length
+    if mu < math.inf and not (mu > 0.0 and rho < math.inf
+                              and (rho > 0.0 or r == 0.0)):
         raise QuadratureError(
-            f"m L = {mu} at m={spec.mass}, L={spec.length} "
-            f"(floating-point range exceeded)")
-    return mu
+            f"m L = {mu}, r/L = {rho} at m={spec.mass}, L={spec.length}, "
+            f"r={r} (floating-point range exceeded)")
+    return mu, rho
 
 
 def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
@@ -235,12 +323,11 @@ def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     (the evaluation is a closed form, see the module docstring).
     """
     length, r = spec.length, abs(_check_real("separation", at))
-    mu, rho = _unit_mass(spec), r / length
+    mu, rho = _unit(spec, r)
     if mu == math.inf:      # the large-mass limit (L - r)/(2 m L), 0 past L
         return max(length - r, 0.0) / length / spec.mass / 2.0
     if r > length:
-        unit = _triangle_integral(lambda s: k0(mu * s), mu, rho,
-                                  (r - length) / length) / (2.0 * math.pi)
+        unit = _separated(mu, rho, (r - length) / length)[0] / (2.0 * math.pi)
     else:
         unit = _overlap_phi(mu, rho, (length - r) / length) / (4.0 * math.pi)
     return _finite(length * unit, "D_phi", spec, r)
@@ -260,23 +347,18 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
         return math.inf
     if r == length:
         return -math.inf
-    mu, rho = _unit_mass(spec), r / length
+    mu, rho = _unit(spec, r)
     if mu == math.inf:      # the large-mass limit m (L - r)/(2 L), 0 past L
         return max(length - r, 0.0) / length * spec.mass / 2.0
     if r > length:
-        # where k1 overflows (mu s < 5.6e-309) the kernel is its limit 1/s^2,
-        # as x K1(x) = 1 + O(x^2 ln x); 1/s/s, since s^2 can overflow
-        def kernel(s):
-            bessel = k1(mu * s)
-            return np.where(np.isinf(bessel), 1.0 / s / s, mu * bessel / s)
-        unit = -_triangle_integral(kernel, mu, rho,
-                                   (r - length) / length) / (2.0 * math.pi)
+        unit = _separated(mu, rho, (r - length) / length)[1] / (2.0 * math.pi)
     else:
         rest = (length - r) / length
-        contact = (2.0 * k0(mu * rho) - k0(mu * (rho + 1.0))
-                   - k0(mu * rest)) / (2.0 * math.pi)
+        at_r, at_sum, at_rest = _k0_xk1(
+            mu, np.array([rho, rho + 1.0, rest]))[0].tolist()
+        contact = (2.0 * at_r - at_sum - at_rest) / (2.0 * math.pi)
         phi = _overlap_phi(mu, rho, rest) / (4.0 * math.pi)
-        unit = float(contact) + mu * (mu * phi)
+        unit = contact + mu * (mu * phi)
     return _finite(unit / length, "D_pi", spec, r)
 
 
@@ -287,17 +369,17 @@ def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     0 < l < 2 windows and `windows` at l = 0.  A 1/sqrt(windows L) norm per
     collective operator keeps [Q, P] = i: the vacuum product stays 1/4."""
     w, r = spec.windows, spec.separation
-
-    def lag_sum(prop, first):
-        # only lags with a positive count: 0 * D_pi(0) = 0 * inf is NaN
-        return math.fsum((2 * w - lag if lag else w) * prop(spec, lag * r)
-                         for lag in range(first, 2 * w, 2)) / w
-
+    # (A, A) and (A, B) terms, each lag's D_phi and D_pi back to back, as the
+    # two share one evaluation; every count is positive, since 0 * D_pi(0)
+    # = 0 * inf is NaN
+    g, h = ([], []), ([], [])
+    for lag in range(2 * w):
+        count = 2 * w - lag if lag else w
+        g[lag % 2].append(count * d_phi(spec, lag * r))
+        h[lag % 2].append(count * d_pi(spec, lag * r))
     return CollectiveCovariance(
-        g_diag=lag_sum(d_phi, 0),
-        h_diag=lag_sum(d_pi, 0),
-        g_cross=lag_sum(d_phi, 1),
-        h_cross=lag_sum(d_pi, 1))
+        g_diag=math.fsum(g[0]) / w, h_diag=math.fsum(h[0]) / w,
+        g_cross=math.fsum(g[1]) / w, h_cross=math.fsum(h[1]) / w)
 
 
 def field_negativity(spec: FieldRegionSpec) -> EntanglementResult:

@@ -1,12 +1,14 @@
 """Byte pins of the command line: the sha256 of stdout and the exit code of
 a fixed set of small runs.
 
-The pins hold for the numpy and scipy builds this suite was recorded with,
-on any OpenBLAS kernel: every sum that reaches the output is numpy's own,
-in an order fixed in numpy's source, and the cross-kernel test checks it
-in fresh processes with the kernel forced.  Another build of numpy or
-scipy can still move the last digit of a float and so a hash.  A change
-that moves these bytes on purpose updates the pins and says so.
+The pins hold for the numpy build this suite was recorded with, on any
+OpenBLAS kernel and any SIMD width numpy dispatches to: every sum that
+reaches the output is numpy's own, in an order fixed in numpy's source,
+the field's logarithms and exponentials are Python's `math`, and the
+cross-kernel test checks both in fresh processes with the kernel forced or
+numpy's AVX-512 loops switched off.  Another numpy build can still move
+the last digit of a float and so a hash.  A change that moves these bytes
+on purpose updates the pins and says so.
 """
 
 import hashlib
@@ -38,14 +40,14 @@ PINS = [
      "7ee8ee9d585b79490ee6adfae20b8629e309c3bc96a2c4590c956aa107fcce3c", 0),
     # r = 0 and r = L carry D_pi = +inf and -inf; 0.5 overlaps; the rest
     # are separated and also carry epsilon
-    (FIELD, "fa1de34dd5b79232b08943eac319236cfebd14520c0938fb0df29dc82dfa9ec9",
+    (FIELD, "0ce11da652c23e40935f938b32d9cbd210d4af832e32de440541e61ce8d802bd",
      0),
     (FIELD + ["--format", "json"],
-     "625013d9d42289675df2c7a040d5a781648fd33ebb74b5eb4678fa38a03cf7c0", 0),
+     "2aec11a8f334feb2e2f006c454b55d20c4514851aee85187f6b8c2a383a521b5", 0),
     # m L = 3: the overlapping windows take the Bickley route, whose Ki2 at
     # u >= 2 is the trapezoid sum; that sum's order decides the r = 0.7 row
     (["field", "--mass", "3", "--length", "1", "--r", "0,0.3,0.7,1.2,3"],
-     "7aa0af3646b141abe863620a0d80a6e0e70af4aaaf4fbee8f0f2235b18bd6e9b", 0),
+     "69edd7831ee6e68a573a60d5c593c6501d8baa695dbc7335fc4213b4a62b08be", 0),
     (["validate", "--oracle-n", "4096", "--report", "text"],
      "3a6c3028d15b9a40db1987b0126f732335ca36d090913bec8ead9b7449d497d0", 0),
     (["validate", "--oracle-n", "4096", "--report", "json"],
@@ -64,9 +66,15 @@ def test_stdout_bytes_are_pinned(argv, digest, code, capsys):
 #: numpy's BLAS, as its build configuration names it
 BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 
-#: OpenBLAS kernels to force, each with the CPU features it needs; SkylakeX
-#: is left out, since it needs AVX-512 and a CPU without it dies of SIGILL
-KERNELS = [("Prescott", ()), ("Haswell", ("AVX2", "FMA3"))]
+#: (name, environment, CPU features it needs): OpenBLAS kernels to force,
+#: where SkylakeX is left out, since it needs AVX-512 and a CPU without it
+#: dies of SIGILL; and numpy's AVX-512 loops switched off, which would move
+#: a numpy exp or log on the field path
+KERNELS = [
+    ("Prescott", {"OPENBLAS_CORETYPE": "Prescott"}, ()),
+    ("Haswell", {"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+    ("X86_V4-disabled", {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, ("AVX512F",)),
+]
 
 #: prints [sha256 of stdout, exit code] of each argv in argv[1], as JSON
 RUN_PINS = """
@@ -86,13 +94,13 @@ print(json.dumps(results))
                     reason="OpenBLAS core types are named for x86-64")
 @pytest.mark.skipif("openblas" not in BLAS.lower(),
                     reason="numpy is not built with OpenBLAS")
-@pytest.mark.parametrize("kernel,features", KERNELS,
-                         ids=[kernel for kernel, _ in KERNELS])
-def test_pins_hold_under_every_blas_kernel(kernel, features):
+@pytest.mark.parametrize("kernel,environ,features", KERNELS,
+                         ids=[kernel for kernel, _, _ in KERNELS])
+def test_pins_hold_under_every_blas_kernel(kernel, environ, features):
     if not all(__cpu_features__.get(name) for name in features):
         pytest.skip(f"{kernel} needs {', '.join(features)}")
     done = fresh_python(RUN_PINS, json.dumps([argv for argv, _, _ in PINS]),
-                        OPENBLAS_CORETYPE=kernel)
+                        **environ)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     moved = [" ".join(argv) for (argv, digest, code), result in zip(PINS, got)

@@ -243,9 +243,15 @@ CLI_ARGVS = [
     ["sweep", "--alphas", "0.5", "--m", "1000", "--s", "100", "--d", "3"],
     ["sweep", "--alphas", "0.5", "--d", "10000"],
     *(["field", "--mass", m, "--length", "1", "--r", "2"]
-      for m in ("nan", "inf", "-inf", "0", "1e200", "1e-200")),
+      for m in ("nan", "inf", "-inf", "0", "1e200", "1e-200", "5e-324")),
     *(["field", "--mass", "1", "--length", length, "--r", "2"]
-      for length in ("nan", "inf", "1e200", "1e-200")),
+      for length in ("nan", "inf", "1e200", "1e-200", "5e-324")),
+    # m r below the smallest float (twice), then r/L
+    ["field", "--mass", "5e-324", "--length", "1", "--r", "0,0.3,1,3"],
+    ["field", "--mass", "1e-10", "--length", "1", "--r", "5e-324"],
+    ["field", "--mass", "1", "--length", "4", "--r", "5e-324"],
+    # m (r + L) overflows in the contact term
+    ["field", "--mass", "1.7e308", "--length", "1", "--r", "0.9"],
     ["field", "--mass", "1", "--length", "1", "--r",
      "0,0.999999999999,1,1.000000000001"],
     *(["field", "--mass", "1", "--length", "1", "--r", r]

@@ -8,7 +8,7 @@ from chainent import (BlockSpec, DomainError, FieldRegionSpec,
                       QuadratureError, d_phi, d_pi, field_covariance,
                       field_negativity)
 from chainent.entanglement import lag_counts
-from chainent.field import MAX_WINDOWS
+from chainent.field import MAX_WINDOWS, _ascending, _k0_xk1, _ki2
 from tests import _frozen, oracles
 
 
@@ -125,6 +125,28 @@ class TestPropagators:
         assert d_pi(spec(1e-15, 1e-300), 2e-300) == pytest.approx(
             near, rel=1e-14)
 
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 3.0])
+    def test_subnormal_unit_mass_is_finite(self, r):
+        # m L = 5e-324: m r underflows at r = 0.3, and ln(m r) is taken as
+        # ln m + ln r; formerly a raw ValueError from math.log(0)
+        s = FieldRegionSpec(5e-324, 1.0, 0.0)
+        assert math.isfinite(d_phi(s, r))
+        if r not in (0.0, 1.0):
+            assert math.isfinite(d_pi(s, r))
+
+    def test_separation_below_float_resolution(self):
+        # m r = 5e-334 underflows, yet D_phi is continuous at r = 0
+        assert d_phi(spec(mass=1e-10), 5e-324) == pytest.approx(
+            d_phi(spec(mass=1e-10), 0.0), rel=1e-15)
+
+    @pytest.mark.parametrize("length,r", [(5e-324, 1.0), (4.0, 5e-324)])
+    def test_unit_separation_out_of_range_is_a_numerical_failure(
+            self, length, r):
+        # r/L overflows or underflows
+        for func in (d_phi, d_pi):
+            with pytest.raises(QuadratureError):
+                func(spec(length=length), r)
+
     def test_even_in_separation(self):
         s = spec()
         assert d_phi(s, 1.3) == d_phi(s, -1.3)
@@ -207,6 +229,72 @@ class TestTriangleOracle:
                 expected = oracles.field_triangle_oracle(mass, length, r, kind)
                 assert func(spec(mass, length), r) == pytest.approx(
                     expected, rel=1e-13 if r > length else 1e-10)
+
+
+#: the Bessel helpers' test points: both ends of the float range, both
+#: sides of the switch from ascending series to trapezoid at x = 2
+BESSEL_POINTS = [5e-324, 1e-300, 1e-8, 0.5, math.nextafter(2.0, 0.0), 2.0,
+                 math.nextafter(2.0, 3.0), 10.0, 100.0, 700.0, 745.0]
+
+
+class TestBesselFunctions:
+    """The field's own K0, x K1, Int_0^x K0 and Ki2 against mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def mp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            yield mp
+
+    def test_k0_and_xk1(self, mp):
+        k0, xk1 = _k0_xk1(1.0, np.array(BESSEL_POINTS))
+        for x, got_k0, got_xk1 in zip(BESSEL_POINTS, k0, xk1):
+            x_mp = mp.mpf(x)
+            # 5e-324 absolute: K0(745) and 745 K1(745) are subnormal
+            assert got_k0 == pytest.approx(float(mp.besselk(0, x_mp)),
+                                           rel=1e-15, abs=5e-324)
+            assert got_xk1 == pytest.approx(
+                float(x_mp * mp.besselk(1, x_mp)), rel=1e-15, abs=5e-324)
+
+    def test_scaled_argument_keeps_its_logarithm(self, mp):
+        # mu x = 1.5e-324 is not a float; ln(mu x) is ln mu + ln x
+        k0, xk1 = _k0_xk1(5e-324, np.array([0.3]))
+        x_mp = mp.mpf(5e-324) * mp.mpf(0.3)
+        assert k0[0] == pytest.approx(float(mp.besselk(0, x_mp)), rel=1e-15)
+        assert xk1[0] == 1.0
+
+    @staticmethod
+    def int_k0(mp, x):
+        """Int_0^x K0 = (pi x/2)(K0 L_-1 + K1 L_0) (DLMF 10.43.2, Struve L)."""
+        return mp.pi * x / 2 * (mp.besselk(0, x) * mp.struvel(-1, x)
+                                + mp.besselk(1, x) * mp.struvel(0, x))
+
+    def test_integral_of_k0(self, mp):
+        # the series row is the integral over x, used for x <= 2 only
+        points = [x for x in BESSEL_POINTS if x <= 2.0]
+        rows = _ascending(1.0, np.array(points))
+        for x, got in zip(points, rows[2]):
+            x_mp = mp.mpf(x)
+            assert got == pytest.approx(float(self.int_k0(mp, x_mp) / x_mp),
+                                        rel=1e-15)
+
+    def test_bickley_ki2(self, mp):
+        # absolute accuracy, which is what the overlap's differences need
+        for x in BESSEL_POINTS:
+            x_mp = mp.mpf(x)
+            if x <= 2.0:    # Ki2 = x (K1 - Ki1), Ki1 = pi/2 - Int_0^x K0
+                want = x_mp * (mp.besselk(1, x_mp) - mp.pi / 2
+                               + self.int_k0(mp, x_mp))
+            else:   # in u = sqrt(2x) sinh(t/2), as for K0
+                want = mp.exp(-x_mp) * mp.quad(
+                    lambda u: mp.exp(-u * u) * 2 / mp.sqrt(2 * x_mp + u * u)
+                    * (x_mp / (x_mp + u * u))**2, [0, 1, 3, mp.inf])
+            assert _ki2(x) == pytest.approx(float(want), rel=0.0, abs=2e-16)
+
+    def test_overlap_accuracy(self, mp):
+        # the overlap branch's series: formerly 1.1e-14 off with iti0k0
+        want = oracles.field_triangle_oracle(1.0, 1.0, 0.5, "phi", dps=40)
+        assert d_phi(spec(), 0.5) == pytest.approx(want, rel=1e-15)
 
 
 class TestFieldNegativity:

@@ -1,8 +1,7 @@
-"""The chain side loads no field code: `import chainent`, `import
-chainent.cli` and the `sweep` and `correlations` commands leave scipy and
-`chainent.field` unloaded in a fresh process.  The field names resolve on
-first access, and `field` and `validate` print the same bytes in a fresh
-process as in this one."""
+"""The package runs on numpy alone: `import chainent`, `import chainent.cli`
+and every command, the field ones too, leave scipy unloaded in a fresh
+process, and `field` and `validate` print the same bytes in a fresh process
+as in this one."""
 
 import json
 import os
@@ -15,10 +14,10 @@ import pytest
 import chainent
 from chainent import cli
 
-#: modules only the field side needs
-FIELD_MODULES = ("scipy", "scipy.special", "chainent.field")
-
 SRC = str(Path(chainent.__file__).resolve().parents[1])
+
+FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
+VALIDATE = ["validate", "--oracle-n", "4096"]
 
 #: each stage runs after the ones before it, in one fresh process
 STAGES = (
@@ -29,10 +28,9 @@ STAGES = (
     ("correlations", "cli.main(['correlations', '--alpha', '0.9', "
                      "'--l-max', '20', '--oracle-n', '256', "
                      "'--out', os.devnull])"),
+    ("field", f"cli.main({FIELD + ['--out', os.devnull]!r})"),
+    ("validate", f"cli.main({VALIDATE + ['--out', os.devnull]!r})"),
 )
-
-FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
-VALIDATE = ["validate", "--oracle-n", "4096"]
 
 
 def fresh_python(code: str, *args: str,
@@ -47,12 +45,11 @@ def fresh_python(code: str, *args: str,
 
 
 @pytest.fixture(scope="module")
-def loaded_after_stage():
-    """stage -> the FIELD_MODULES loaded once it has run."""
+def scipy_after_stage():
+    """stage -> whether scipy is loaded once it has run."""
     lines = ["import json, os, sys", "loaded = {}"]
     for name, statement in STAGES:
-        lines += [statement, f"loaded[{name!r}] = [m for m in "
-                             f"{FIELD_MODULES!r} if m in sys.modules]"]
+        lines += [statement, f"loaded[{name!r}] = 'scipy' in sys.modules"]
     lines.append("print(json.dumps(loaded))")
     done = fresh_python("\n".join(lines))
     assert done.returncode == 0, done.stderr
@@ -60,8 +57,8 @@ def loaded_after_stage():
 
 
 @pytest.mark.parametrize("stage", [name for name, _ in STAGES])
-def test_chain_path_loads_no_field_code(loaded_after_stage, stage):
-    assert loaded_after_stage[stage] == []
+def test_stage_loads_no_scipy(scipy_after_stage, stage):
+    assert scipy_after_stage[stage] is False
 
 
 @pytest.mark.parametrize("argv", [FIELD, VALIDATE], ids=" ".join)
@@ -69,9 +66,7 @@ def test_field_commands_print_the_same_bytes_fresh(argv, capsys):
     code = cli.main(argv)
     in_process = capsys.readouterr().out
     fresh = fresh_python(f"import sys\nfrom chainent import cli\n"
-                         f"code = cli.main({argv!r})\n"
-                         f"assert 'chainent.field' in sys.modules\n"
-                         f"sys.exit(code)")
+                         f"sys.exit(cli.main({argv!r}))")
     assert (fresh.returncode, fresh.stdout) == (code, in_process)
 
 
