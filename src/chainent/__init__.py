@@ -15,7 +15,7 @@ correlations : ground-state two-point functions of the oscillator chain
 blocks       : periodic two-block geometry and lag multiplicities
 entanglement : collective covariances, negativity degree, Duan witness
 field        : smeared scalar-field propagators and their negativity
-kernels      : the Gauss series that seeds the correlation tables at lag 0
+kernels      : the AGM that seeds the correlation tables at lag 0
 cli          : sweep / correlations / field / validate command line
 """
 

@@ -217,7 +217,7 @@ def _checked_table(alpha, l_max, oracle_n):
 def cmd_sweep(args) -> tuple[str, int]:
     # sorted and unique (see parse_float_values), validated up front
     alphas = [correlations._check_coupling(a) for a in args.alphas]
-    tokens = args.specs.split(",") if args.specs else ()
+    tokens = args.specs.split(",") if args.specs is not None else ()
     rows = len(alphas) * (len(tokens) or
                           len(args.m) * len(args.s) * len(args.d))
     if rows > MAX_GRID:

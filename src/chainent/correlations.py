@@ -3,7 +3,8 @@
 The infinite-chain position and momentum correlations at integer lag l have
 hypergeometric closed forms and obey a three-term recurrence in l.  The
 production path runs that recurrence backward from far out, in place in
-the arrays it returns, seeded at lag 0 by `kernels.hyp2f1_series`.  The
+the arrays it returns, and multiplies the ratios up from lag-0 seeds that
+the arithmetic-geometric mean gives (`kernels.hyp2f1_series`).  The
 finite chain of N sites admits an exact spectral sum over its N normal
 modes, an independent validation oracle: one real FFT of 1/nu_k gives every
 g_l, and since nu_k^2 = 1 - alpha cos theta_k each h_l follows from
@@ -22,11 +23,9 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DomainError, _check_int, _check_real
 
-#: cap on the backward recurrence's steps past l_max.  The lag-0 seed series
-#: reaches its term cap at 1 - alpha = 3.7e-11, where the recurrence takes
-#: 2.1e6 steps; below 1 - alpha = 1.9e-11 this cap refuses at once instead
-#: of summing the seed first.
-MAX_RECURRENCE_STEPS = 3 * kernels.MAX_TERMS
+#: cap on the backward recurrence's steps past l_max, about 1 s of Python
+#: loop: 1 - alpha below about 1.9e-11 is refused before the loop starts.
+MAX_RECURRENCE_STEPS = 3 * 10**6
 _LOG_EPS = math.log(2.0**-53)
 
 #: most lags, l_max + 1, of a `correlation_table`, and so the largest span
@@ -47,12 +46,10 @@ def _check_coupling(alpha) -> float:
     return a
 
 
-def _reduced_coupling(alpha: float) -> tuple[float, float]:
-    """z = (1 - sqrt(1 - alpha^2))/alpha and mu = 1/sqrt(1 + z^2), the
-    derived quantities entering the closed-form correlations."""
-    # algebraically (1 - sqrt(1 - a^2))/a, written to avoid cancellation
-    z = alpha / (1.0 + math.sqrt((1.0 - alpha) * (1.0 + alpha)))
-    return z, 1.0 / math.sqrt(1.0 + z * z)
+def _reduced_coupling(alpha: float) -> float:
+    """z = (1 - sqrt(1 - alpha^2))/alpha, the ratio g_l and h_l decay by."""
+    # written to avoid the cancellation
+    return alpha / (1.0 + math.sqrt((1.0 - alpha) * (1.0 + alpha)))
 
 
 @dataclass(frozen=True)
@@ -99,21 +96,23 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     with K the least integer where z^(2K) <= 2^-53: the start's error has
     died out below rounding by lag l_max.  The ratios for lags 1..l_max
     land in the returned arrays, and one cumulative product in place
-    from the lag-0 seeds, 2F1(1/2, 1/2; 1; z^2)/(2 mu) and
-    mu 2F1(-1/2, -1/2; 1; z^2)/2, gives the table with relative accuracy at
-    every lag (about 1e-14 for alpha <= 0.99; near alpha = 1 the seed's
-    series sets it, 2e-13 at 0.9999).  The far tail is 0: entries below
-    the smallest normal float are set to 0.
+    from the lag-0 seeds, g_0 = K(m)/(pi sqrt(1 + alpha)) and
+    h_0 = sqrt(1 + alpha) E(m)/pi with m = 2 alpha/(1 + alpha), gives the
+    table with relative accuracy at every lag.  The seeds are within
+    2.5e-15 (`kernels.hyp2f1_series`); the recurrence's rounding sets the
+    rest, which grows with the lag and as alpha -> 1: by lag 200 below
+    1e-14 at alpha <= 0.99, 2e-14 at 0.9999 and 4e-13 at 0.999999.  The
+    far tail is 0: entries below the smallest normal float are set to 0.
 
     Raises ConvergenceError when alpha is so close to 1 that K exceeds
-    `MAX_RECURRENCE_STEPS` or a lag-0 seed series its term cap, and
-    DomainError when l_max + 1 exceeds `MAX_TABLE_LAGS`.
+    `MAX_RECURRENCE_STEPS`, and DomainError when l_max + 1 exceeds
+    `MAX_TABLE_LAGS`.
     """
     l_max = _check_int("l_max", l_max, 0)
     if l_max >= MAX_TABLE_LAGS:
         raise DomainError(f"l_max must be < {MAX_TABLE_LAGS}, got {l_max}")
     alpha = _check_coupling(alpha)
-    z, mu = _reduced_coupling(alpha)
+    z = _reduced_coupling(alpha)
     # z is 0 for alpha below about 1e-323, where every ratio is 0 to rounding
     steps = math.ceil(_LOG_EPS / (2.0 * math.log(z))) if z > 0.0 else 0
     if steps > MAX_RECURRENCE_STEPS:
@@ -121,11 +120,9 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
             f"backward recurrence needs {steps} steps past l_max, more than "
             f"{MAX_RECURRENCE_STEPS} (alpha={alpha}); alpha is too close "
             f"to 1")
-    x = z * z
     g = np.empty(l_max + 1)
     h = np.empty(l_max + 1)
-    g[0] = 1.0 / (2.0 * mu) * kernels.hyp2f1_series(0.5, x)
-    h[0] = mu / 2.0 * kernels.hyp2f1_series(-0.5, x)
+    g[0], h[0] = kernels.hyp2f1_series(alpha)
     half = 0.5 * alpha
     rg = rh = 0.0
     for l in range(l_max + steps, 0, -1):

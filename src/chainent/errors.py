@@ -13,7 +13,7 @@ class DomainError(ChainentError, ValueError):
 
 
 class ConvergenceError(ChainentError, ArithmeticError):
-    """A series did not converge within the configured term cap (CLI exit code 3)."""
+    """An iteration needs more steps than its cap allows (CLI exit code 3)."""
 
 
 class LagBoundError(ChainentError, ValueError):

@@ -551,21 +551,20 @@ class TestUsageErrors:
             "chainent: domain error: lag counting takes at most 6000 "
             "subblocks, got m=6001\n")
 
+    @pytest.mark.parametrize("specs", ["", ","], ids=["empty", "comma"])
+    def test_empty_specs_is_usage_error(self, capsys, specs):
+        # an empty list names no block, not the default --m/--s/--d grid
+        assert run(["sweep", "--alphas", "0.5", "--specs", specs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("chainent: domain error: block spec must be "
+                                "'m:s:d', got ''\n")
+
     def test_alpha_next_to_one_is_numerical_failure(self, capsys):
         assert run(["correlations", "--alpha", "0.999999999999999"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("chainent: numerical failure: ")
-        assert captured.err.count("\n") == 1
-
-    def test_seed_term_cap_is_numerical_failure(self, capsys):
-        # within the recurrence's step cap, but the lag-0 seed series
-        # reaches its term cap
-        assert run(["correlations", "--alpha", "0.99999999997"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "chainent: numerical failure: lag-0 seed series")
         assert captured.err.count("\n") == 1
 
     def test_missing_subcommand(self):

@@ -28,16 +28,16 @@ FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
 
 #: argv -> (sha256 of stdout, exit code)
 PINS = [
-    (SWEEP, "0dcfdb87ed466c6a752ac3686db2ab209138ad6fd15b43a8a133579134b1bed2",
+    (SWEEP, "c6e14bb9d67c37c7266891db202148d8502bc495029ff560fe17047644cf8a6b",
      0),
     (SWEEP + ["--format", "json"],
-     "2cbe638da76acfe69bac531f92ffe611bb4d2ea87618d8df320e6030730414ee", 0),
+     "274fd1107bff4611338bb2dd0dbd8a7a59e72eef04948762b996855919ec9f9b", 0),
     (["sweep", "--alphas", "0.99", "--specs", "2:3:1,1:6:0", "--oracle-n",
       "4096"],
-     "72b23d147b6c3b43868ef75c8989466832f6b09b89ccb838a7ebe79399e0836e", 0),
+     "b333b87b668ca349c3d2c5067c0f31be6287bb3eba49424572e6474c3265766c", 0),
     (["correlations", "--alpha", "0.9", "--l-max", "40", "--oracle-n",
       "65536"],
-     "7ee8ee9d585b79490ee6adfae20b8629e309c3bc96a2c4590c956aa107fcce3c", 0),
+     "05521815aa616d61367afe01c83ed63b874388bcd06536ca1ef974866bbf9a28", 0),
     # r = 0 and r = L carry D_pi = +inf and -inf; 0.5 overlaps; the rest
     # are separated and also carry epsilon
     (FIELD, "0ce11da652c23e40935f938b32d9cbd210d4af832e32de440541e61ce8d802bd",
@@ -49,9 +49,9 @@ PINS = [
     (["field", "--mass", "3", "--length", "1", "--r", "0,0.3,0.7,1.2,3"],
      "69edd7831ee6e68a573a60d5c593c6501d8baa695dbc7335fc4213b4a62b08be", 0),
     (["validate", "--oracle-n", "4096", "--report", "text"],
-     "3a6c3028d15b9a40db1987b0126f732335ca36d090913bec8ead9b7449d497d0", 0),
+     "5667ea686c68afc1f3066a93df8b2001f1310aa9e3eb430e0db77d978edb04d3", 0),
     (["validate", "--oracle-n", "4096", "--report", "json"],
-     "de6d1642a4f1d2c857fe88980603d68093b3f730c403b56753c6da4f15b3d60a", 0),
+     "200dfccc13262b6af07a317a49d7ede25fb6803e10a1df756fd1b74cc85566fb", 0),
 ]
 
 

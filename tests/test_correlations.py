@@ -23,40 +23,36 @@ class TestCoupling:
 
     def test_weak_coupling_z_is_half_alpha(self):
         alpha = 1e-8
-        z, mu = _reduced_coupling(alpha)
-        assert z == pytest.approx(alpha / 2, rel=1e-8)
-        assert mu == pytest.approx(1.0, abs=1e-15)
+        assert _reduced_coupling(alpha) == pytest.approx(alpha / 2, rel=1e-8)
 
     def test_z_at_09(self):
-        z, _ = _reduced_coupling(0.9)
+        z = _reduced_coupling(0.9)
         assert z == pytest.approx(_frozen.Z_AT_09, rel=1e-15)
         assert z == pytest.approx((1 - math.sqrt(0.19)) / 0.9, rel=1e-13)
 
     def test_strong_coupling_z_approaches_one(self):
-        z, mu = _reduced_coupling(1 - 1e-12)
-        assert 0.999 < z < 1.0
-        assert mu == pytest.approx(1 / math.sqrt(2), rel=1e-5)
+        assert 0.999 < _reduced_coupling(1 - 1e-12) < 1.0
 
     @given(alpha=couplings)
     def test_reduced_bounds(self, alpha):
-        z, mu = _reduced_coupling(alpha)
-        assert 0.0 < z < 1.0
-        assert 1 / math.sqrt(2) < mu < 1.0
+        assert 0.0 < _reduced_coupling(alpha) < 1.0
 
 
 class TestHyp2f1:
-    # the lag-0 seeds 2F1(1/2, 1/2; 1; z^2) and 2F1(-1/2, -1/2; 1; z^2)
+    # the lag-0 seeds g_0 and h_0, from the arithmetic-geometric mean
 
     def test_g1_reconstruction_against_finite_chain(self):
         # the seed feeding g_1 must reproduce the spectral-sum oracle
         assert correlation_table(0.5, 1).g[1] == pytest.approx(
             finite_correlation_table(0.5, 2**20, 1).g[1], abs=1e-10)
 
-    def test_term_cap_raises(self):
-        # the recurrence would take 2.4e6 steps, under its cap; the seed
-        # series hits its term cap first
-        with pytest.raises(ConvergenceError, match="lag-0 seed series"):
-            correlation_table(1 - 3e-11, 0)
+    def test_seeds_hold_at_one_minus_3e_11(self):
+        # the recurrence takes 2.4e6 steps, under its cap; the AGM seeds
+        # have no term cap
+        table = correlation_table(1 - 3e-11, 3)
+        assert np.all(np.isfinite(table.g)) and np.all(np.isfinite(table.h))
+        assert np.all(table.g > 0) and table.h[0] > 0
+        assert np.all(table.h[1:] < 0)
 
 
 class TestInfiniteChain:
@@ -216,11 +212,11 @@ class TestCorrelationTable:
 
 #: relative tolerance per coupling against the 40-digit oracle; each is below
 #: the largest error the per-lag Gauss series made at that coupling (1.3e-13,
-#: 1.1e-13, 1.5e-13, 1.3e-13, 1.7e-12, 3.0e-11).  The recurrence measured
-#: 1.9e-15, 1.1e-15, 5.6e-15, 1.4e-14, 2.1e-13, 2.0e-12; near alpha = 1 the
-#: lag-0 seed series sets the error.
-EDGE_RTOL = {0.1: 2e-14, 0.5: 2e-14, 0.9: 2e-14, 0.99: 3e-14, 0.9999: 5e-13,
-             0.999999: 5e-12}
+#: 1.1e-13, 1.5e-13, 1.3e-13, 1.7e-12, 3.0e-11).  The recurrence from the
+#: AGM seeds measured 1.1e-15, 1.3e-15, 7.6e-15, 1.9e-15, 2.0e-14, 3.7e-13,
+#: its own rounding, which grows with the lag as alpha -> 1.
+EDGE_RTOL = {0.1: 2e-14, 0.5: 2e-14, 0.9: 2e-14, 0.99: 5e-15, 0.9999: 5e-14,
+             0.999999: 1e-12}
 
 
 class TestRecurrence:
@@ -235,16 +231,14 @@ class TestRecurrence:
                     expected, rel=EDGE_RTOL[alpha], abs=0.0), (kind, l)
 
     def test_finite_next_to_one(self):
-        # the seed series still converges at 1 - alpha = 5e-11; the
-        # recurrence then takes about 1.8e6 steps
+        # the recurrence takes about 1.8e6 steps at 1 - alpha = 5e-11
         table = correlation_table(1.0 - 5e-11, 3)
         assert np.all(np.isfinite(table.g)) and np.all(np.isfinite(table.h))
         assert np.all(table.g > 0) and table.h[0] > 0
         assert np.all(table.h[1:] < 0)
 
     def test_too_close_to_one_raises_at_once(self):
-        # the recurrence would need 4e8 steps: refused before any series
-        # runs (summing a seed to its term cap first takes about 0.3 s)
+        # the recurrence would need 4e8 steps: refused before it runs
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="backward recurrence"):
             correlation_table(0.999999999999999, 5)
@@ -257,7 +251,7 @@ class TestRecurrence:
         # the ratios collected as (rg, rh) tuples, reversed behind the
         # seeds and multiplied up column by column, as the table was once
         # built: the in-place cumulative products give the same bits
-        z, mu = _reduced_coupling(alpha)
+        z = _reduced_coupling(alpha)
         steps = math.ceil(math.log(2.0**-53) / (2.0 * math.log(z)))
         half = 0.5 * alpha
         rg = rh = 0.0
@@ -267,8 +261,7 @@ class TestRecurrence:
             rh = half * (l - 1.5) / (l - half * (l + 1.5) * rh)
             if l <= l_max:
                 ratios.append((rg, rh))
-        ratios.append((1.0 / (2.0 * mu) * kernels.hyp2f1_series(0.5, z * z),
-                       mu / 2.0 * kernels.hyp2f1_series(-0.5, z * z)))
+        ratios.append(kernels.hyp2f1_series(alpha))
         g, h = np.cumprod(ratios[::-1], axis=0).T.copy()
         for values in (g, h):   # the table flushes its subnormal tail to 0
             values[np.abs(values) < np.finfo(float).tiny] = 0.0

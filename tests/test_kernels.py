@@ -1,16 +1,15 @@
 import pytest
-from scipy import special
 
-from chainent import ConvergenceError, kernels
-
-
-def test_series_sums_the_gauss_series():
-    for a in (0.5, -0.5):
-        assert kernels.hyp2f1_series(a, 0.25) == pytest.approx(
-            special.hyp2f1(a, a, 1.0, 0.25), rel=1e-14)
+from chainent import kernels
+from tests import oracles
 
 
-def test_series_raises_at_its_term_cap(monkeypatch):
-    monkeypatch.setattr(kernels, "MAX_TERMS", 20)
-    with pytest.raises(ConvergenceError, match="within 20 terms"):
-        kernels.hyp2f1_series(0.5, 0.95)
+@pytest.mark.parametrize("alpha", [5e-324, 1e-9, 0.1, 0.5, 0.9, 0.99, 0.9999,
+                                   1 - 1e-8, 1 - 1e-12, 1 - 1e-15])
+def test_seeds_match_the_hypergeometric_oracle(alpha):
+    # the oracle takes the (z, mu) hypergeometric form, not the AGM
+    g0, h0 = kernels.hyp2f1_series(alpha)
+    assert g0 == pytest.approx(oracles.correlation_oracle(0, alpha, "g"),
+                               rel=1e-15, abs=0.0)
+    assert h0 == pytest.approx(oracles.correlation_oracle(0, alpha, "h"),
+                               rel=1e-15, abs=0.0)
