@@ -13,8 +13,8 @@ in column order.
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
-table lags in all, and the library bounds tables, layouts and lag
-counting.  A size past its bound exits 2.
+table lags in all, and the library bounds tables and layouts.  A size past
+its bound exits 2.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import correlations, entanglement, field
+from . import blocks, correlations, entanglement, field
 from .blocks import BlockSpec
 from .errors import ChainentError, DomainError
 
@@ -348,6 +348,17 @@ def _check_chain_cutoffs(oracle_n: int):
     return True, "entangled at d=0, separable at d=2 (alpha=0.9, n <= 10)"
 
 
+def _check_lag_counts(oracle_n: int):
+    for spec in (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2)):
+        a, b = blocks.block_indices(spec)
+        for got, other in zip(blocks.lag_counts(spec), (a, b)):
+            pairs = blocks.lag_count_array(a, other)
+            # a pair count ends at its largest lag; got runs to max_lag
+            if not np.array_equal(np.trim_zeros(got, "b"), pairs):
+                return False, f"lag counts of {spec} differ from pair counts"
+    return True, "closed-form lag counts equal direct pair counts (3 layouts)"
+
+
 def _check_field_null(oracle_n: int):
     spec = field.FieldRegionSpec(mass=1.0, length=1.0, separation=0.0)
     dphi0 = field.d_phi(spec, 0.0)
@@ -370,6 +381,7 @@ VALIDATION_CHECKS = (
     ("symplectic", _check_symplectic),
     ("rescaling-invariance", _check_rescaling),
     ("chain-cutoffs", _check_chain_cutoffs),
+    ("lag-counts", _check_lag_counts),
     ("field-null-result", _check_field_null),
 )
 

@@ -20,10 +20,10 @@ condition.
 
 Every rule here is written once, elementwise over floats and arrays alike:
 `_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
-takes its values from it), `_moments` the covariance of one layout under
-any number of couplings (summed in an order numpy fixes, not a BLAS
-kernel), `_approx` the nearest-neighbour estimate.  A sweep calls them on
-its whole grid.
+takes its values from it), `_moments` the covariance of one layout from
+its `blocks.lag_counts` under any number of couplings (summed in an order
+numpy fixes, not a BLAS kernel), `_approx` the nearest-neighbour estimate.
+A sweep calls them on its whole grid.
 """
 
 import math
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockSpec, block_indices, lag_count_array
+from .blocks import BlockSpec, block_indices, lag_counts
 from .correlations import CorrelationTable
 from .errors import (DomainError, InvalidCovarianceError, LagBoundError,
                      _check_int, _check_real)
@@ -41,12 +41,6 @@ VACUUM_PRODUCT = 0.25
 
 #: rounding slack of the separability test, relative to 4 (delta1*delta2)_0
 SEPARABILITY_ATOL = 1e-12
-
-#: most subblocks per block `lag_counts` takes.  Its m x 2m int64 offset
-#: array takes 576 MB at the cap; the cap goes with that array once the
-#: offset multiplicities come from their closed form (m at j = 0, 2m - j
-#: above).
-MAX_COUNTED_SUBBLOCKS = 6000
 
 #: most sites of the verification-only `symplectic_form` and
 #: `collective_symplectic`
@@ -143,32 +137,6 @@ class EntanglementResult:
     @property
     def entangled(self) -> bool:
         return not self.separable
-
-
-def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Lag multiplicities (intra, cross) of a layout, as float arrays.
-
-    intra[l] counts the site pairs at lag l within block A (block B has the
-    same counts), cross[l] those between A and B; both run to lag
-    spec.max_lag.  They do not depend on the coupling.
-
-    Two runs of s sites whose starts differ by D share s - |k| pairs at lag
-    |D + k| for |k| < s.  This triangle is symmetric in k, so it suffices to
-    count the (A start, start) pairs j subblocks apart, |D| = j*(s + d) (even
-    j: A-A, odd j: A-B), and spread each: O(m^2 + m*s), not O((m*s)^2).
-    m above `MAX_COUNTED_SUBBLOCKS` is refused.
-    """
-    if spec.m > MAX_COUNTED_SUBBLOCKS:
-        raise DomainError(f"lag counting takes at most "
-                          f"{MAX_COUNTED_SUBBLOCKS} subblocks, got m={spec.m}")
-    s, p, length = spec.s, spec.s + spec.d, spec.max_lag + 1
-    j = np.arange(2 * spec.m)          # subblock j starts at site j*p
-    offsets = lag_count_array(j[0::2], j)
-    j, k = j[:, None], np.arange(1 - s, s)
-    lags = np.abs(p * j + k) + length * (j % 2)
-    weights = offsets[:, None] * (s - np.abs(k))
-    counts = np.bincount(lags.ravel(), weights.ravel(), 2 * length)
-    return counts[:length], counts[length:]
 
 
 def _moments(gh: np.ndarray, spec: BlockSpec) -> np.ndarray:

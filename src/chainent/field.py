@@ -87,6 +87,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .blocks import subblock_pairs
 from .entanglement import CollectiveCovariance, EntanglementResult, negativity
 from .errors import DomainError, QuadratureError, _check_int, _check_real
 
@@ -364,17 +365,16 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     """Collective covariance of the two parties: single-window propagators
-    summed over center distances l r.  Of the alternating windows' ordered
-    pairs, (A, A) sit at even lags and (A, B) at odd ones, 2 windows - l at
-    0 < l < 2 windows and `windows` at l = 0.  A 1/sqrt(windows L) norm per
-    collective operator keeps [Q, P] = i: the vacuum product stays 1/4."""
+    summed over center distances l r, as many as `blocks.subblock_pairs`
+    counts ordered window pairs l apart: (A, A) at even l, (A, B) at odd l.
+    A 1/sqrt(windows L) norm per collective operator keeps [Q, P] = i: the
+    vacuum product stays 1/4."""
     w, r = spec.windows, spec.separation
     # (A, A) and (A, B) terms, each lag's D_phi and D_pi back to back, as the
     # two share one evaluation; every count is positive, since 0 * D_pi(0)
     # = 0 * inf is NaN
     g, h = ([], []), ([], [])
-    for lag in range(2 * w):
-        count = 2 * w - lag if lag else w
+    for lag, count in enumerate(subblock_pairs(w).tolist()):
         g[lag % 2].append(count * d_phi(spec, lag * r))
         h[lag % 2].append(count * d_pi(spec, lag * r))
     return CollectiveCovariance(

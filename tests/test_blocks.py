@@ -4,9 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
-from chainent.blocks import lag_count_array
+from chainent.blocks import lag_count_array, lag_counts, subblock_pairs
 from chainent.correlations import MAX_TABLE_LAGS
-from chainent.entanglement import lag_counts
 
 spec_strategy = st.builds(BlockSpec,
                           m=st.integers(1, 4),
@@ -128,3 +127,12 @@ class TestLagMultiset:
             want[:pairs.size] = pairs
             assert got.dtype == np.float64 and got.shape == (length,)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_subblock_pairs_match_the_pair_count(self, m):
+        # the closed form against counting (A start, start) pairs of the 2m
+        # subblock starts one by one
+        j = np.arange(2 * m)
+        pairs = subblock_pairs(m)
+        assert pairs.dtype.kind == "i"
+        assert np.array_equal(pairs, lag_count_array(j[0::2], j))

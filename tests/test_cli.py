@@ -185,13 +185,13 @@ class TestSweepCommand:
     def test_rows_equal_block_entanglement(self, capsys, monkeypatch, alphas,
                                            geometry):
         calls = []
-        original = entanglement.lag_count_array
+        original = entanglement.lag_counts
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(entanglement, "lag_count_array", counted)
+        monkeypatch.setattr(entanglement, "lag_counts", counted)
         flags, specs = geometry
         assert run(["sweep", "--alphas", ",".join(map(repr, alphas)), *flags,
                     "--format", "json"]) == 0
@@ -218,6 +218,20 @@ class TestSweepCommand:
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
             assert row == want
+
+    def test_many_subblocks_are_counted(self, capsys):
+        # lag counting has no bound of its own beyond the layout's span
+        spec = BlockSpec(6001, 1, 0)
+        assert run(["sweep", "--alphas", "0.5", "--specs", spec.as_text(),
+                    "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        res = entanglement.block_entanglement(
+            correlations.correlation_table(0.5, spec.max_lag), spec)
+        expected = {"G": res.cov.g_diag, "H": res.cov.h_diag,
+                    "G_AB": res.cov.g_cross, "H_AB": res.cov.h_cross,
+                    "delta1": res.delta1, "delta2": res.delta2,
+                    "epsilon": res.epsilon, "Delta": res.duan}
+        assert {key: row[key] for key in expected} == expected
 
     def test_convergence_failure_exit_code(self, capsys):
         # z^2 is within 1e-7 of 1: the recurrence would need 4e8 steps
@@ -544,12 +558,6 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"chainent: domain error: {message}\n"
-
-    def test_subblocks_past_the_counting_bound_is_usage_error(self, capsys):
-        assert run(["sweep", "--alphas", "0.5", "--specs", "6001:1:0"]) == 2
-        assert capsys.readouterr().err == (
-            "chainent: domain error: lag counting takes at most 6000 "
-            "subblocks, got m=6001\n")
 
     @pytest.mark.parametrize("specs", ["", ","], ids=["empty", "comma"])
     def test_empty_specs_is_usage_error(self, capsys, specs):

@@ -49,9 +49,9 @@ PINS = [
     (["field", "--mass", "3", "--length", "1", "--r", "0,0.3,0.7,1.2,3"],
      "69edd7831ee6e68a573a60d5c593c6501d8baa695dbc7335fc4213b4a62b08be", 0),
     (["validate", "--oracle-n", "4096", "--report", "text"],
-     "5667ea686c68afc1f3066a93df8b2001f1310aa9e3eb430e0db77d978edb04d3", 0),
+     "ab398a01f83b839b2ab08a944dce096792daadba0fc88bd327e72ed6374f3bab", 0),
     (["validate", "--oracle-n", "4096", "--report", "json"],
-     "200dfccc13262b6af07a317a49d7ede25fb6803e10a1df756fd1b74cc85566fb", 0),
+     "ff32c1c17a385eaf404b79bef9b35307447a0dba7a193a864a22d637d00cb4aa", 0),
 ]
 
 

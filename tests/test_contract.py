@@ -19,10 +19,10 @@ Every size has a bound that is refused with `DomainError` before anything
 is allocated, and each bound is fed one size past it: a table of 2^22 + 1
 lags, a block layout spanning 10^7 sites, 10^6 sites on the verification
 path, a field party of 10^7 windows, an oracle ring of 2^40 sites, and in
-the CLI net 50000 subblocks to count, list flags of 10^8 values and a sweep
-holding 2*10^9 table lags.  The
-CLI net also reaches m L = 1e307, past where the Bickley function's
-exponent would overflow.
+the CLI net list flags of 10^8 values and a sweep holding 2*10^9 table
+lags.  The CLI net also runs layouts of 20000 and 50000 subblocks, whose
+lags are counted in closed form, and reaches m L = 1e307, past where the
+Bickley function's exponent would overflow.
 """
 
 import dataclasses
@@ -262,8 +262,8 @@ CLI_ARGVS = [
     ["sweep", "--alphas", "0.5", "--oracle-n", "1099511627776"],
     *(["validate", "--oracle-n", n]
       for n in ("-1", "1", "51", "1099511627776")),
-    # sizes past their bounds: subblocks to count, table lags, list values
-    # and sweep rows
+    # many subblocks, counted in closed form; then sizes past their bounds:
+    # table lags, list values and sweep rows
     ["sweep", "--alphas", "0.99999999", "--specs", "50000:1:0"],
     ["sweep", "--alphas", "0.5", "--specs", "20000:1:0"],
     ["sweep", "--alphas", "0.5", "--specs", "1:100000000:0"],

@@ -10,7 +10,8 @@ from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
-from chainent.entanglement import _approx, _verdict, lag_counts
+from chainent.blocks import lag_counts
+from chainent.entanglement import _approx, _verdict
 from tests import oracles
 
 

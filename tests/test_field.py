@@ -7,7 +7,7 @@ import pytest
 from chainent import (BlockSpec, DomainError, FieldRegionSpec,
                       QuadratureError, d_phi, d_pi, field_covariance,
                       field_negativity)
-from chainent.entanglement import lag_counts
+from chainent.blocks import lag_counts
 from chainent.field import MAX_WINDOWS, _ascending, _k0_xk1, _ki2
 from tests import _frozen, oracles
 

@@ -1,7 +1,7 @@
 """The package runs on numpy alone: `import chainent`, `import chainent.cli`
 and every command, the field ones too, leave scipy unloaded in a fresh
-process, and `field` and `validate` print the same bytes in a fresh process
-as in this one."""
+process, `field` and `validate` print the same bytes in a fresh process
+as in this one, and lag counting stays small in one."""
 
 import json
 import os
@@ -68,6 +68,21 @@ def test_field_commands_print_the_same_bytes_fresh(argv, capsys):
     fresh = fresh_python(f"import sys\nfrom chainent import cli\n"
                          f"sys.exit(cli.main({argv!r}))")
     assert (fresh.returncode, fresh.stdout) == (code, in_process)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_lag_counts_of_many_subblocks_stay_small():
+    # the closed form holds O(m*s) arrays; an m x 2m pair count of these
+    # 5040 subblocks would peak past 400 MB.  The peak is the process's own
+    # VmHWM: Linux carries ru_maxrss over from the parent through exec.
+    done = fresh_python(
+        "import re\n"
+        "from chainent.blocks import BlockSpec, lag_counts\n"
+        "lag_counts(BlockSpec(5040, 1, 0))\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])")
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100 * 1024
 
 
 def test_field_names_resolve_to_the_field_module():
