@@ -34,7 +34,8 @@ _LOG_EPS = math.log(2.0**-53)
 MAX_TABLE_LAGS = 2**22
 
 #: largest ring `finite_correlation_table` sums over.  It is a verification
-#: path whose buffers take about 16 bytes a site, 256 MB at this cap.
+#: path whose buffers peak at 16 bytes a site (the real input and the rfft's
+#: complex half), 256 MB at this cap.
 MAX_ORACLE_SITES = 2**24
 
 
@@ -153,12 +154,24 @@ def finite_correlation_table(alpha, n_sites: int,
 
     with ring indices g_{-l} = g_l = g_{N-l}, so every 0 <= l_max < N is
     covered for odd and even N.  The rfft holds lags 0..N/2 and the ring
-    symmetry supplies the rest.  g carries the FFT's rounding alone; h adds
-    one cancellation of terms of size g_0, so its error is absolute, a few
-    ulp of g_0: at most 4.4e-16 from the two-FFT sums at N = 2^20 for
-    alpha up to 1 - 1e-5, 1.2e-14 at N = 2 there, where g_0 is 79.  A
-    validation path, independent of the hypergeometric production route;
-    N above `MAX_ORACLE_SITES` is refused.
+    symmetry supplies the rest.
+
+    The rfft's input is built on the half ring k = 0..N/2 alone: cos theta_k
+    is evaluated up to theta = pi/2, and on an even ring the rest of the
+    half ring is cos theta_{N/2-k} = -cos theta_k (on an odd ring cos is
+    evaluated on all of it).  1/nu is formed in place there and mirrored,
+    1/nu_{N-k} = 1/nu_k.  The half-ring values are within rounding of a
+    cos on the whole ring, and the one full-length rfft is kept: a
+    half-length cosine transform loses accuracy as alpha -> 1.
+
+    g carries the FFT's rounding and, as alpha -> 1, that of cos theta near
+    theta = 0: against long double sums at N = 2^20, within 3.3e-16 up to
+    alpha = 0.9999 and 2.5e-14 at 1 - 1e-5.  h adds one cancellation of
+    terms of size g_0, so its error is absolute, a few ulp of g_0: at most
+    4.4e-16 from the two-FFT sums on the same ring at N = 2^20 for alpha
+    up to 1 - 1e-5, 1.2e-14 at N = 2 there, where g_0 is 79.  A validation
+    path, independent of the hypergeometric production route; N above
+    `MAX_ORACLE_SITES` is refused.
     """
     alpha = _check_coupling(alpha)
     n_sites = _check_int("n_sites", n_sites, 2)
@@ -168,14 +181,24 @@ def finite_correlation_table(alpha, n_sites: int,
                           f"{n_sites}")
     if l_max >= n_sites:
         raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
-    # 1/nu_k, built in one buffer: theta, cos, 1 - alpha cos, sqrt, reciprocal
-    inv_nu = np.arange(n_sites, dtype=np.float64)
-    inv_nu *= 2.0 * np.pi / n_sites
-    np.cos(inv_nu, out=inv_nu)
-    inv_nu *= -alpha
-    inv_nu += 1.0
-    np.sqrt(inv_nu, out=inv_nu)
-    np.reciprocal(inv_nu, out=inv_nu)
+    # 1/nu_k on the half ring k = 0..N/2, built in place: cos theta up to
+    # theta = pi/2 (the whole half ring when N is odd), then on an even ring
+    # cos theta_{N/2-k} = -cos theta_k, then 1 - alpha cos, sqrt, reciprocal
+    inv_nu = np.empty(n_sites)
+    half = n_sites // 2
+    cos = inv_nu[:half + 1 if n_sites % 2 else n_sites // 4 + 1]
+    cos[:] = np.arange(cos.size)
+    cos *= 2.0 * np.pi / n_sites
+    np.cos(cos, out=cos)
+    np.negative(inv_nu[:half + 1 - cos.size][::-1],
+                out=inv_nu[cos.size:half + 1])
+    half_ring = inv_nu[:half + 1]
+    half_ring *= -alpha
+    half_ring += 1.0
+    np.sqrt(half_ring, out=half_ring)
+    np.reciprocal(half_ring, out=half_ring)
+    # and the other half by 1/nu_{N-k} = 1/nu_k
+    inv_nu[half + 1:] = inv_nu[1:n_sites - half][::-1]
     # g on lags -1..l_max+1, folded onto the ring's 0..N/2
     lags = np.arange(-1, l_max + 2) % n_sites
     g = np.fft.rfft(inv_nu).real[np.minimum(lags, n_sites - lags)]

@@ -70,7 +70,9 @@ Both propagators are evaluated at unit window length, at mass mu = m L and
 separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
 D_pi = D_pi|_(mu, rho) / L.  No intermediate grows like L^2, so a value is
 returned whenever it and m L fit a float; the branch is still chosen on
-r > L, since r/L can round to 1.  Where m L overflows, the propagators are
+the sign of r - L, since r/L can round to 1.  `field_covariance` passes
+the distance l r of window pairs l apart as rho = l (r/L), so l r need not
+fit a float either.  Where m L overflows, the propagators are
 their large-mass limits D_phi = (L - r)/(2 m L) and D_pi = m (L - r)/(2 L)
 for r < L, and 0 for r > L (at m L = 1e300 the evaluated values agree with
 these to 2 ulp); where m L underflows, or r/L leaves the float range,
@@ -295,18 +297,23 @@ def _separated(mu: float, rho: float, gap: float) -> tuple[float, float]:
             -float((weights * (xk1 / s / s)).sum()))
 
 
-def _unit(spec: FieldRegionSpec, r: float) -> tuple[float, float]:
-    """mu = m L and rho = r/L, the mass and separation at unit window length.
-    mu is inf where m L overflows, and the callers then return their
-    large-mass limits; where m L underflows, or r/L overflows or underflows,
-    QuadratureError."""
-    mu, rho = spec.mass * spec.length, r / spec.length
+def _unit(spec: FieldRegionSpec, r: float,
+          lag: int = 1) -> tuple[float, float, float]:
+    """mu = m L, rho = lag r/L and gap = rho - 1: the mass, center distance
+    and gap at unit window length of two windows lag r apart.  rho is
+    lag (r/L), finite also where lag r overflows.  At lag 1 the gap is
+    (r - L)/L, one rounding from the truth also for nearly touching windows;
+    past it rho > 2, and rho - 1 loses nothing.  mu is inf where m L
+    overflows, and the callers then return their large-mass limits; where
+    m L underflows, or r/L overflows or underflows, QuadratureError."""
+    length = spec.length
+    mu, rho = spec.mass * length, lag * (r / length)
     if mu < math.inf and not (mu > 0.0 and rho < math.inf
-                              and (rho > 0.0 or r == 0.0)):
+                              and (rho > 0.0 or lag * r == 0.0)):
         raise QuadratureError(
-            f"m L = {mu}, r/L = {rho} at m={spec.mass}, L={spec.length}, "
-            f"r={r} (floating-point range exceeded)")
-    return mu, rho
+            f"m L = {mu}, r/L = {rho} at m={spec.mass}, L={length}, "
+            f"r={lag * r} (floating-point range exceeded)")
+    return mu, rho, (r - length) / length if lag == 1 else rho - 1.0
 
 
 def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
@@ -317,56 +324,61 @@ def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
     return value
 
 
-def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
+def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None, *,
+          _lag: int = 1) -> float:
     """Smeared field propagator D_phi at center distance `at`.
 
     Finite for every separation; even in `at`.  `tol` is accepted and unused
     (the evaluation is a closed form, see the module docstring).
+    `field_covariance` passes `_lag`, a count of window spacings: the
+    distance is then _lag `at`, evaluated at _lag (at/L), so it need not fit
+    a float.
     """
-    length, r = spec.length, abs(_check_real("separation", at))
-    mu, rho = _unit(spec, r)
+    r = abs(_check_real("separation", at))
+    mu, rho, gap = _unit(spec, r, _lag)
     if mu == math.inf:      # the large-mass limit (L - r)/(2 m L), 0 past L
-        return max(length - r, 0.0) / length / spec.mass / 2.0
-    if r > length:
-        unit = _separated(mu, rho, (r - length) / length)[0] / (2.0 * math.pi)
+        return max(0.0, -gap) / spec.mass / 2.0
+    if gap > 0.0:
+        unit = _separated(mu, rho, gap)[0] / (2.0 * math.pi)
     else:
-        unit = _overlap_phi(mu, rho, (length - r) / length) / (4.0 * math.pi)
-    return _finite(length * unit, "D_phi", spec, r)
+        unit = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
+    return _finite(spec.length * unit, "D_phi", spec, _lag * r)
 
 
-def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
+def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None, *,
+         _lag: int = 1) -> float:
     """Smeared momentum propagator D_pi at center distance `at`; even in `at`.
 
     Returns +inf at `at` = 0 and -inf at `at` = L: there the oscillatory
     decomposition acquires a zero-frequency component and the integral
     diverges logarithmically (with slope +1/(pi L) resp. -1/(2 pi L) per
     unit log-cutoff), so no finite value exists.  `tol` is accepted and
-    unused.
+    unused; `_lag` as for `d_phi`.
     """
-    length, r = spec.length, abs(_check_real("separation", at))
-    if r == 0.0:
+    r = abs(_check_real("separation", at))
+    if _lag * r == 0.0:
         return math.inf
-    if r == length:
+    if _lag * r == spec.length:
         return -math.inf
-    mu, rho = _unit(spec, r)
+    mu, rho, gap = _unit(spec, r, _lag)
     if mu == math.inf:      # the large-mass limit m (L - r)/(2 L), 0 past L
-        return max(length - r, 0.0) / length * spec.mass / 2.0
-    if r > length:
-        unit = _separated(mu, rho, (r - length) / length)[1] / (2.0 * math.pi)
+        return max(0.0, -gap) * spec.mass / 2.0
+    if gap > 0.0:
+        unit = _separated(mu, rho, gap)[1] / (2.0 * math.pi)
     else:
-        rest = (length - r) / length
         at_r, at_sum, at_rest = _k0_xk1(
-            mu, np.array([rho, rho + 1.0, rest]))[0].tolist()
+            mu, np.array([rho, rho + 1.0, -gap]))[0].tolist()
         contact = (2.0 * at_r - at_sum - at_rest) / (2.0 * math.pi)
-        phi = _overlap_phi(mu, rho, rest) / (4.0 * math.pi)
+        phi = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
         unit = contact + mu * (mu * phi)
-    return _finite(unit / length, "D_pi", spec, r)
+    return _finite(unit / spec.length, "D_pi", spec, _lag * r)
 
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     """Collective covariance of the two parties: single-window propagators
     summed over center distances l r, as many as `blocks.subblock_pairs`
     counts ordered window pairs l apart: (A, A) at even l, (A, B) at odd l.
+    Each is evaluated at l (r/L), so l r need not fit a float.
     A 1/sqrt(windows L) norm per collective operator keeps [Q, P] = i: the
     vacuum product stays 1/4."""
     w, r = spec.windows, spec.separation
@@ -375,8 +387,8 @@ def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     # = 0 * inf is NaN
     g, h = ([], []), ([], [])
     for lag, count in enumerate(subblock_pairs(w).tolist()):
-        g[lag % 2].append(count * d_phi(spec, lag * r))
-        h[lag % 2].append(count * d_pi(spec, lag * r))
+        g[lag % 2].append(count * d_phi(spec, r, _lag=lag))
+        h[lag % 2].append(count * d_pi(spec, r, _lag=lag))
     return CollectiveCovariance(
         g_diag=math.fsum(g[0]) / w, h_diag=math.fsum(h[0]) / w,
         g_cross=math.fsum(g[1]) / w, h_cross=math.fsum(h[1]) / w)

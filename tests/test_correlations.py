@@ -131,7 +131,7 @@ class TestFiniteChain:
             assert small.h[l] == pytest.approx(
                 oracles.finite_correlation_fsum(l, 0.5, 8, +1.0), abs=1e-15)
 
-    @pytest.mark.parametrize("n_sites", [2, 3, 7, 8, 9, 512])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 6, 7, 8, 9, 10, 512])
     @pytest.mark.parametrize("alpha", [0.1, 0.7, 0.99])
     def test_ring_fold_at_every_lag(self, n_sites, alpha):
         # h_l = g_l - (alpha/2)(g_{l-1} + g_{l+1}) folds g_{-1} = g_1 and
@@ -146,16 +146,44 @@ class TestFiniteChain:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99, 1 - 1e-5])
     def test_matches_the_two_fft_route(self, alpha):
-        # g is the rfft of 1/nu bit for bit; h, derived from g, stays within
-        # 1e-15 absolute of the rfft of nu
+        # the ring the oracle builds: cos theta_k for theta_k <= pi/2, then
+        # cos theta_{N/2-k} = -cos theta_k up to k = N/2, then the mirror
+        # cos theta_{N-k} = cos theta_k.  g is the rfft of 1/nu on that ring
+        # bit for bit; h, derived from g, stays within 1e-15 absolute of the
+        # rfft of nu on it
         n_sites, l_max = 2**20, 100
-        theta = (2.0 * np.pi / n_sites) * np.arange(n_sites, dtype=np.float64)
-        nu = np.sqrt(1.0 - alpha * np.cos(theta))
+        cos = np.cos((2.0 * np.pi / n_sites)
+                     * np.arange(n_sites // 4 + 1, dtype=np.float64))
+        cos = np.concatenate([cos, -cos[-2::-1]])
+        cos = np.concatenate([cos, cos[-2:0:-1]])
+        nu = np.sqrt(1.0 - alpha * cos)
         g = np.fft.rfft(1.0 / nu).real[:l_max + 1] / (2.0 * n_sites)
         h = np.fft.rfft(nu).real[:l_max + 1] / (2.0 * n_sites)
         table = finite_correlation_table(alpha, n_sites, l_max)
         assert np.array_equal(table.g, g)
         assert np.max(np.abs(table.h - h)) <= 1e-15
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than double here")
+    def test_extended_precision_sums(self):
+        # the spectral sums on a long double ring: h within 1e-15 absolute;
+        # g within 1e-15 too, except as alpha -> 1, where the rounding of the
+        # double cos grid near theta = 0 sets g's error.  The bounds hold
+        # for cos taken on the whole ring too: it reads 1.7e-15 at 0.9999
+        # and 2.1e-14 at 1 - 1e-5
+        n_sites, l_max = 2**20, 100
+        two_pi = 2 * np.arccos(np.longdouble(-1))
+        cos = np.cos(np.arange(n_sites, dtype=np.longdouble)
+                     * (two_pi / n_sites))
+        for alpha, g_tol in ((0.5, 1e-15), (0.99, 1e-15), (0.9999, 2e-15),
+                             (1 - 1e-5, 5e-14)):
+            g = np.fft.rfft(1 / np.sqrt(1 - np.longdouble(alpha) * cos))
+            g = g.real[:l_max + 2] / (2 * n_sites)
+            ring = np.concatenate([g[1:2], g])      # g_{-1} = g_1
+            h = ring[1:-1] - np.longdouble(alpha) / 2 * (ring[:-2] + ring[2:])
+            table = finite_correlation_table(alpha, n_sites, l_max)
+            assert np.max(np.abs(table.g - g[:-1])) <= g_tol, alpha
+            assert np.max(np.abs(table.h - h)) <= 1e-15, alpha
 
     def test_refuses_an_oversized_ring(self):
         assert MAX_ORACLE_SITES == 2**24

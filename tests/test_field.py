@@ -370,6 +370,21 @@ class TestPeriodicRegions:
             lag_sum(d_phi, intra), lag_sum(d_pi, intra),
             lag_sum(d_phi, cross), lag_sum(d_pi, cross))
 
+    @pytest.mark.parametrize("mass", [1e-300, 1e-307])
+    def test_lag_distances_past_the_float_range(self, mass):
+        # l r overflows from l = 2 on, but l (r/L) does not: the covariance
+        # is that of the same windows at unit length, D_phi scaled by L
+        length, r = 1e300, 1.7e308
+        cov = field_covariance(FieldRegionSpec(mass, length, r, windows=2))
+        unit = field_covariance(
+            FieldRegionSpec(mass * length, 1.0, r / length, windows=2))
+        assert cov.g_diag == pytest.approx(length * unit.g_diag, rel=1e-15)
+        assert cov.g_cross == pytest.approx(length * unit.g_cross, rel=1e-15)
+        assert cov.h_diag == math.inf
+        assert cov.h_cross == pytest.approx(unit.h_cross / length, abs=1e-320)
+        assert field_negativity(
+            FieldRegionSpec(mass, length, r, windows=2)).separable
+
     def test_single_window_is_the_plain_pair(self):
         for r in (0.0, 0.3, 1.0, 1.5):
             cov = field_covariance(spec(separation=r))
