@@ -6,10 +6,10 @@ production path runs that recurrence backward from far out, in place in
 the arrays it returns, and multiplies the ratios up from lag-0 seeds that
 the arithmetic-geometric mean gives (`kernels.hyp2f1_series`).  The
 finite chain of N sites admits an exact spectral sum over its N normal
-modes, an independent validation oracle: one real FFT of 1/nu_k gives every
-g_l, and since nu_k^2 = 1 - alpha cos theta_k each h_l follows from
-g_{l-1}, g_l and g_{l+1} on the ring, accurate to a few ulp of g_0
-absolute.
+modes, an independent validation oracle: a real FFT of 1/nu_k in four
+steps, pruned to the lags asked for, gives the g_l, and since
+nu_k^2 = 1 - alpha cos theta_k each h_l follows from g_{l-1}, g_l and
+g_{l+1} on the ring, accurate to a few ulp of g_0 absolute.
 
 Units: the dimensionless chain Hamiltonian, so the single uncoupled
 oscillator has <q^2> = <p^2> = 1/2.
@@ -34,8 +34,9 @@ _LOG_EPS = math.log(2.0**-53)
 MAX_TABLE_LAGS = 2**22
 
 #: largest ring `finite_correlation_table` sums over.  It is a verification
-#: path whose buffers peak at 16 bytes a site (the real input and the rfft's
-#: complex half), 256 MB at this cap.
+#: path; at this cap a fresh process peaks (VmHWM) at 292 MiB for small
+#: l_max, 256 MiB of it the ring and its half spectrum, and at 623 MiB for
+#: l_max = N - 1, where lag-length arrays add to these.
 MAX_ORACLE_SITES = 2**24
 
 
@@ -139,39 +140,71 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     return CorrelationTable(alpha=alpha, g=g, h=h)
 
 
+def _cosine_sums(ring: np.ndarray, top: int) -> np.ndarray:
+    """sum_k ring_k cos(2 pi l k/N) for l = 0..top, top <= N/2, of a real
+    ring of N sites, by the four-step FFT (Bailey, J. Supercomput. 4, 23
+    (1990)) pruned to those l: row l of the rffts down the columns of the
+    ring as a Q x P array, F_lj, gives sum_j Re F_lj e^{-2 pi i l j/N}."""
+    n_sites = ring.size
+    # the largest power of two that divides N, with P^2 <= N and top <= Q/2
+    p = 1 << (min(n_sites & -n_sites, math.isqrt(n_sites),
+                  n_sites // (2 * top)).bit_length() - 1)
+    spectrum = np.fft.rfft(ring.reshape(n_sites // p, p), axis=0)[:top + 1]
+    phi = np.outer(np.arange(top + 1), np.arange(p)) * (2.0 * np.pi / n_sites)
+    real = np.cos(phi)
+    real *= spectrum.real
+    np.sin(phi, out=phi)
+    phi *= spectrum.imag
+    phi += real
+    return phi.sum(-1)
+
+
 def finite_correlation_table(alpha, n_sites: int,
                              l_max: int) -> CorrelationTable:
     """Tabulate the exact N-site correlations up to lag `l_max`.
 
     g_l = (2N)^-1 sum_k cos(l theta_k)/nu_k and h_l the same with nu_k in
     place of 1/nu_k, where theta_k = 2 pi k/N and nu_k = sqrt(1 - alpha
-    cos theta_k) are the N normal modes.  One real FFT of 1/nu evaluates
-    every g_l at once.  Since nu_k = (1 - alpha cos theta_k)/nu_k and
+    cos theta_k) are the N normal modes.  A real FFT of 1/nu evaluates the
+    g_l.  Since nu_k = (1 - alpha cos theta_k)/nu_k and
     cos theta cos l theta = [cos (l-1) theta + cos (l+1) theta]/2, the
     momentum sum follows exactly on the ring:
 
         h_l = g_l - (alpha/2)(g_{l-1} + g_{l+1}),
 
     with ring indices g_{-l} = g_l = g_{N-l}, so every 0 <= l_max < N is
-    covered for odd and even N.  The rfft holds lags 0..N/2 and the ring
-    symmetry supplies the rest.
+    covered for odd and even N.  The transform is needed at the folded lags
+    0..min(l_max + 1, N/2) alone, and the ring symmetry supplies the rest.
 
-    The rfft's input is built on the half ring k = 0..N/2 alone: cos theta_k
-    is evaluated up to theta = pi/2, and on an even ring the rest of the
-    half ring is cos theta_{N/2-k} = -cos theta_k (on an odd ring cos is
-    evaluated on all of it).  1/nu is formed in place there and mirrored,
-    1/nu_{N-k} = 1/nu_k.  The half-ring values are within rounding of a
-    cos on the whole ring, and the one full-length rfft is kept: a
-    half-length cosine transform loses accuracy as alpha -> 1.
+    The transform's input is built on the half ring k = 0..N/2 alone:
+    cos theta_k is evaluated up to theta = pi/2, and on an even ring the
+    rest of the half ring is cos theta_{N/2-k} = -cos theta_k (on an odd
+    ring cos is evaluated on all of it).  1/nu is formed in place there and
+    mirrored, 1/nu_{N-k} = 1/nu_k.  The half-ring values are within
+    rounding of a cos on the whole ring, and the transform runs on the
+    whole ring: a half-length cosine transform loses accuracy as
+    alpha -> 1.
 
-    g carries the FFT's rounding and, as alpha -> 1, that of cos theta near
-    theta = 0: against long double sums at N = 2^20, within 3.3e-16 up to
-    alpha = 0.9999 and 2.5e-14 at 1 - 1e-5.  h adds one cancellation of
-    terms of size g_0, so its error is absolute, a few ulp of g_0: at most
-    4.4e-16 from the two-FFT sums on the same ring at N = 2^20 for alpha
-    up to 1 - 1e-5, 1.2e-14 at N = 2 there, where g_0 is 79.  A validation
-    path, independent of the hypergeometric production route; N above
-    `MAX_ORACLE_SITES` is refused.
+    It runs in four steps with N = Q P (`_cosine_sums`): rffts of length Q
+    down the columns of the ring as a Q x P array, their rows at the folded
+    lags, and a sum of the twiddled rows over the P columns by numpy's
+    pairwise sum.  P is the largest power of two that divides N with
+    P^2 <= N and every folded lag at most Q/2, so no conjugate row is
+    needed.  It is 1024 for validate's 2^20-site ring and 1, a single
+    full-length rfft, on odd rings and for lags past N/4.  Pruned to
+    validate's lags, the four steps take about half the time of one
+    full-length rfft at N = 2^20, and about half its peak memory at 2^24.
+
+    g carries the transform's rounding and, as alpha -> 1, that of
+    cos theta near theta = 0: against long double sums at N = 2^20, within
+    1.4e-16, 2.1e-16 and 3.3e-16 at alpha = 0.5, 0.99 and 0.9999 and
+    2.5e-14 at 1 - 1e-5, and within 2.2e-16 of the full-length rfft of the
+    same ring.  h adds one cancellation of terms of size g_0, so its error
+    is absolute, a few ulp of g_0: at most 4.4e-16 from the two-FFT sums on
+    the same ring at N = 2^20 for alpha up to 1 - 1e-5, 1.2e-14 at N = 2
+    there, where g_0 is 79.  A validation path, independent of the
+    hypergeometric production route; N above `MAX_ORACLE_SITES` is
+    refused.
     """
     alpha = _check_coupling(alpha)
     n_sites = _check_int("n_sites", n_sites, 2)
@@ -200,8 +233,11 @@ def finite_correlation_table(alpha, n_sites: int,
     # and the other half by 1/nu_{N-k} = 1/nu_k
     inv_nu[half + 1:] = inv_nu[1:n_sites - half][::-1]
     # g on lags -1..l_max+1, folded onto the ring's 0..N/2
+    sums = _cosine_sums(inv_nu, min(l_max + 1, n_sites // 2))
     lags = np.arange(-1, l_max + 2) % n_sites
-    g = np.fft.rfft(inv_nu).real[np.minimum(lags, n_sites - lags)]
-    g /= 2.0 * n_sites
-    h = g[1:-1] - 0.5 * alpha * (g[:-2] + g[2:])
+    g = sums[np.minimum(lags, n_sites - lags)] / (2.0 * n_sites)
+    # h in place, one lag-length temporary fewer
+    h = g[:-2] + g[2:]
+    h *= -0.5 * alpha
+    h += g[1:-1]
     return CorrelationTable(alpha=alpha, g=g[1:-1], h=h)

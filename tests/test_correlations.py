@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 
@@ -11,8 +12,31 @@ from chainent import (ConvergenceError, DomainError, correlation_table,
                       finite_correlation_table, kernels)
 from chainent.correlations import MAX_ORACLE_SITES, _reduced_coupling
 from tests import _frozen, oracles
+from tests.test_imports import fresh_python
 
 couplings = st.floats(min_value=1e-6, max_value=0.999)
+
+
+def _oracle_ring_cos(n_sites):
+    """cos theta_k on the ring `finite_correlation_table` builds: evaluated
+    for theta_k <= pi/2 (for k <= N/2 when N is odd), then
+    cos theta_{N/2-k} = -cos theta_k up to k = N/2, then the mirror
+    cos theta_{N-k} = cos theta_k."""
+    half = n_sites // 2
+    quarter = half if n_sites % 2 else n_sites // 4
+    cos = np.cos((2.0 * np.pi / n_sites) * np.arange(quarter + 1,
+                                                      dtype=np.float64))
+    cos = np.concatenate([cos, -cos[:half - quarter][::-1]])
+    return np.concatenate([cos, cos[n_sites - half - 1:0:-1]])
+
+
+def _four_step_columns(n_sites, top):
+    """P of the oracle's N = Q P split for folded lags up to `top`."""
+    p = 1
+    while (n_sites % (2 * p) == 0 and (2 * p)**2 <= n_sites
+           and 2 * top <= n_sites // (2 * p)):
+        p *= 2
+    return p
 
 
 class TestCoupling:
@@ -146,22 +170,42 @@ class TestFiniteChain:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99, 1 - 1e-5])
     def test_matches_the_two_fft_route(self, alpha):
-        # the ring the oracle builds: cos theta_k for theta_k <= pi/2, then
-        # cos theta_{N/2-k} = -cos theta_k up to k = N/2, then the mirror
-        # cos theta_{N-k} = cos theta_k.  g is the rfft of 1/nu on that ring
-        # bit for bit; h, derived from g, stays within 1e-15 absolute of the
-        # rfft of nu on it
+        # g is the four-step transform of 1/nu on the oracle's ring bit for
+        # bit, and within 3e-16 absolute of its full-length rfft (2.2e-16
+        # measured); h, derived from g, stays within 1e-15 absolute of the
+        # rfft of nu on that ring
         n_sites, l_max = 2**20, 100
-        cos = np.cos((2.0 * np.pi / n_sites)
-                     * np.arange(n_sites // 4 + 1, dtype=np.float64))
-        cos = np.concatenate([cos, -cos[-2::-1]])
-        cos = np.concatenate([cos, cos[-2:0:-1]])
-        nu = np.sqrt(1.0 - alpha * cos)
-        g = np.fft.rfft(1.0 / nu).real[:l_max + 1] / (2.0 * n_sites)
+        nu = np.sqrt(1.0 - alpha * _oracle_ring_cos(n_sites))
+        p = _four_step_columns(n_sites, l_max + 1)
+        assert p == 1024
+        spectrum = np.fft.rfft((1.0 / nu).reshape(n_sites // p, p), axis=0)
+        phi = (2.0 * np.pi / n_sites) * np.outer(np.arange(l_max + 1),
+                                                 np.arange(p))
+        g = (spectrum.real[:l_max + 1] * np.cos(phi)
+             + spectrum.imag[:l_max + 1] * np.sin(phi)).sum(-1)
+        g /= 2.0 * n_sites
+        full = np.fft.rfft(1.0 / nu).real[:l_max + 1] / (2.0 * n_sites)
         h = np.fft.rfft(nu).real[:l_max + 1] / (2.0 * n_sites)
         table = finite_correlation_table(alpha, n_sites, l_max)
         assert np.array_equal(table.g, g)
+        assert np.max(np.abs(table.g - full)) <= 3e-16
         assert np.max(np.abs(table.h - h)) <= 1e-15
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 12, 24, 999, 3 * 2**10, 65537,
+                                         2**20 + 2])
+    def test_four_steps_on_every_ring_shape(self, n_sites):
+        # P = 1 (odd rings, and lags past Q/2 for every P), mixed radix,
+        # and l_max up to N - 1, against the full-length rfft of the ring
+        alpha = 0.9
+        full = np.fft.rfft(
+            1.0 / np.sqrt(1.0 - alpha * _oracle_ring_cos(n_sites)))
+        full = full.real / (2.0 * n_sites)
+        for l_max in sorted({0, 1, math.isqrt(n_sites), n_sites // 4,
+                             n_sites // 2, n_sites - 1}):
+            lags = np.arange(l_max + 1)
+            want = full[np.minimum(lags, n_sites - lags)]
+            table = finite_correlation_table(alpha, n_sites, l_max)
+            assert np.max(np.abs(table.g - want)) <= 4 * np.spacing(want[0])
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="np.longdouble is no wider than double here")
@@ -190,6 +234,21 @@ class TestFiniteChain:
         for n_sites in (MAX_ORACLE_SITES + 1, 2**40):
             with pytest.raises(DomainError, match="n_sites must be <="):
                 finite_correlation_table(0.5, n_sites, 3)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+    def test_largest_ring_stays_small(self):
+        # the ring and its half spectrum take 256 MiB at the cap, and the
+        # length-Q rffts add little scratch: one full-length rfft peaked at
+        # 542 MiB.  VmHWM is the fresh process's own, python and numpy too
+        done = fresh_python(
+            "import re\n"
+            "from chainent.correlations import (MAX_ORACLE_SITES,\n"
+            "                                   finite_correlation_table)\n"
+            "finite_correlation_table(0.9, MAX_ORACLE_SITES, 100)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])")
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 360 * 1024
 
 
 class TestCorrelationTable:

@@ -1,9 +1,12 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainent.field
 from chainent import (BlockSpec, DomainError, FieldRegionSpec,
                       QuadratureError, d_phi, d_pi, field_covariance,
                       field_negativity)
@@ -235,6 +238,35 @@ class TestTriangleOracle:
 #: sides of the switch from ascending series to trapezoid at x = 2
 BESSEL_POINTS = [5e-324, 1e-300, 1e-8, 0.5, math.nextafter(2.0, 0.0), 2.0,
                  math.nextafter(2.0, 3.0), 10.0, 100.0, 700.0, 745.0]
+
+
+#: transcendentals whose numpy versions follow the SIMD width numpy dispatches
+#: to, where Python's `math` gives the same bits on every CPU
+SIMD_TRANSCENDENTALS = {"exp", "log", "log1p", "expm1", "sinh", "cosh", "sin",
+                        "cos", "power"}
+
+
+def test_field_takes_its_transcendentals_from_math():
+    # no byte pin moves when these become numpy's: no field argv is known
+    # whose cells sit on a rounding boundary of the field sums, so the
+    # source itself is checked
+    def numpy_name(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+    tree = ast.parse(Path(chainent.field.__file__).read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in SIMD_TRANSCENDENTALS
+             and numpy_name(node.func.value)]
+    found += [f"from {node.module} import {alias.name}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"
+              for alias in node.names if alias.name in SIMD_TRANSCENDENTALS]
+    assert not found
 
 
 class TestBesselFunctions:
