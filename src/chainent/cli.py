@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
 its exit code, and `main` does the single write to stdout or --out, so a
 failing grid point never leaves partial output behind.
 
-A sweep holds its couplings' tables in one array, counts each
-geometry's lags once, and computes its rows as columns with the array
-forms of the library's rules.  Every table is rendered from rows of cells
-in column order.
+A sweep holds its couplings' tables in one array, takes the moments of
+every geometry under every coupling in one pass, and computes its rows as
+columns with the array forms of the library's rules.  Every table is
+rendered from rows of cells in column order.
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
@@ -240,12 +240,11 @@ def cmd_sweep(args) -> tuple[str, int]:
     for alpha, pair in zip(alphas, gh):
         table = _checked_table(alpha, l_max, args.oracle_n)
         pair[0], pair[1] = table.g, table.h
-    # the grid in (alpha, spec) row order, each geometry counted once
-    moments = np.stack([entanglement._moments(gh, spec) for spec in specs],
-                       axis=1).reshape(-1, 4).T
+    # the grid in (alpha, spec) row order, from one pass over every geometry
+    geometry = np.array([(spec.m, spec.s, spec.d, spec.n) for spec in specs])
+    moments = entanglement._moments(gh, geometry[:, :3]).reshape(-1, 4).T
     verdict = entanglement._verdict(*moments, entanglement.VACUUM_PRODUCT)
 
-    geometry = np.array([(spec.m, spec.s, spec.d, spec.n) for spec in specs])
     m, s, d, n = np.tile(geometry, (len(alphas), 1)).T
     # the estimate from each coupling's g_0, g_1, h_0, h_1, at d = 0 only
     adjacent, approx = d == 0, np.full(d.size, None)
@@ -349,9 +348,15 @@ def _check_chain_cutoffs(oracle_n: int):
 
 
 def _check_lag_counts(oracle_n: int):
-    for spec in (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2)):
+    specs = (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2))
+    counts = blocks.stacked_lag_counts([(spec.m, spec.s, spec.d)
+                                        for spec in specs])
+    # each layout's intra counts, then its cross counts, span lags each
+    halves = np.split(counts, np.cumsum([spec.span for spec in specs
+                                         for _ in "ab"])[:-1])
+    for spec, intra, cross in zip(specs, halves[0::2], halves[1::2]):
         a, b = blocks.block_indices(spec)
-        for got, other in zip(blocks.lag_counts(spec), (a, b)):
+        for got, other in zip((intra, cross), (a, b)):
             pairs = blocks.lag_count_array(a, other)
             # a pair count ends at its largest lag; got runs to max_lag
             if not np.array_equal(np.trim_zeros(got, "b"), pairs):

@@ -35,8 +35,9 @@ MAX_TABLE_LAGS = 2**22
 
 #: largest ring `finite_correlation_table` sums over.  It is a verification
 #: path; at this cap a fresh process peaks (VmHWM) at 292 MiB for small
-#: l_max, 256 MiB of it the ring and its half spectrum, and at 623 MiB for
-#: l_max = N - 1, where lag-length arrays add to these.
+#: l_max, 256 MiB of it the ring and its half spectrum, and at 542 MiB from
+#: l_max = N/4 on, where the transform is one full-length rfft; the fold
+#: to l_max = N - 1 adds nothing to that.
 MAX_ORACLE_SITES = 2**24
 
 
@@ -232,10 +233,12 @@ def finite_correlation_table(alpha, n_sites: int,
     np.reciprocal(half_ring, out=half_ring)
     # and the other half by 1/nu_{N-k} = 1/nu_k
     inv_nu[half + 1:] = inv_nu[1:n_sites - half][::-1]
-    # g on lags -1..l_max+1, folded onto the ring's 0..N/2
-    sums = _cosine_sums(inv_nu, min(l_max + 1, n_sites // 2))
-    lags = np.arange(-1, l_max + 2) % n_sites
-    g = sums[np.minimum(lags, n_sites - lags)] / (2.0 * n_sites)
+    # g on lags -1..l_max+1, folded onto the ring's 0..N/2: lag -1 is lag
+    # 1, and a lag l past N/2 is lag N - l
+    sums = _cosine_sums(inv_nu, min(l_max + 1, half))
+    g = np.concatenate((sums[1:2], sums, sums[n_sites - l_max - 1:
+                                              n_sites - half][::-1]))
+    g /= 2.0 * n_sites
     # h in place, one lag-length temporary fewer
     h = g[:-2] + g[2:]
     h *= -0.5 * alpha

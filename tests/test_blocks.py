@@ -4,7 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
-from chainent.blocks import lag_count_array, lag_counts, subblock_pairs
+from chainent.blocks import (lag_count_array, lag_counts, stacked_lag_counts,
+                             subblock_pairs)
 from chainent.correlations import MAX_TABLE_LAGS
 
 spec_strategy = st.builds(BlockSpec,
@@ -127,6 +128,21 @@ class TestLagMultiset:
             want[:pairs.size] = pairs
             assert got.dtype == np.float64 and got.shape == (length,)
             assert np.array_equal(got, want)
+
+    @given(specs=st.lists(spec_strategy, min_size=1, max_size=8))
+    def test_stacked_counts_are_each_layouts_pair_counts(self, specs):
+        # each layout's spikes end at 0 before the next layout begins
+        counts = stacked_lag_counts([(spec.m, spec.s, spec.d)
+                                     for spec in specs])
+        want = []
+        for spec in specs:
+            a, b = block_indices(spec)
+            for other in (a, b):
+                half = np.zeros(spec.span)
+                pairs = lag_count_array(a, other)
+                half[:pairs.size] = pairs
+                want.append(half)
+        assert np.array_equal(counts, np.concatenate(want))
 
     @pytest.mark.parametrize("m", range(1, 65))
     def test_subblock_pairs_match_the_pair_count(self, m):

@@ -185,18 +185,19 @@ class TestSweepCommand:
     def test_rows_equal_block_entanglement(self, capsys, monkeypatch, alphas,
                                            geometry):
         calls = []
-        original = entanglement.lag_counts
+        original = entanglement._moments
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(entanglement, "lag_counts", counted)
+        monkeypatch.setattr(entanglement, "_moments", counted)
         flags, specs = geometry
         assert run(["sweep", "--alphas", ",".join(map(repr, alphas)), *flags,
                     "--format", "json"]) == 0
-        # one count per geometry, shared by every coupling
-        assert len(calls) == len(specs)
+        # one moment pass over every geometry and coupling
+        [(gh, layouts)] = calls
+        assert gh.shape[0] == len(alphas) and len(layouts) == len(specs)
         monkeypatch.undo()
         rows = json.loads(capsys.readouterr().out)["rows"]
         l_max = max(spec.max_lag for spec in specs)

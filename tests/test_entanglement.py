@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainent import (BlockSpec, CollectiveCovariance, DomainError,
@@ -10,8 +11,9 @@ from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
-from chainent.blocks import lag_counts
-from chainent.entanglement import _approx, _verdict
+from chainent import entanglement
+from chainent.blocks import lag_count_array, lag_counts
+from chainent.entanglement import _approx, _moments, _verdict
 from tests import oracles
 
 
@@ -70,6 +72,91 @@ class TestCovarianceOfBlocks:
             direct = oracles.covariance_by_enumeration(table, a, b)
             swapped = oracles.covariance_by_enumeration(table, b, a)
             assert direct == pytest.approx(swapped, rel=1e-15)
+
+
+def coupling_rows(tables, alphas, lags):
+    """Each coupling's stacked (g, h) rows on lags 0..lags - 1."""
+    return np.array([(tables(alpha, lags).g[:lags],
+                      tables(alpha, lags).h[:lags]) for alpha in alphas])
+
+
+def contracted(gh, spec):
+    """(G, H, G_AB, H_AB) of one layout, shape (..., 4), from its direct
+    pair counts, each row times them summed over the last axis."""
+    a, b = block_indices(spec)
+    rows = gh[..., :spec.span]
+    moments = []
+    for other in (a, b):
+        counts = np.zeros(spec.span)
+        pairs = lag_count_array(a, other)
+        counts[:pairs.size] = pairs
+        moments.append((rows * counts).sum(-1))
+    return np.concatenate(moments, axis=-1) / spec.n
+
+
+layout_lists = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5),
+                                  st.integers(0, 4)),
+                        min_size=1, max_size=30, unique=True)
+
+
+class TestGridMoments:
+    # one pass over many layouts gives each layout's own contraction
+
+    @given(layouts=layout_lists,
+           alphas=st.lists(st.sampled_from((0.1, 0.5, 0.9, 0.999)),
+                           min_size=1, max_size=3, unique=True),
+           extra=st.integers(0, 3),
+           budget=st.sampled_from((1, 40, 500, entanglement.MOMENT_CHUNK)))
+    # spans 6, 6, 4, 6 out of order, and 2, 4, 4, 4 in two chunks
+    @example(layouts=[(1, 3, 0), (1, 1, 4), (1, 2, 0), (1, 2, 2)],
+             alphas=[0.5, 0.9], extra=0, budget=1)
+    @example(layouts=[(1, 1, 0), (1, 2, 0), (1, 1, 2), (2, 1, 0)],
+             alphas=[0.999], extra=2, budget=10)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_each_layouts_contraction(self, tables, layouts, alphas,
+                                             extra, budget):
+        specs = [BlockSpec(*layout) for layout in layouts]
+        gh = coupling_rows(tables, alphas,
+                           max(spec.span for spec in specs) + extra)
+        with mock.patch.object(entanglement, "MOMENT_CHUNK", budget):
+            got = _moments(gh, layouts)
+        want = np.stack([contracted(gh, spec) for spec in specs], axis=-2)
+        assert got.shape == (len(alphas), len(specs), 4)
+        assert np.array_equal(got, want)
+
+    def test_one_coupling_without_a_leading_axis(self, tables):
+        gh = coupling_rows(tables, [0.9], 40)[0]
+        got = _moments(gh, [(2, 3, 1), (1, 2, 0)])
+        want = [contracted(gh, BlockSpec(2, 3, 1)),
+                contracted(gh, BlockSpec(1, 2, 0))]
+        assert np.array_equal(got, want)
+
+    def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
+        # the summed 2 span of these layouts, once per coupling, crosses the
+        # budget at least three times, so runs of equal spans are split
+        # between chunks too
+        layouts = [(m, s, d) for d in (10000, 15000, 20000)
+                   for m in (3, 1, 2) for s in range(1, 6)]
+        specs = [BlockSpec(*layout) for layout in layouts]
+        alphas = (0.3, 0.9)
+        entries = len(alphas) * sum(2 * spec.span for spec in specs)
+        assert entries >= 3 * entanglement.MOMENT_CHUNK
+        counted = []
+        original = entanglement.stacked_lag_counts
+        monkeypatch.setattr(entanglement, "stacked_lag_counts",
+                            lambda rows: counted.append(rows) or
+                            original(rows))
+        gh = coupling_rows(tables, alphas, max(spec.span for spec in specs))
+        got = _moments(gh, layouts)
+        assert len(counted) >= 4
+        assert sum(map(len, counted)) == len(layouts)
+        want = np.stack([contracted(gh, spec) for spec in specs], axis=-2)
+        assert np.array_equal(got, want)
+
+    def test_short_table_names_the_longest_layout(self, tables):
+        gh = coupling_rows(tables, [0.5], 10)
+        with pytest.raises(LagBoundError, match="spec 1:3:5 needs 10"):
+            _moments(gh, [(1, 2, 0), (1, 3, 5), (1, 1, 1)])
 
 
 class TestNegativity:

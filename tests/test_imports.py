@@ -1,7 +1,8 @@
 """The package runs on numpy alone: `import chainent`, `import chainent.cli`
 and every command, the field ones too, leave scipy unloaded in a fresh
 process, `field` and `validate` print the same bytes in a fresh process
-as in this one, and lag counting stays small in one."""
+as in this one, and lag counting and the oracle's fold stay small in
+one."""
 
 import json
 import os
@@ -70,19 +71,34 @@ def test_field_commands_print_the_same_bytes_fresh(argv, capsys):
     assert (fresh.returncode, fresh.stdout) == (code, in_process)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
-def test_lag_counts_of_many_subblocks_stay_small():
-    # the closed form holds O(m*s) arrays; an m x 2m pair count of these
-    # 5040 subblocks would peak past 400 MB.  The peak is the process's own
-    # VmHWM: Linux carries ru_maxrss over from the parent through exec.
+def peak_kib(statements: str) -> int:
+    """VmHWM in KiB of a fresh process once it has run `statements`: the
+    process's own peak, as Linux carries ru_maxrss over from the parent
+    through exec."""
     done = fresh_python(
-        "import re\n"
-        "from chainent.blocks import BlockSpec, lag_counts\n"
-        "lag_counts(BlockSpec(5040, 1, 0))\n"
+        f"import re\n{statements}\n"
         "with open('/proc/self/status') as fh:\n"
         "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])")
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 100 * 1024
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_lag_counts_of_many_subblocks_stay_small():
+    # the counter holds O(m) spikes and the O(span) counts; an m x 2m pair
+    # count of these 5040 subblocks would peak past 400 MB
+    assert peak_kib("from chainent.blocks import BlockSpec, lag_counts\n"
+                    "lag_counts(BlockSpec(5040, 1, 0))") < 100 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_oracle_fold_to_the_last_lag_stays_small():
+    # at l_max = N - 1 on the largest ring the full-length rfft sets the
+    # peak, 542 MiB; index arrays for the fold would lift it past 620 MiB
+    assert peak_kib(
+        "from chainent.correlations import (MAX_ORACLE_SITES as N,\n"
+        "                                   finite_correlation_table)\n"
+        "finite_correlation_table(0.5, N, N - 1)") < 580 * 1024
 
 
 def test_field_names_resolve_to_the_field_module():
