@@ -335,15 +335,21 @@ def _check_rescaling(oracle_n: int):
 
 
 def _check_chain_cutoffs(oracle_n: int):
+    # (layout, whether it is entangled, the detail if it is not so), in
+    # the order they are reported
+    cases = ([((1, n, 0), True, f"expected entanglement at d=0, n={n}, "
+               f"alpha=0.9") for n in range(1, 7)]
+             + [((1, 1, 1), False, "expected no entanglement at d=1, n=1")]
+             + [((1, n, 2), False, f"expected no entanglement at d=2, n={n}")
+                for n in range(1, 11)])
+    layouts, expected, details = zip(*cases)
     table = correlations.correlation_table(0.9, 80)
-    for n in range(1, 7):
-        if not entanglement.block_entanglement(table, BlockSpec(1, n, 0)).entangled:
-            return False, f"expected entanglement at d=0, n={n}, alpha=0.9"
-    if not entanglement.block_entanglement(table, BlockSpec(1, 1, 1)).separable:
-        return False, "expected no entanglement at d=1, n=1"
-    for n in range(1, 11):
-        if not entanglement.block_entanglement(table, BlockSpec(1, n, 2)).separable:
-            return False, f"expected no entanglement at d=2, n={n}"
+    moments = entanglement._moments(np.stack((table.g, table.h)), layouts)
+    epsilon = entanglement._verdict(*moments.T,
+                                    entanglement.VACUUM_PRODUCT)[2]
+    for entangled, want, detail in zip(epsilon != 0.0, expected, details):
+        if entangled != want:
+            return False, detail
     return True, "entangled at d=0, separable at d=2 (alpha=0.9, n <= 10)"
 
 

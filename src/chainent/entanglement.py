@@ -22,9 +22,11 @@ Every rule here is written once, elementwise over floats and arrays alike:
 `_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
 takes its values from it), `_moments` the covariances of any number of
 layouts under any number of couplings, one product per run of equal spans
-over their `blocks.stacked_lag_counts` (summed in an order numpy fixes,
-not a BLAS kernel), `_approx` the nearest-neighbour estimate.  A sweep
-calls each of them once on its whole grid.
+over their `blocks.stacked_lag_counts` (per coupling for a layout past
+`MOMENT_CHUNK` alone; summed in an order numpy fixes, not a BLAS kernel),
+`_approx` the nearest-neighbour estimate.  A sweep calls each of them
+once on its whole grid, and validate's chain-cutoffs check `_moments` and
+`_verdict` once on its 17 layouts.
 """
 
 import math
@@ -46,10 +48,11 @@ SEPARABILITY_ATOL = 1e-12
 
 #: most lag counts (2 span per layout) times couplings that `_moments`
 #: holds at once; a chunk's products take at most twice as many floats,
-#: unless one layout is past the bound alone.  Measured on a 2-core x86
-#: host: the 5760-row, 4-coupling sweep of 2 chunks takes 10 ms, as it does
-#: with one chunk (20% more at 2^16), and the 10^5-row sweep's moments lift
-#: its peak by 19 MiB, against 69 MiB at 2^22, in 2% more time.
+#: and a layout past the bound alone, a chunk of its own, 4 span floats,
+#: one coupling at a time.  Measured on a 2-core x86 host: the 5760-row,
+#: 4-coupling sweep of 2 chunks takes 10 ms, as it does with one chunk
+#: (20% more at 2^16), and the 10^5-row sweep's moments lift its peak by
+#: 19 MiB, against 69 MiB at 2^22, in 2% more time.
 MOMENT_CHUNK = 2**21
 
 #: most sites of the verification-only `symplectic_form` and
@@ -156,8 +159,8 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
 
     The layouts are taken in order of span, in chunks whose lag counts,
     2 span per layout, times the couplings stay within `MOMENT_CHUNK` (a
-    longer layout is a chunk of its own), and each chunk goes to
-    `_span_runs`.
+    longer layout is a chunk of its own, contracted one coupling at a
+    time), and each chunk goes to `_span_runs`.
     """
     layouts = np.asarray(layouts, dtype=np.int64).reshape(-1, 3)
     m, s, d, span = layout_columns(layouts)
@@ -189,19 +192,24 @@ def _span_runs(gh: np.ndarray, layouts: np.ndarray,
     (..., layouts, intra/cross, g/h, span), summed over its contiguous last
     axis by numpy's pairwise sum, whose order is fixed in numpy's source
     and not by the host's BLAS kernel: every layout gets the bits of its
-    own (rows * counts).sum(-1)."""
+    own (rows * counts).sum(-1).  A layout past `MOMENT_CHUNK` alone is
+    contracted one coupling at a time, each sum over the same row."""
     counts = stacked_lag_counts(layouts)
-    moments = np.empty((*gh.shape[:-2], span.size, 4))
+    rows = gh.reshape(-1, *gh.shape[-2:])
+    couplings = len(rows)
+    moments = np.empty((couplings, span.size, 4))
     edges = np.flatnonzero(np.diff(span, prepend=0, append=0)).tolist()
     offset = 0
     for first, last in zip(edges, edges[1:]):
         width, size = int(span[first]), last - first
         run = counts[offset:offset + 2 * width * size].reshape(size, 2, 1,
                                                                width)
-        sums = (gh[..., None, None, :, :width] * run).sum(-1)
-        moments[..., first:last, :] = sums.reshape(*gh.shape[:-2], size, 4)
+        step = couplings if run.size * couplings <= MOMENT_CHUNK else 1
+        for c in range(0, couplings, step):
+            sums = (rows[c:c + step, None, None, :, :width] * run).sum(-1)
+            moments[c:c + step, first:last] = sums.reshape(-1, size, 4)
         offset += 2 * width * size
-    return moments
+    return moments.reshape(*gh.shape[:-2], span.size, 4)
 
 
 def covariance_of_blocks(table: CorrelationTable,

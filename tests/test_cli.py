@@ -309,7 +309,43 @@ class TestFieldCommand:
         assert d_phi_r == pytest.approx(2.1104383920873174, rel=1e-10)
 
 
+#: validate's chain-cutoffs layouts in report order, each with its detail
+#: when its verdict is wrong
+CUTOFFS = ([((1, n, 0), f"expected entanglement at d=0, n={n}, alpha=0.9")
+            for n in range(1, 7)]
+           + [((1, 1, 1), "expected no entanglement at d=1, n=1")]
+           + [((1, n, 2), f"expected no entanglement at d=2, n={n}")
+              for n in range(1, 11)])
+
+
 class TestValidateCommand:
+    def test_chain_cutoffs_equal_block_entanglement(self, monkeypatch):
+        # one verdict over every layout, each equal to its own
+        table = correlations.correlation_table(0.9, 80)
+        want = [entanglement.block_entanglement(table, BlockSpec(*layout))
+                .epsilon for layout, _ in CUTOFFS]
+        verdicts = []
+        verdict = entanglement._verdict
+        monkeypatch.setattr(entanglement, "_verdict",
+                            lambda *args: verdicts.append(verdict(*args))
+                            or verdicts[-1])
+        assert cli._check_chain_cutoffs(2**20)[0]
+        [(_, _, epsilon, _)] = verdicts
+        assert epsilon.tolist() == want
+
+    @pytest.mark.parametrize("wrong", [0, 5, 6, 7, 16])
+    def test_chain_cutoffs_name_the_first_wrong_verdict(self, wrong,
+                                                        monkeypatch):
+        verdict = entanglement._verdict
+
+        def flipped(*args):
+            d1, d2, epsilon, duan = verdict(*args)
+            epsilon[wrong] = 0.0 if epsilon[wrong] else 1.0
+            return d1, d2, epsilon, duan
+
+        monkeypatch.setattr(entanglement, "_verdict", flipped)
+        assert cli._check_chain_cutoffs(2**20) == (False, CUTOFFS[wrong][1])
+
     def test_passes_on_clean_build(self, capsys):
         assert run(["validate", "--oracle-n", str(2**16)]) == 0
         out = capsys.readouterr().out

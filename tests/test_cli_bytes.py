@@ -37,7 +37,7 @@ PINS = [
      "b333b87b668ca349c3d2c5067c0f31be6287bb3eba49424572e6474c3265766c", 0),
     (["correlations", "--alpha", "0.9", "--l-max", "40", "--oracle-n",
       "65536"],
-     "a36d5649ae20ee49974621ec9b4bcca5e59f747eea7d622533b7c8595c576aac", 0),
+     "1de06921adf835ec1cbc9c84555f25672a7c1a47bd0d5e692a8144810ed150c6", 0),
     # r = 0 and r = L carry D_pi = +inf and -inf; 0.5 overlaps; the rest
     # are separated and also carry epsilon
     (FIELD, "0ce11da652c23e40935f938b32d9cbd210d4af832e32de440541e61ce8d802bd",

@@ -12,7 +12,7 @@ from chainent import (ConvergenceError, DomainError, correlation_table,
                       finite_correlation_table, kernels)
 from chainent.correlations import MAX_ORACLE_SITES, _reduced_coupling
 from tests import _frozen, oracles
-from tests.test_imports import fresh_python
+from tests.test_imports import peak_kib
 
 couplings = st.floats(min_value=1e-6, max_value=0.999)
 
@@ -171,19 +171,22 @@ class TestFiniteChain:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99, 1 - 1e-5])
     def test_matches_the_two_fft_route(self, alpha):
         # g is the four-step transform of 1/nu on the oracle's ring bit for
-        # bit, and within 3e-16 absolute of its full-length rfft (2.2e-16
-        # measured); h, derived from g, stays within 1e-15 absolute of the
-        # rfft of nu on that ring
+        # bit, over columns 0..P/2 with 1..P/2-1 doubled for their mirror
+        # columns, and within 3e-16 absolute of its full-length rfft
+        # (2.2e-16 measured); h, derived from g, stays within 1e-15
+        # absolute of the rfft of nu on that ring
         n_sites, l_max = 2**20, 100
         nu = np.sqrt(1.0 - alpha * _oracle_ring_cos(n_sites))
         p = _four_step_columns(n_sites, l_max + 1)
         assert p == 1024
-        spectrum = np.fft.rfft((1.0 / nu).reshape(n_sites // p, p), axis=0)
+        columns = (1.0 / nu).reshape(n_sites // p, p)[:, :p // 2 + 1]
+        spectrum = np.fft.rfft(columns, axis=0)
         phi = (2.0 * np.pi / n_sites) * np.outer(np.arange(l_max + 1),
-                                                 np.arange(p))
-        g = (spectrum.real[:l_max + 1] * np.cos(phi)
-             + spectrum.imag[:l_max + 1] * np.sin(phi)).sum(-1)
-        g /= 2.0 * n_sites
+                                                 np.arange(p // 2 + 1))
+        terms = (spectrum.real[:l_max + 1] * np.cos(phi)
+                 + spectrum.imag[:l_max + 1] * np.sin(phi))
+        terms[:, 1:p // 2] *= 2.0
+        g = terms.sum(-1) / (2.0 * n_sites)
         full = np.fft.rfft(1.0 / nu).real[:l_max + 1] / (2.0 * n_sites)
         h = np.fft.rfft(nu).real[:l_max + 1] / (2.0 * n_sites)
         table = finite_correlation_table(alpha, n_sites, l_max)
@@ -191,11 +194,13 @@ class TestFiniteChain:
         assert np.max(np.abs(table.g - full)) <= 3e-16
         assert np.max(np.abs(table.h - h)) <= 1e-15
 
-    @pytest.mark.parametrize("n_sites", [2, 3, 12, 24, 999, 3 * 2**10, 65537,
-                                         2**20 + 2])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 12, 16, 24, 64, 256, 999,
+                                         3 * 2**10, 65537, 2**20 + 2])
     def test_four_steps_on_every_ring_shape(self, n_sites):
-        # P = 1 (odd rings, and lags past Q/2 for every P), mixed radix,
-        # and l_max up to N - 1, against the full-length rfft of the ring
+        # P = 1 (odd rings, and lags past Q/2 for every P), P = 2, 4, 8 and
+        # 16 (the self-paired column P/2 alone, then with doubled columns),
+        # mixed radix, and l_max up to N - 1, against the full-length rfft
+        # of the ring
         alpha = 0.9
         full = np.fft.rfft(
             1.0 / np.sqrt(1.0 - alpha * _oracle_ring_cos(n_sites)))
@@ -237,18 +242,15 @@ class TestFiniteChain:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
     def test_largest_ring_stays_small(self):
-        # the ring and its half spectrum take 256 MiB at the cap, and the
-        # length-Q rffts add little scratch: one full-length rfft peaked at
-        # 542 MiB.  VmHWM is the fresh process's own, python and numpy too
-        done = fresh_python(
-            "import re\n"
+        # the ring takes 128 MiB at the cap and the spectrum of its columns
+        # 0..P/2 64 MiB, 225 MiB in all; all P columns peaked at 292 MiB
+        # and one full-length rfft at 542 MiB.  VmHWM is the fresh
+        # process's own, python and numpy too
+        assert peak_kib(
             "from chainent.correlations import (MAX_ORACLE_SITES,\n"
             "                                   finite_correlation_table)\n"
-            "finite_correlation_table(0.9, MAX_ORACLE_SITES, 100)\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])")
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 360 * 1024
+            "finite_correlation_table(0.9, MAX_ORACLE_SITES, 100)"
+        ) < 260 * 1024
 
 
 class TestCorrelationTable:

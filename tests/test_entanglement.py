@@ -131,6 +131,20 @@ class TestGridMoments:
                 contracted(gh, BlockSpec(1, 2, 0))]
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("budget", [1, entanglement.MOMENT_CHUNK])
+    def test_couplings_on_two_axes(self, tables, budget):
+        # at budget 1 each layout is past it alone and is contracted one
+        # coupling at a time
+        gh = coupling_rows(tables, [0.1, 0.5, 0.9, 0.999], 40)
+        gh = gh.reshape(2, 2, 2, 40)
+        layouts = [(2, 3, 1), (1, 2, 0), (1, 5, 3)]
+        with mock.patch.object(entanglement, "MOMENT_CHUNK", budget):
+            got = _moments(gh, layouts)
+        want = np.stack([contracted(gh, BlockSpec(*layout))
+                         for layout in layouts], axis=-2)
+        assert got.shape == (2, 2, 3, 4)
+        assert np.array_equal(got, want)
+
     def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
         # the summed 2 span of these layouts, once per coupling, crosses the
         # budget at least three times, so runs of equal spans are split

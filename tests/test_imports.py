@@ -1,8 +1,8 @@
 """The package runs on numpy alone: `import chainent`, `import chainent.cli`
 and every command, the field ones too, leave scipy unloaded in a fresh
 process, `field` and `validate` print the same bytes in a fresh process
-as in this one, and lag counting and the oracle's fold stay small in
-one."""
+as in this one, and lag counting, the oracle's fold and the moments of
+a layout past the moment budget stay small in one."""
 
 import json
 import os
@@ -99,6 +99,18 @@ def test_oracle_fold_to_the_last_lag_stays_small():
         "from chainent.correlations import (MAX_ORACLE_SITES as N,\n"
         "                                   finite_correlation_table)\n"
         "finite_correlation_table(0.5, N, N - 1)") < 580 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_a_layout_past_the_moment_budget_stays_small():
+    # each layout's 2^22 counts, times its two couplings, pass the budget
+    # four times alone; its product takes 64 MiB one coupling at a time,
+    # and both couplings at once peaked at 305 MiB
+    assert peak_kib(
+        "import os\nfrom chainent import cli\n"
+        "cli.main(['sweep', '--alphas', '0.3,0.5', '--specs',\n"
+        "          '1:1048576:0,1:1048575:1', '--out', os.devnull])"
+    ) < 290 * 1024
 
 
 def test_field_names_resolve_to_the_field_module():
