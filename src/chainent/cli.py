@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
 its exit code, and `main` does the single write to stdout or --out, so a
 failing grid point never leaves partial output behind.
 
-A sweep holds its couplings' tables in one array, takes the moments of
-every geometry under every coupling in one pass, and computes its rows as
-columns with the array forms of the library's rules.  Every table is
-rendered from rows of cells in column order.
+A sweep builds its layout grid as one integer array, holds its couplings'
+tables in one array, takes the moments of every geometry under every
+coupling in one pass, and computes its rows as columns with the array
+forms of the library's rules.  Every table is rendered from its columns,
+formatting each distinct int or float of a column once.
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
@@ -116,31 +117,48 @@ def parse_float_values(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def render_csv(schema_tag: str, columns, rows) -> str:
-    """CSV under a `# schema` line and a header, from rows of cells in
-    column order, one %-format per row: a None cell is empty (%.0s), an int
-    is written with %d and any other value with %.17g."""
+def _column_text(column) -> list[str]:
+    """The CSV cells of one column: `str` of an int and %.17g of a float,
+    each formatted once per distinct bit pattern (not per value, which
+    would print -0.0 as 0), and empty for the None of an object column."""
+    column = np.asarray(column)
+    if column.dtype == object:          # values, and None for no value
+        keep = np.not_equal(column, None)
+        text = np.full(column.shape, "", dtype=object)
+        text[keep] = _column_text(column[keep].tolist())
+        return text.tolist()
+    fmt = "%.17g".__mod__ if column.dtype.kind == "f" else str
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    distinct = np.array(list(map(fmt, column[first].tolist())), dtype=object)
+    return distinct[inverse].tolist()
+
+
+def render_csv(schema_tag: str, columns, cells) -> str:
+    """CSV under a `# schema` line and a header, from `cells`, one array or
+    sequence per column in `columns` order.  An int column's cells are
+    written with `str` and a float column's with %.17g, each distinct bit
+    pattern of a column once and gathered back to its rows; a None cell,
+    in an object column, is empty.  The bytes are those of one format per
+    cell."""
     lines = [f"# {schema_tag}", ",".join(columns)]
-    for row in rows:
-        cells = tuple(row)
-        fmt = ",".join(["%.0s" if cell is None else
-                        "%d" if isinstance(cell, int) else "%.17g"
-                        for cell in cells])
-        lines.append(fmt % cells)
+    lines += map(",".join, zip(*map(_column_text, cells)))
     return "\n".join(lines) + "\n"
 
 
-def render_json(schema_tag: str, columns, rows) -> str:
-    # cells are int, None or float; np.float64 is a float subclass
-    rows = [dict(zip(columns, row)) for row in rows]
+def render_json(schema_tag: str, columns, cells) -> str:
+    """JSON rows of `cells`, taken as `render_csv` takes them: `tolist`
+    gives Python ints, floats and None."""
+    rows = [dict(zip(columns, row))
+            for row in zip(*(np.asarray(c).tolist() for c in cells))]
     return json.dumps({"schema": schema_tag, "rows": rows}, indent=2) + "\n"
 
 
-def _render_table(args, schema_tag: str, columns, rows) -> str:
+def _render_table(args, schema_tag: str, columns, cells) -> str:
     """A table subcommand's output in its --format."""
     if args.format == "csv":
-        return render_csv(schema_tag, columns, rows)
-    return render_json(schema_tag, columns, rows)
+        return render_csv(schema_tag, columns, cells)
+    return render_json(schema_tag, columns, cells)
 
 
 def _emit(text: str, out_path) -> None:
@@ -186,14 +204,13 @@ def _oracle_deviation(table, oracle_n: int, lags: int) -> float:
 def cmd_correlations(args) -> tuple[str, int]:
     _check_oracle_n(args.oracle_n, args.l_max)
     table = correlations.correlation_table(args.alpha, args.l_max)
-    cells = [range(args.l_max + 1), table.g, table.h]
+    cells = [np.arange(args.l_max + 1), table.g, table.h]
     if args.oracle_n:
         oracle = correlations.finite_correlation_table(
             args.alpha, n_sites=args.oracle_n, l_max=args.l_max)
         cells += [oracle.g, oracle.h]
     columns = ("l", "g", "h", "g_fin", "h_fin")[:len(cells)]
-    return _render_table(args, CORRELATIONS_SCHEMA, columns,
-                         zip(*cells)), EXIT_OK
+    return _render_table(args, CORRELATIONS_SCHEMA, columns, cells), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +231,28 @@ def _checked_table(alpha, l_max, oracle_n):
     return table
 
 
+def _layout_grid(ms, ss, ds) -> np.ndarray:
+    """Every (m, s, d) layout of the sorted lists `ms`, `ss` and `ds`, in
+    that order, as a (layouts, 3) int array.
+
+    A grid holding a layout `BlockSpec` refuses raises the DomainError of
+    the first such layout in that order, as one BlockSpec per layout would:
+    the first layout holds the least m, s and d, so it fails any lower
+    bound, and past those the first layout whose span is past
+    `correlations.MAX_TABLE_LAGS` fails."""
+    BlockSpec(ms[0], ss[0], ds[0])
+    # a value past the cap spans past it alone; capping keeps spans exact
+    cap = correlations.MAX_TABLE_LAGS + 1
+    axes = ([min(value, cap) for value in values] for values in (ms, ss, ds))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    over = np.flatnonzero(blocks.layout_columns(grid)[3]
+                          > correlations.MAX_TABLE_LAGS)
+    if over.size:
+        i, j, k = np.unravel_index(over[0], (len(ms), len(ss), len(ds)))
+        BlockSpec(ms[i], ss[j], ds[k])      # raises the span's DomainError
+    return grid
+
+
 def cmd_sweep(args) -> tuple[str, int]:
     # sorted and unique (see parse_float_values), validated up front
     alphas = [correlations._check_coupling(a) for a in args.alphas]
@@ -225,10 +264,10 @@ def cmd_sweep(args) -> tuple[str, int]:
     if tokens:
         specs = sorted({BlockSpec.from_text(token.strip())
                         for token in tokens})
+        layouts = np.array([(spec.m, spec.s, spec.d) for spec in specs])
     else:
-        specs = [BlockSpec(m=m, s=s, d=d) for m in args.m for s in args.s
-                 for d in args.d]
-    l_max = max(spec.max_lag for spec in specs)
+        layouts = _layout_grid(args.m, args.s, args.d)
+    l_max = int(blocks.layout_columns(layouts)[3].max()) - 1
     if len(alphas) * (l_max + 1) > correlations.MAX_TABLE_LAGS:
         raise DomainError(f"sweep of {len(alphas)} tables of {l_max + 1} "
                           f"lags, more than {correlations.MAX_TABLE_LAGS} "
@@ -240,27 +279,28 @@ def cmd_sweep(args) -> tuple[str, int]:
     for alpha, pair in zip(alphas, gh):
         table = _checked_table(alpha, l_max, args.oracle_n)
         pair[0], pair[1] = table.g, table.h
-    # the grid in (alpha, spec) row order, from one pass over every geometry
-    geometry = np.array([(spec.m, spec.s, spec.d, spec.n) for spec in specs])
-    moments = entanglement._moments(gh, geometry[:, :3]).reshape(-1, 4).T
+    # the grid in (alpha, layout) row order, from one pass over every layout
+    moments = entanglement._moments(gh, layouts).reshape(-1, 4).T
     verdict = entanglement._verdict(*moments, entanglement.VACUUM_PRODUCT)
 
-    m, s, d, n = np.tile(geometry, (len(alphas), 1)).T
+    m, s, d = np.tile(layouts, (len(alphas), 1)).T
+    n = m * s
     # the estimate from each coupling's g_0, g_1, h_0, h_1, at d = 0 only
     adjacent, approx = d == 0, np.full(d.size, None)
-    seeds = np.repeat(gh[:, :, :2].reshape(-1, 4), len(specs), axis=0)
+    seeds = np.repeat(gh[:, :, :2].reshape(-1, 4), len(layouts), axis=0)
     approx[adjacent] = entanglement._approx(*seeds[adjacent].T, n[adjacent],
                                             m[adjacent])
-    columns = (np.repeat(alphas, len(specs)), m, s, d, n, *moments, *verdict,
-               approx)
-    rows = zip(*(column.tolist() for column in columns))
-    return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, rows), EXIT_OK
+    cells = (np.repeat(alphas, len(layouts)), m, s, d, n, *moments, *verdict,
+             approx)
+    return _render_table(args, SWEEP_SCHEMA, SWEEP_COLUMNS, cells), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
+    # G, H, G_AB, H_AB and epsilon at each separation, epsilon None where
+    # the windows overlap
     rows = []
     for r in args.r:
         spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
@@ -270,9 +310,10 @@ def cmd_field(args) -> tuple[str, int]:
             cov, eps = res.cov, res.epsilon
         else:
             cov, eps = field.field_covariance(spec), None
-        rows.append((args.mass, args.length, r, cov.g_diag, cov.h_diag,
-                     cov.g_cross, cov.h_cross, eps))
-    return _render_table(args, FIELD_SCHEMA, FIELD_COLUMNS, rows), EXIT_OK
+        rows.append((cov.g_diag, cov.h_diag, cov.g_cross, cov.h_cross, eps))
+    cells = (np.full(len(rows), args.mass), np.full(len(rows), args.length),
+             args.r, *zip(*rows))
+    return _render_table(args, FIELD_SCHEMA, FIELD_COLUMNS, cells), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

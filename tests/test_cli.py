@@ -6,10 +6,13 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainent
 from chainent import cli, correlations, entanglement
 from chainent.blocks import BlockSpec
+from chainent.errors import DomainError
 
 
 def run(argv):
@@ -423,11 +426,17 @@ class TestOutputFile:
 
 
 class TestCsvJsonAgree:
+    """The two renderers check each other: every CSV cell parses to exactly
+    the JSON cell, sign of zero included, and an empty cell is null."""
+
     @pytest.mark.parametrize("argv", [
         ["correlations", "--alpha", "0.9", "--l-max", "6", "--oracle-n",
          "4096"],
-        ["sweep", "--alphas", "0.5", "--m", "1,2", "--s", "2", "--d", "0..2"],
-        ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,2"]],
+        ["sweep", "--alphas", "0.3,0.9", "--m", "1..3", "--s", "1..4",
+         "--d", "0..2"],
+        # the field pin's separations: r <= L has no epsilon
+        ["field", "--mass", "1", "--length", "1", "--r",
+         "0,0.5,1,1.05,2,20"]],
         ids=lambda argv: argv[0])
     def test_cells_agree(self, capsys, argv):
         assert run(argv) == 0
@@ -440,21 +449,50 @@ class TestCsvJsonAgree:
             for cell, value in zip(line.split(","), row.values()):
                 if value is None:
                     assert cell == ""
-                elif isinstance(value, int):
+                    continue
+                assert float(cell) == value
+                assert math.copysign(1.0, float(cell)) == math.copysign(
+                    1.0, value)
+                if isinstance(value, int):
                     assert cell == str(value)
-                else:
-                    assert float(cell) == value
         values = [value for row in rows for value in row.values()]
         if argv[0] != "correlations":
             assert None in values  # epsilon_approx at d > 0, epsilon at r <= L
+            assert 0.0 in values   # a separable epsilon
         if argv[0] == "field":
             assert math.inf in values  # JSON Infinity
 
 
-class TestRenderCsv:
-    EDGE_CELLS = [None, 0, 10**18, 3.0, -0.0, math.inf, -math.inf, 5e-324,
-                  1.7976931348623157e308, np.float64(0.1)]
+#: floats whose text is easy to get wrong: both zeros, subnormals, the
+#: smallest normal, the infinities and the largest float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               math.inf, -math.inf, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 3.0]
 
+
+@st.composite
+def render_columns(draw):
+    """Columns of one length, each of one kind: Python ints up to 10**18,
+    floats, np.float64 cells, or floats with None (empty) cells; each as a
+    list or an array."""
+    rows = draw(st.integers(0, 12))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False))
+    kinds = {"int": st.integers(-10**18, 10**18), "float": floats,
+             "np.float64": floats.map(np.float64),
+             "empty": st.one_of(st.none(), floats)}
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                              max_size=5)):
+        column = draw(st.lists(kinds[kind], min_size=rows, max_size=rows))
+        if draw(st.booleans()):
+            column = np.array(column, dtype=object if kind == "empty"
+                              else None)
+        columns.append(column)
+    return columns
+
+
+class TestRenderCsv:
     @staticmethod
     def per_cell(schema_tag, columns, rows):
         # the former renderer: one formatting call per cell
@@ -469,22 +507,58 @@ class TestRenderCsv:
         lines += [",".join(map(fmt, row)) for row in rows]
         return "\n".join(lines) + "\n"
 
+    @staticmethod
+    def rows(cells):
+        # a cell as its column holds it, an array's as a Python value
+        return zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in cells))
+
+    @given(cells=render_columns())
+    @settings(max_examples=300)
+    def test_columns_match_the_per_cell_formatter(self, cells):
+        columns = [f"c{i}" for i in range(len(cells))]
+        assert cli.render_csv("tag", columns, cells) == self.per_cell(
+            "tag", columns, self.rows(cells))
+        rows = json.loads(cli.render_json("tag", columns, cells))["rows"]
+        assert rows == [dict(zip(columns, row)) for row in self.rows(cells)]
+
+    def test_signed_zeros_print_apart(self):
+        # equal values with two bit patterns: grouping by value would print
+        # every zero as the first one's text
+        cells = [[0.0, -0.0, 0.0, -0.0], np.array([-0.0, 0.0, None, -0.0])]
+        assert cli.render_csv("t", ["x", "y"], cells) == (
+            "# t\nx,y\n0,-0\n-0,0\n0,\n-0,-0\n")
+
     def test_edge_cells_match_the_per_cell_formatter(self):
-        columns = [f"c{i}" for i in range(len(self.EDGE_CELLS))]
-        # each cell in every column, so every position sees every kind
-        rows = [self.EDGE_CELLS[k:] + self.EDGE_CELLS[:k]
-                for k in range(len(self.EDGE_CELLS))]
-        text = cli.render_csv("tag", columns, rows)
-        assert text == self.per_cell("tag", columns, rows)
-        assert text.splitlines()[2] == (
-            ",0,1000000000000000000,3,-0,inf,-inf,4.9406564584124654e-324,"
-            "1.7976931348623157e+308,0.10000000000000001")
+        # each edge value in a column of its own kind
+        cells = [[0, 10**18, -10**18, 7],
+                 [3.0, -0.0, 0.0, 0.1],
+                 np.array([math.inf, -math.inf, 5e-324,
+                           1.7976931348623157e308]),
+                 [np.float64(0.1), np.float64(-0.0), np.float64(1e-310),
+                  np.float64(0.1)],
+                 np.array([None, 2.5, None, -math.inf])]
+        columns = [f"c{i}" for i in range(len(cells))]
+        text = cli.render_csv("tag", columns, cells)
+        assert text == self.per_cell("tag", columns, self.rows(cells))
+        assert text.splitlines()[2:] == [
+            "0,3,inf,0.10000000000000001,",
+            "1000000000000000000,-0,-inf,-0,2.5",
+            "-1000000000000000000,0,4.9406564584124654e-324,"
+            "9.9999999999999694e-311,",
+            "7,0.10000000000000001,1.7976931348623157e+308,"
+            "0.10000000000000001,-inf"]
 
     def test_single_column_and_no_rows(self):
-        rows = [(None,), [7], (2.5,)]
-        assert cli.render_csv("t", ["x"], rows) == "# t\nx\n\n7\n2.5\n"
-        assert cli.render_csv("t", ["x"], iter(rows)) == "# t\nx\n\n7\n2.5\n"
-        assert cli.render_csv("t", ["x", "y"], []) == "# t\nx,y\n"
+        assert cli.render_csv("t", ["x"], [[None, 2.5, None]]) == (
+            "# t\nx\n\n2.5\n\n")
+        assert cli.render_csv("t", ["x"], [range(3)]) == "# t\nx\n0\n1\n2\n"
+        assert cli.render_csv("t", ["x"], [[None]]) == "# t\nx\n\n"
+        assert cli.render_csv("t", ["x", "y"], [[], []]) == "# t\nx,y\n"
+        assert cli.render_csv("t", ["x", "y"], [
+            np.array([], dtype=np.int64), np.array([])]) == "# t\nx,y\n"
+        assert cli.render_json("t", ["x", "y"], [[], []]) == (
+            '{\n  "schema": "t",\n  "rows": []\n}\n')
 
 
 class TestFlagInventory:
@@ -595,6 +669,50 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"chainent: domain error: {message}\n"
+
+    @staticmethod
+    def first_refusal(ms, ss, ds):
+        # the former grid: one BlockSpec per layout, in (m, s, d) order
+        try:
+            for m in ms:
+                for s in ss:
+                    for d in ds:
+                        BlockSpec(m, s, d)
+        except DomainError as exc:
+            return f"chainent: domain error: {exc}\n"
+        raise AssertionError("every layout of the grid is valid")
+
+    @pytest.mark.parametrize("flags,refused", [
+        (["--m", "0..2"], "m must be an integer >= 1, got 0"),
+        (["--s", "0,1"], "s must be an integer >= 1, got 0"),
+        (["--d=-1,0"], "d must be an integer >= 0, got -1"),
+        (["--m", "0,5", "--s", "0", "--d=-3"], "m must be"),
+        (["--m", "1,2", "--s", "1,3000000"], "block spec 1:3000000:0 "),
+        # the first layout past the cap in order is not the largest one
+        (["--m", "1..3", "--s", "1,700000,1000000", "--d", "0,1"],
+         "block spec 3:700000:0 "),
+        (["--m", "1,2", "--s", "1048576", "--d", "0,1"],
+         "block spec 2:1048576:1 "),
+        # spans past int64: 2 m s overflows, and m past any int64
+        (["--m", "3037000500", "--s", "3037000500"],
+         "block spec 3037000500:3037000500:0 "),
+        (["--m", "1", "--d", "0,1,10000000000000000000000"],
+         "block spec 1:1:10000000000000000000000 ")],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_grid_refuses_its_first_bad_layout(self, capsys, monkeypatch,
+                                               flags, refused):
+        def no_work(*args, **kwargs):
+            raise AssertionError("layouts are checked before any table")
+
+        monkeypatch.setattr(correlations, "_reduced_coupling", no_work)
+        args = cli.build_parser().parse_args(["sweep", "--alphas", "0.5",
+                                              *flags])
+        expected = self.first_refusal(args.m, args.s, args.d)
+        assert expected.startswith(f"chainent: domain error: {refused}")
+        assert run(["sweep", "--alphas", "0.5", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == expected
 
     @pytest.mark.parametrize("specs", ["", ","], ids=["empty", "comma"])
     def test_empty_specs_is_usage_error(self, capsys, specs):
