@@ -4,11 +4,14 @@ its lag multiplicities.
 Block A and block B each consist of m subblocks of s consecutive sites,
 laid out alternately (A, B, A, B, ...) from site 0 with d unused sites
 between consecutive subblocks; m = 1 is the ordinary contiguous two-block
-arrangement.  `subblock_pairs` counts subblock pairs in closed form;
-`stacked_lag_counts` spreads the same counts into the lag multiplicities
-of many layouts at once, as double cumulative sums of a few spikes each,
-`lag_counts` is its one-layout case, and `lag_count_array` is the direct
-pair count they are checked against.
+arrangement.  A layout's lag multiplicities are its intra counts, the
+site pairs at lag l within block A (block B has the same counts), and its
+cross counts, the pairs at lag l between A and B, on lags 0..span - 1;
+they do not depend on the coupling.  `subblock_pairs` counts subblock
+pairs in closed form; `stacked_lag_counts` spreads the same counts into
+the lag multiplicities of many layouts at once, as double cumulative sums
+of a few spikes each, and `lag_count_array` is the direct pair count they
+are checked against.
 """
 
 from dataclasses import dataclass
@@ -101,8 +104,9 @@ def layout_columns(layouts) -> tuple[np.ndarray, ...]:
 def stacked_lag_counts(layouts) -> np.ndarray:
     """Lag multiplicities of many layouts laid end to end, as one float
     array: for each (m, s, d) row of `layouts` in turn, its intra counts on
-    lags 0..span - 1, then its cross counts on the same lags (see
-    `lag_counts`).
+    lags 0..span - 1 (intra[l] site pairs at lag l within block A, as many
+    as within B), then its cross counts on the same lags (cross[l] pairs at
+    lag l between A and B).
 
     Two runs of s sites whose starts differ by D share s - |k| pairs at lag
     |D + k| for |k| < s: a tent of height s over lag D.  The runs
@@ -135,18 +139,6 @@ def stacked_lag_counts(layouts) -> np.ndarray:
     np.cumsum(counts, out=counts)
     # the last layout's last spike lies past its end
     return counts[:2 * span.sum()]
-
-
-def lag_counts(spec: BlockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Lag multiplicities (intra, cross) of a layout, as float arrays.
-
-    intra[l] counts the site pairs at lag l within block A (block B has the
-    same counts), cross[l] those between A and B; both run to lag
-    spec.max_lag.  They do not depend on the coupling.  One layout of
-    `stacked_lag_counts`.
-    """
-    counts = stacked_lag_counts([(spec.m, spec.s, spec.d)])
-    return counts[:spec.span], counts[spec.span:]
 
 
 def lag_count_array(x, y) -> np.ndarray:

@@ -110,8 +110,9 @@ def parse_int_values(text: str) -> list[int]:
 
 
 def parse_float_values(text: str) -> list[float]:
-    """Comma-separated floats and linspace ranges 'a..b:count'."""
-    return _parse_values(text, float, _linspace_range)
+    """Comma-separated floats and linspace ranges 'a..b:count'; -0 is 0."""
+    return [value + 0.0 for value in _parse_values(text, float,
+                                                   _linspace_range)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,8 @@ def _check_chain_cutoffs(oracle_n: int):
                 for n in range(1, 11)])
     layouts, expected, details = zip(*cases)
     table = correlations.correlation_table(0.9, 80)
-    moments = entanglement._moments(np.stack((table.g, table.h)), layouts)
+    gh = np.stack((table.g, table.h))[None]
+    [moments] = entanglement._moments(gh, layouts)
     epsilon = entanglement._verdict(*moments.T,
                                     entanglement.VACUUM_PRODUCT)[2]
     for entangled, want, detail in zip(epsilon != 0.0, expected, details):

@@ -34,6 +34,9 @@ class TestParsing:
         assert cli.parse_float_values("0.5") == [0.5]
         assert cli.parse_float_values("0.1,0.9") == [0.1, 0.9]
         assert cli.parse_float_values("0..1:3") == [0.0, 0.5, 1.0]
+        for text in ("-0", "-0,0", "0,-0", "-0..-0:2"):
+            [zero] = cli.parse_float_values(text)
+            assert math.copysign(1.0, zero) == 1.0
 
     @pytest.mark.parametrize("text", ["", "a", "3..1", "0.1..0.9", "1..2:1"])
     def test_rejects_malformed(self, text):
@@ -282,6 +285,18 @@ class TestFieldCommand:
 
     def test_domain_error_exit_code(self, capsys):
         assert run(["field", "--mass", "0", "--length", "1", "--r", "2"]) == 2
+
+    def test_either_zero_separation_prints_one_zero(self, capsys):
+        # a set of both zeros keeps whichever comes first; every spelling
+        # prints the one row of r = 0
+        outputs = []
+        for r in ("-0", "-0,0", "0,-0"):
+            assert run(["field", "--mass", "1", "--length", "1",
+                        f"--r={r}"]) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1] == outputs[2]
+        row = outputs[0].decode().split("\n")[2].split(",")
+        assert row[cli.FIELD_COLUMNS.index("r")] == "0"
 
     @pytest.mark.parametrize("flag,value", [("--r", "nan"), ("--mass", "inf"),
                                             ("--length", "inf")])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from chainent import (BlockSpec, CollectiveCovariance, DomainError,
                       correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
 from chainent import entanglement
-from chainent.blocks import lag_count_array, lag_counts
+from chainent.blocks import lag_count_array, stacked_lag_counts
 from chainent.entanglement import _approx, _moments, _verdict
 from tests import oracles
 
@@ -124,25 +125,17 @@ class TestGridMoments:
         assert got.shape == (len(alphas), len(specs), 4)
         assert np.array_equal(got, want)
 
-    def test_one_coupling_without_a_leading_axis(self, tables):
-        gh = coupling_rows(tables, [0.9], 40)[0]
-        got = _moments(gh, [(2, 3, 1), (1, 2, 0)])
-        want = [contracted(gh, BlockSpec(2, 3, 1)),
-                contracted(gh, BlockSpec(1, 2, 0))]
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("budget", [1, entanglement.MOMENT_CHUNK])
-    def test_couplings_on_two_axes(self, tables, budget):
+    def test_four_couplings(self, tables, budget):
         # at budget 1 each layout is past it alone and is contracted one
         # coupling at a time
         gh = coupling_rows(tables, [0.1, 0.5, 0.9, 0.999], 40)
-        gh = gh.reshape(2, 2, 2, 40)
         layouts = [(2, 3, 1), (1, 2, 0), (1, 5, 3)]
         with mock.patch.object(entanglement, "MOMENT_CHUNK", budget):
             got = _moments(gh, layouts)
         want = np.stack([contracted(gh, BlockSpec(*layout))
                          for layout in layouts], axis=-2)
-        assert got.shape == (2, 2, 3, 4)
+        assert got.shape == (4, 3, 4)
         assert np.array_equal(got, want)
 
     def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
@@ -171,6 +164,34 @@ class TestGridMoments:
         gh = coupling_rows(tables, [0.5], 10)
         with pytest.raises(LagBoundError, match="spec 1:3:5 needs 10"):
             _moments(gh, [(1, 2, 0), (1, 3, 5), (1, 1, 1)])
+
+
+class TestMomentAccuracy:
+    # the moment pass alone: the same float table contracted with the exact
+    # integer pair counts in rationals, so the table's own error drops out
+
+    LAYOUTS = [(1, 100, 0), (1, 100, 1), (2, 50, 0), (4, 25, 1), (1, 1, 0),
+               (30, 2, 1), (300, 1, 0)]
+
+    @pytest.mark.parametrize("gap", [0.4, 1e-2, 1e-4, 1e-5])
+    def test_within_the_stated_bound(self, tables, gap):
+        # the bound of `_moments`' docstring, 4 * 2^-53 * sum_l |count_l f_l|
+        # / n per column; h's lags nearly cancel, so H's relative error
+        # reaches 8e-15 at 1 - alpha = 1e-4 within it
+        specs = [BlockSpec(*layout) for layout in self.LAYOUTS]
+        gh = coupling_rows(tables, [1.0 - gap],
+                           max(spec.span for spec in specs))
+        [got] = _moments(gh, self.LAYOUTS)
+        for spec, moments in zip(specs, got.tolist()):
+            a, b = block_indices(spec)
+            # G and H from the intra counts, G_AB and H_AB from the cross
+            pairs = [(lag_count_array(a, other).tolist(), row)
+                     for other in (a, b) for row in gh[0].tolist()]
+            for moment, (counts, row) in zip(moments, pairs):
+                terms = [count * Fraction(f) for count, f in zip(counts, row)]
+                error = abs(Fraction(moment) - sum(terms) / spec.n)
+                scale = sum(map(abs, terms)) / spec.n
+                assert error <= 4 * scale / 2**53, (spec, moments)
 
 
 class TestNegativity:
@@ -432,7 +453,7 @@ class TestBoundaryScaling:
     @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     def test_cross_lags_cross_a_boundary(self, n):
         for spec in divisor_layouts(n):
-            cross = lag_counts(spec)[1]
+            cross = stacked_lag_counts([(spec.m, spec.s, spec.d)])[spec.span:]
             lags = np.arange(1, cross.size)
             assert cross[0] == 0
             assert np.all(cross[1:] <= 2 * (2 * spec.m - 1)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import chainent.field
-from chainent import (BlockSpec, DomainError, FieldRegionSpec,
-                      QuadratureError, d_phi, d_pi, field_covariance,
-                      field_negativity)
-from chainent.blocks import lag_counts
+from chainent import (DomainError, FieldRegionSpec, QuadratureError, d_phi,
+                      d_pi, field_covariance, field_negativity)
+from chainent.blocks import stacked_lag_counts
 from chainent.field import MAX_WINDOWS, _ascending, _k0_xk1, _ki2
 from tests import _frozen, oracles
 
@@ -384,7 +383,7 @@ class TestPeriodicRegions:
     @pytest.mark.parametrize("windows", range(1, 21))
     def test_closed_form_counts_match_chain_layout(self, windows):
         # the windows are the chain layout of `windows` one-site subblocks
-        intra, cross = lag_counts(BlockSpec(windows, 1, 0))
+        intra, cross = stacked_lag_counts([(windows, 1, 0)]).reshape(2, -1)
         lags = np.arange(2 * windows)
         count = np.where(lags == 0, windows, 2 * windows - lags)
         assert np.array_equal(intra, np.where(lags % 2 == 0, count, 0))

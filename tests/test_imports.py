@@ -87,8 +87,8 @@ def peak_kib(statements: str) -> int:
 def test_lag_counts_of_many_subblocks_stay_small():
     # the counter holds O(m) spikes and the O(span) counts; an m x 2m pair
     # count of these 5040 subblocks would peak past 400 MB
-    assert peak_kib("from chainent.blocks import BlockSpec, lag_counts\n"
-                    "lag_counts(BlockSpec(5040, 1, 0))") < 100 * 1024
+    assert peak_kib("from chainent.blocks import stacked_lag_counts\n"
+                    "stacked_lag_counts([(5040, 1, 0)])") < 100 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
