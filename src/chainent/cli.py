@@ -9,8 +9,10 @@ failing grid point never leaves partial output behind.
 A sweep builds its layout grid as one integer array, holds its couplings'
 tables in one array, takes the moments of every geometry under every
 coupling in one pass, and computes its rows as columns with the array
-forms of the library's rules.  Every table is rendered from its columns,
-formatting each distinct int or float of a column once.
+forms of the library's rules.  A field grid likewise takes D(0) once, the
+propagators of every separated window pair in one Bessel pass and
+epsilon from one verdict over its columns.  Every table is rendered from
+its columns, formatting each distinct int or float of a column once.
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
@@ -21,6 +23,7 @@ its bound exits 2.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -300,20 +303,34 @@ def cmd_sweep(args) -> tuple[str, int]:
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
-    # G, H, G_AB, H_AB and epsilon at each separation, epsilon None where
-    # the windows overlap
-    rows = []
-    for r in args.r:
-        spec = field.FieldRegionSpec(mass=args.mass, length=args.length,
-                                     separation=r)
-        if r > args.length:
-            res = field.field_negativity(spec)
-            cov, eps = res.cov, res.epsilon
-        else:
-            cov, eps = field.field_covariance(spec), None
-        rows.append((cov.g_diag, cov.h_diag, cov.g_cross, cov.h_cross, eps))
-    cells = (np.full(len(rows), args.mass), np.full(len(rows), args.length),
-             args.r, *zip(*rows))
+    # D_phi(0) and D_pi(0) once, every separation's propagators from one
+    # `field._pairs` call (one Bessel pass over the separated windows) and
+    # epsilon of the separated ones from one verdict, None where the
+    # windows overlap
+    r, length = np.array(args.r), args.length
+    try:
+        # the least and the greatest separation check every one, NaN too
+        field.FieldRegionSpec(args.mass, length, float(r.min()))
+        spec = field.FieldRegionSpec(args.mass, length, float(r.max()))
+        d_phi0, d_pi0 = field.d_phi(spec, 0.0), field.d_pi(spec, 0.0)
+        # + 0.0: a one-term sum of the covariance, which gives 0 for -0
+        d_phi_r, d_pi_r = field._pairs(spec, r, 1) + 0.0
+        apart = r > length
+        epsilon = np.full(r.size, None)
+        epsilon[apart] = entanglement._verdict(
+            d_phi0, d_pi0, d_phi_r[apart], d_pi_r[apart],
+            entanglement.VACUUM_PRODUCT)[2]
+    except ChainentError:
+        # the error of the first separation without a row, as a loop over
+        # the grid meets it
+        for at in args.r:
+            spec = field.FieldRegionSpec(args.mass, length, at)
+            (field.field_negativity if at > length
+             else field.field_covariance)(spec)
+        raise
+    cells = (np.full(r.size, args.mass), np.full(r.size, length), r,
+             np.full(r.size, d_phi0), np.full(r.size, d_pi0), d_phi_r, d_pi_r,
+             epsilon)
     return _render_table(args, FIELD_SCHEMA, FIELD_COLUMNS, cells), EXIT_OK
 
 
@@ -525,6 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--out", metavar="FILE", default=None)
     p_val.set_defaults(func=cmd_validate)
 
+    # a token that starts with one '-' and names no option is a value (a
+    # negative number, list or range), read as after --flag=
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile("-[^-]")
     return parser
 
 

@@ -30,14 +30,18 @@ window's triangle kernel integrated against a Bessel function:
 * Separated windows, r > L: the kernel is smooth on the triangle, and
   (m^2 - d^2/dx^2) K0(mx) = -m K1(mx)/x gives D_pi the same form with the
   kernel -m K1(m(r-t))/(r-t).  Both integrands keep one sign, so nothing
-  cancels.  They are summed by 16-point Gauss-Legendre panels in s = r - t,
-  one vectorized evaluation of K0 and x K1, shared by `d_phi` and `d_pi`
-  at one separation, and one numpy sum (no BLAS dot) per value.  Panel
-  widths double away from s = r - L and start at min(r - L, 1/m): no
-  panel is wider than its distance to the singularity at s = 0, and the
-  first ones resolve the decay length 1/m.  The rules depend on the gap
-  and the mass alone and are cached.  Relative accuracy is about 1e-15,
-  also for nearly touching windows, tiny masses and large separations.
+  cancels.  They are summed by 16-point Gauss-Legendre panels in s = r - t.
+  Panel widths double away from s = r - L and start at min(r - L, 1/m):
+  no panel is wider than its distance to the singularity at s = 0, and
+  the first ones resolve the decay length 1/m.  One array pass serves
+  every separated window pair of a call: the rules of all pairs are
+  built at once, K0 and x K1 are evaluated once over all their nodes
+  (`_separated`), and each value is one numpy sum (no BLAS dot) over its
+  own nodes, the same whether its pair comes alone or with others.  So
+  `field_covariance` takes all its lags, and the field command all its
+  separations, in one pass, and `d_phi` and `d_pi` are that pass at one
+  separation.  Relative accuracy is about 1e-15, also for nearly touching
+  windows, tiny masses and large separations.
 * Overlapping windows, r <= L: second differences of
   Phi(x) = 2 Int_0^x (x - t) K0(mt) dt, the triangle's second derivative
   being three delta functions:
@@ -70,9 +74,10 @@ Both propagators are evaluated at unit window length, at mass mu = m L and
 separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
 D_pi = D_pi|_(mu, rho) / L.  No intermediate grows like L^2, so a value is
 returned whenever it and m L fit a float; the branch is still chosen on
-the sign of r - L, since r/L can round to 1.  `field_covariance` passes
+the sign of r - L, since r/L can round to 1.  `field_covariance` takes
 the distance l r of window pairs l apart as rho = l (r/L), so l r need not
-fit a float either.  Where m L overflows, the propagators are
+fit a float either, and its lag-0 term at rho = 0.  Where m L overflows,
+the propagators are
 their large-mass limits D_phi = (L - r)/(2 m L) and D_pi = m (L - r)/(2 L)
 for r < L, and 0 for r > L (at m L = 1e300 the evaluated values agree with
 these to 2 ulp); where m L underflows, or r/L leaves the float range,
@@ -84,7 +89,6 @@ The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -199,23 +203,30 @@ def _k0_xk1(mu: float, x):
     positive values: the ascending series up to u = 2, the trapezoid rule in
     the module docstring's variable beyond.  exp(-u) is applied in two
     halves, so a value above the underflow threshold keeps its digits; past
-    `_UNDERFLOW` both are 0."""
-    with np.errstate(over="ignore"):    # past the float range, past _UNDERFLOW
-        u = mu * x
-    k0, xk1 = np.zeros(u.shape), np.zeros(u.shape)
-    small = u <= 2.0
-    if small.any():
-        rows = _ascending(mu, x[small])
-        k0[small] = rows[0]
-        xk1[small] = 1.0 - 0.25 * u[small] * u[small] * rows[1]
-    large = (u > 2.0) & (u < _UNDERFLOW)
-    if large.any():
-        col = u[large][:, None]
-        cosh = col + _U_SQUARED             # u cosh t
-        terms = _U_WEIGHTS / np.sqrt(col + cosh)
-        half = np.array([math.exp(-0.5 * v) for v in u[large].tolist()])
-        k0[large] = terms.sum(-1) * half * half
-        xk1[large] = (terms * cosh).sum(-1) * half * half
+    `_UNDERFLOW` both are 0.  Taken in blocks of 512 values, whose
+    temporaries stay small enough to be reused from the heap and the
+    cache: a long array costs no more resident memory than a short one."""
+    k0, xk1 = np.zeros(x.shape), np.zeros(x.shape)
+    for lo in range(0, x.size, 512):
+        at = slice(lo, lo + 512)
+        with np.errstate(over="ignore"):    # u past the float range
+            u = mu * x[at]
+        small = u <= 2.0
+        if small.any():
+            rows = _ascending(mu, x[at][small])
+            k0[at][small] = rows[0]
+            xk1[at][small] = 1.0 - 0.25 * u[small] * u[small] * rows[1]
+        large = (u > 2.0) & (u < _UNDERFLOW)
+        if large.any():
+            col = u[large][:, None]
+            cosh = col + _U_SQUARED             # u cosh t
+            # two (values, 27) arrays at a time, the rest in place
+            terms = col + cosh
+            np.divide(_U_WEIGHTS, np.sqrt(terms, out=terms), out=terms)
+            half = np.array([math.exp(-0.5 * v) for v in u[large].tolist()])
+            k0[at][large] = terms.sum(-1) * half * half
+            xk1[at][large] = (np.multiply(terms, cosh, out=cosh).sum(-1)
+                              * half * half)
     return k0, xk1
 
 
@@ -258,43 +269,74 @@ def _overlap_phi(mu: float, rho: float, rest: float) -> float:
             + 2.0 / (mu * mu) * sum(c * _ki2(mu * x) for c, x in terms))
 
 
-@lru_cache(maxsize=2)
-def _graded_rule(width: float):
-    """Gauss-Legendre offsets and weights on [0, 1], panel widths doubling
-    from `width` (a panel [a, 2a + width] per doubling), read-only.  The
-    far rule depends on the mass alone and the near one on min(gap, 1/m),
-    so the two cached ones serve most separations of one mass."""
-    doublings = int(math.log2(1.0 / width + 1.0)) + 1
-    edges = width * (2.0 ** np.arange(doublings) - 1.0)
-    edges = np.append(edges[edges < 1.0], 1.0)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    offsets = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS).ravel()
-    offsets.flags.writeable = weights.flags.writeable = False
-    return offsets, weights
+def _panel_counts(widths):
+    """Panels of the graded rule from each of `widths` (see `_graded_rule`):
+    one per doubling whose start lies below 1, as an int array.  The start
+    of doubling floor(log2(1/width + 1)) is tested; every earlier one lies
+    below 1/2."""
+    doublings = np.array([int(math.log2(1.0 / w + 1.0))
+                          for w in widths.tolist()], dtype=int)
+    return doublings + (widths * (2.0 ** doublings - 1.0) < 1.0)
 
 
-@lru_cache(maxsize=1)
-def _separated(mu: float, rho: float, gap: float) -> tuple[float, float]:
+def _graded_rule(widths, panels: int):
+    """Gauss-Legendre offsets and weights on [0, 1], one row per entry of
+    `widths`, panel widths doubling from it (a panel [a, 2a + width] per
+    doubling, the last one closed at 1); every row has `panels` panels."""
+    edges = np.ones((widths.size, panels + 1))
+    edges[:, :-1] = widths[:, None] * (2.0 ** np.arange(panels) - 1.0)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = edges[:, :-1] + half
+    return ((mid[..., None] + half[..., None] * _GL_NODES).reshape(
+        widths.size, -1), (half[..., None] * _GL_WEIGHTS).reshape(
+        widths.size, -1))
+
+
+def _separated(mu: float, rho, gap) -> np.ndarray:
     """Int_{-1}^{1} (1 - |t|) k(rho - t) dt at unit window length for the
-    kernels K0(mu s) and -mu K1(mu s)/s, i.e. 2 pi D_phi and 2 pi D_pi, for
-    separated windows rho = r/L > 1 with gap = (r - L)/L.  One evaluation
-    serves both propagators, and `field_covariance` calls them back to back.
+    kernels K0(mu s) and -mu K1(mu s)/s, i.e. 2 pi D_phi and 2 pi D_pi, as
+    the two rows of an array, for separated window pairs: 1-d arrays
+    rho = r/L > 1 and gap = (r - L)/L.
 
     In s = rho - t the near half [gap, rho] has weight s - gap and the far
     half [rho, rho + 1] weight rho + 1 - s; both are graded away from their
     lower end, the near half also away from the singularity at s = 0.
+    The nodes of all pairs go through `_k0_xk1` together, one call per
+    run of pairs whose nodes end in one 2^13-node block, which bounds the
+    memory of a long grid (a few hundred pairs of m L ~ 1 make one run).
+    Pairs of equal node count are summed as the rows of one array, each by
+    the pairwise sum it gets alone.
     """
-    near, near_w = _graded_rule(min(gap, 1.0 / mu))
-    far, far_w = _graded_rule(min(1.0, 1.0 / mu))
-    s = np.concatenate([gap + near, rho + far])
-    weights = np.concatenate([near * near_w, (1.0 - far) * far_w])
-    k0, xk1 = _k0_xk1(mu, s)
-    # mu K1(mu s)/s = x K1(x)/s^2 keeps its limit 1/s^2 where mu s
-    # underflows; 1/s/s, since s^2 can overflow
-    return (float((weights * k0).sum()),
-            -float((weights * (xk1 / s / s)).sum()))
+    near = np.minimum(gap, 1.0 / mu)
+    panels = _panel_counts(near)
+    far_width = np.array([min(1.0, 1.0 / mu)])
+    far, far_w = _graded_rule(far_width, int(_panel_counts(far_width)[0]))
+    far_weights = (1.0 - far) * far_w
+    unit = np.empty((2, gap.size))
+    # runs of the pairs whose nodes end in one 2^13-node block
+    cuts = (np.flatnonzero(np.diff(np.cumsum(16 * panels + far.size) >> 13))
+            + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [gap.size]):
+        groups = []
+        for count in sorted(set(panels[lo:hi].tolist())):
+            rows = lo + np.flatnonzero(panels[lo:hi] == count)
+            offsets, weights = _graded_rule(near[rows], count)
+            s = np.hstack([gap[rows, None] + offsets, rho[rows, None] + far])
+            groups.append((rows, s, np.hstack([
+                offsets * weights,
+                np.broadcast_to(far_weights, (rows.size, far.size))])))
+        k0, xk1 = _k0_xk1(mu, np.concatenate([s.ravel()
+                                              for _, s, _ in groups]))
+        start = 0
+        for rows, s, weights in groups:
+            at = slice(start, start + s.size)
+            start += s.size
+            unit[0, rows] = (weights * k0[at].reshape(s.shape)).sum(-1)
+            # mu K1(mu s)/s = x K1(x)/s^2 keeps its limit 1/s^2 where mu s
+            # underflows; 1/s/s, since s^2 can overflow
+            unit[1, rows] = -(weights * (xk1[at].reshape(s.shape) / s
+                                         / s)).sum(-1)
+    return unit
 
 
 def _unit(spec: FieldRegionSpec, r: float,
@@ -324,74 +366,109 @@ def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
     return value
 
 
-def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None, *,
-          _lag: int = 1) -> float:
+def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """Smeared field propagator D_phi at center distance `at`.
 
     Finite for every separation; even in `at`.  `tol` is accepted and unused
     (the evaluation is a closed form, see the module docstring).
-    `field_covariance` passes `_lag`, a count of window spacings: the
-    distance is then _lag `at`, evaluated at _lag (at/L), so it need not fit
-    a float.
     """
     r = abs(_check_real("separation", at))
-    mu, rho, gap = _unit(spec, r, _lag)
+    mu, rho, gap = _unit(spec, r)
     if mu == math.inf:      # the large-mass limit (L - r)/(2 m L), 0 past L
         return max(0.0, -gap) / spec.mass / 2.0
     if gap > 0.0:
-        unit = _separated(mu, rho, gap)[0] / (2.0 * math.pi)
+        unit = float(_separated(mu, np.array([rho]),
+                                np.array([gap]))[0, 0]) / (2.0 * math.pi)
     else:
         unit = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
-    return _finite(spec.length * unit, "D_phi", spec, _lag * r)
+    return _finite(spec.length * unit, "D_phi", spec, r)
 
 
-def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None, *,
-         _lag: int = 1) -> float:
+def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """Smeared momentum propagator D_pi at center distance `at`; even in `at`.
 
     Returns +inf at `at` = 0 and -inf at `at` = L: there the oscillatory
     decomposition acquires a zero-frequency component and the integral
     diverges logarithmically (with slope +1/(pi L) resp. -1/(2 pi L) per
     unit log-cutoff), so no finite value exists.  `tol` is accepted and
-    unused; `_lag` as for `d_phi`.
+    unused.
     """
     r = abs(_check_real("separation", at))
-    if _lag * r == 0.0:
+    if r == 0.0:
         return math.inf
-    if _lag * r == spec.length:
+    if r == spec.length:
         return -math.inf
-    mu, rho, gap = _unit(spec, r, _lag)
+    mu, rho, gap = _unit(spec, r)
     if mu == math.inf:      # the large-mass limit m (L - r)/(2 L), 0 past L
         return max(0.0, -gap) * spec.mass / 2.0
     if gap > 0.0:
-        unit = _separated(mu, rho, gap)[1] / (2.0 * math.pi)
+        unit = float(_separated(mu, np.array([rho]),
+                                np.array([gap]))[1, 0]) / (2.0 * math.pi)
     else:
         at_r, at_sum, at_rest = _k0_xk1(
             mu, np.array([rho, rho + 1.0, -gap]))[0].tolist()
         contact = (2.0 * at_r - at_sum - at_rest) / (2.0 * math.pi)
         phi = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
         unit = contact + mu * (mu * phi)
-    return _finite(unit / spec.length, "D_pi", spec, _lag * r)
+    return _finite(unit / spec.length, "D_pi", spec, r)
+
+
+def _pairs(spec: FieldRegionSpec, at, lags) -> np.ndarray:
+    """D_phi and D_pi of window pairs `lags` window spacings `at` apart, as
+    the two rows of an array: `at` (floats >= 0) and `lags` (ints >= 1) are
+    broadcast against each other.  Each value is the one `d_phi` or `d_pi`
+    gives at distance lags `at`, except that rho is lags (at/L), so the
+    distance need not fit a float.
+
+    The separated pairs take one `_separated` call.  An overlapping pair,
+    which must have lag 1, takes `d_phi` and `d_pi` and raises their
+    errors; the callers pass these first.  Of the separated pairs, the
+    first one without a value raises the error the scalars raise there."""
+    at, lags = np.broadcast_arrays(np.asarray(at, dtype=float), lags)
+    length = spec.length
+    mu = spec.mass * length
+    with np.errstate(over="ignore"):    # r/L past the float range
+        rho = lags * (at / length)
+        gap = np.where(lags == 1, (at - length) / length, rho - 1.0)
+    values = np.zeros((2, at.size))     # the large-mass limit past L is 0
+    apart = gap > 0.0
+    for i in np.flatnonzero(~apart).tolist():
+        values[:, i] = d_phi(spec, at[i]), d_pi(spec, at[i])
+    if mu == math.inf:
+        return values
+    # apart, rho > 1, so only m L and rho can leave the range (see `_unit`)
+    ok = apart & (mu > 0.0) & (rho < math.inf)
+    if ok.any():
+        unit = _separated(mu, rho[ok], gap[ok]) / (2.0 * math.pi)
+        with np.errstate(over="ignore"):
+            values[:, ok] = length * unit[0], unit[1] / length
+    bad = apart & ~(ok & np.isfinite(values).all(0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        r, lag = float(at[i]), int(lags[i])
+        _unit(spec, r, lag)
+        for value, name in zip(values[:, i].tolist(), ("D_phi", "D_pi")):
+            _finite(value, name, spec, lag * r)
+    return values
 
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     """Collective covariance of the two parties: single-window propagators
     summed over center distances l r, as many as `blocks.subblock_pairs`
     counts ordered window pairs l apart: (A, A) at even l, (A, B) at odd l.
-    Each is evaluated at l (r/L), so l r need not fit a float.
+    The lag-0 term is D(0); every lag from 1 on is one `_pairs` call, at
+    l (r/L), so l r need not fit a float.
     A 1/sqrt(windows L) norm per collective operator keeps [Q, P] = i: the
     vacuum product stays 1/4."""
-    w, r = spec.windows, spec.separation
-    # (A, A) and (A, B) terms, each lag's D_phi and D_pi back to back, as the
-    # two share one evaluation; every count is positive, since 0 * D_pi(0)
-    # = 0 * inf is NaN
-    g, h = ([], []), ([], [])
-    for lag, count in enumerate(subblock_pairs(w).tolist()):
-        g[lag % 2].append(count * d_phi(spec, r, _lag=lag))
-        h[lag % 2].append(count * d_pi(spec, r, _lag=lag))
+    w = spec.windows
+    at_zero = d_phi(spec, 0.0), d_pi(spec, 0.0)
+    per_lag = np.column_stack([at_zero, _pairs(spec, spec.separation,
+                                               np.arange(1, 2 * w))])
+    # every count is positive, since 0 * D_pi(0) = 0 * inf is NaN
+    g, h = (subblock_pairs(w) * per_lag).tolist()
     return CollectiveCovariance(
-        g_diag=math.fsum(g[0]) / w, h_diag=math.fsum(h[0]) / w,
-        g_cross=math.fsum(g[1]) / w, h_cross=math.fsum(h[1]) / w)
+        g_diag=math.fsum(g[0::2]) / w, h_diag=math.fsum(h[0::2]) / w,
+        g_cross=math.fsum(g[1::2]) / w, h_cross=math.fsum(h[1::2]) / w)
 
 
 def field_negativity(spec: FieldRegionSpec) -> EntanglementResult:

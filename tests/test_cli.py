@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainent
-from chainent import cli, correlations, entanglement
+from chainent import cli, correlations, entanglement, field
 from chainent.blocks import BlockSpec
-from chainent.errors import DomainError
+from chainent.errors import ChainentError, DomainError
 
 
 def run(argv):
@@ -297,6 +297,59 @@ class TestFieldCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         row = outputs[0].decode().split("\n")[2].split(",")
         assert row[cli.FIELD_COLUMNS.index("r")] == "0"
+
+    def test_one_separated_window_evaluation_per_grid(self, capsys,
+                                                      monkeypatch):
+        calls = []
+        original = field._separated
+
+        def counted(mu, rho, gap):
+            calls.append(rho.size)
+            return original(mu, rho, gap)
+
+        monkeypatch.setattr(field, "_separated", counted)
+        assert run(["field", "--mass", "1", "--length", "1",
+                    "--r", "0,0.5,1,1.05..20:40"]) == 0
+        # every separation past L in one call; r <= L on the closed forms
+        assert calls == [40]
+        assert capsys.readouterr().out.count("\n") == 2 + 43
+
+    @staticmethod
+    def first_refusal(mass, length, separations):
+        """stderr and exit code of a per-separation loop over the grid"""
+        for r in separations:
+            try:
+                spec = field.FieldRegionSpec(mass, length, r)
+                if r > length:
+                    field.field_negativity(spec)
+                else:
+                    field.field_covariance(spec)
+            except DomainError as exc:
+                return f"chainent: domain error: {exc}\n", 2
+            except ChainentError as exc:
+                return f"chainent: numerical failure: {exc}\n", 3
+        raise AssertionError("every separation of the grid has a row")
+
+    @pytest.mark.parametrize("mass,length,r,refused", [
+        ("-1", "1", "2", "mass must be positive"),
+        ("0", "1", "nan", "separation must be a finite real, got nan"),
+        ("1", "1", "1,nan,2", "separation must be a finite real, got nan"),
+        # a numerical failure before a separation FieldRegionSpec refuses
+        ("1", "1e-300", "2e-300,1e300,inf", "m L = 1e-300, r/L = inf "),
+        ("1", "1e300", "0,1e-300", "m L = 1e+300, r/L = 0.0 "),
+        # overlapping and separated windows past the float range
+        ("1", "1e-310", "0,1e-311,3e-310", "D_pi evaluated to inf "),
+        ("1", "5e-324", "0,5e-324,1e-323", "D_pi evaluated to -inf ")],
+        ids=["mass", "nan", "nan-inside", "inf-last", "r/L-underflow",
+             "overlap-overflow", "separated-overflow"])
+    def test_grid_refuses_its_first_bad_separation(self, capsys, mass,
+                                                   length, r, refused):
+        expected, code = self.first_refusal(
+            float(mass), float(length), cli.parse_float_values(r))
+        assert refused in expected
+        assert run(["field", "--mass", mass, "--length", length,
+                    f"--r={r}"]) == code
+        assert capsys.readouterr() == ("", expected)
 
     @pytest.mark.parametrize("flag,value", [("--r", "nan"), ("--mass", "inf"),
                                             ("--length", "inf")])
@@ -744,6 +797,48 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("chainent: numerical failure: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (["field", "--mass", "1", "--length", "1", "--r", "-0,0"], None),
+        (["field", "--mass", "1", "--length", "1", "--r", "-0.5..2:3"],
+         "separation must be >= 0, got -0.5"),
+        (["field", "--mass", "-1e-3", "--length", "1", "--r", "2"],
+         "mass must be positive (the massless window-averaged field is "
+         "infrared-divergent), got -0.001"),
+        (["correlations", "--alpha", "-1e-3"],
+         "coupling must satisfy 0 < alpha < 1, got -0.001"),
+        (["sweep", "--alphas", "0.5", "--d", "-1..0"],
+         "d must be an integer >= 0, got -1"),
+        (["sweep", "--alphas", "0.5", "--specs", "-1:1:0"],
+         "m must be an integer >= 1, got -1")],
+        ids=["r-list", "r-range", "mass", "alpha", "d-range", "specs"])
+    def test_value_starting_with_a_dash(self, capsys, argv, refusal):
+        # a value token after its flag reads as after --flag=
+        i = next(i for i, token in enumerate(argv)
+                 if token.startswith("-") and not token.startswith("--"))
+        joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+        outputs = []
+        for spelling in (argv, joined):
+            code = run(spelling)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        if refusal is None:
+            assert outputs[0][0] == 0 and outputs[0][2] == ""
+            assert outputs[0][1].split("\n")[2].split(",")[2] == "0"
+        else:
+            assert outputs[0] == (2, "", f"chainent: domain error: {refusal}\n")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--alphas", "--m", "1"], "--alphas/--alpha"),
+        (["sweep", "--alphas", "0.5", "--m", "-h"], "--m"),
+        (["field", "--mass", "1", "--length", "--r", "2"], "--length")])
+    def test_option_after_a_value_flag_is_usage_error(self, capsys, argv,
+                                                     flag):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected one argument\n")
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:

@@ -1,15 +1,21 @@
 import ast
+import contextlib
+import io
+import json
 import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chainent.field
-from chainent import (DomainError, FieldRegionSpec, QuadratureError, d_phi,
-                      d_pi, field_covariance, field_negativity)
-from chainent.blocks import stacked_lag_counts
+from chainent import (CollectiveCovariance, DomainError, FieldRegionSpec,
+                      QuadratureError, cli, d_phi, d_pi, field_covariance,
+                      field_negativity, negativity)
+from chainent.blocks import stacked_lag_counts, subblock_pairs
 from chainent.field import MAX_WINDOWS, _ascending, _k0_xk1, _ki2
 from tests import _frozen, oracles
 
@@ -432,6 +438,89 @@ class TestPeriodicRegions:
                 FieldRegionSpec(1.0, 1.0, 1.5, windows=windows)
         assert FieldRegionSpec(1.0, 1.0, 1.5, MAX_WINDOWS).windows == MAX_WINDOWS
         assert FieldRegionSpec(1.0, 1.0, 0.5).windows == 1
+
+
+def bits(values):
+    """The float64 bit patterns of `values`, so -0 and 0 differ and inf
+    matches itself."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+#: masses 1e-3 ... 1e3 and window lengths 2^-20 ... 2^20: with L a power of
+#: two, lag (r/L) is (lag r)/L exactly, as the scalars evaluate it
+masses = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+lengths = st.integers(-20, 20).map(lambda k: 2.0**k)
+#: separations in units of L: overlapping (0 and 1 included), nearly
+#: touching (1 + 2^-52 ... 1 + 2^-1) and far
+overlapping = st.floats(0.0, 1.0)
+touching = st.integers(1, 52).map(lambda k: 1.0 + 2.0**-k)
+far = st.floats(1.0, 1e4, exclude_min=True)
+
+
+class TestOneEvaluation:
+    """The array evaluation behind `field_covariance` and the field command
+    gives, bit for bit, what the scalar propagators give one distance at a
+    time."""
+
+    @given(mass=masses, length=lengths, units=touching | far,
+           windows=st.integers(1, 20))
+    @example(mass=1e3, length=1.0, units=2.0, windows=1)   # D_pi(r) = -0
+    @example(mass=1e-3, length=2.0**-20, units=1.0 + 2.0**-52, windows=20)
+    @settings(max_examples=60, deadline=None)
+    def test_covariance_sums_the_scalars(self, mass, length, units, windows):
+        s = FieldRegionSpec(mass, length, units * length, windows)
+        terms = ([], [], [], [])        # G, G_AB, H, H_AB terms
+        for lag, count in enumerate(subblock_pairs(windows).tolist()):
+            at = lag * s.separation
+            terms[lag % 2].append(count * d_phi(s, at))
+            terms[2 + lag % 2].append(count * d_pi(s, at))
+        g, g_ab, h, h_ab = (math.fsum(t) / windows for t in terms)
+        cov = field_covariance(s)
+        assert bits([cov.g_diag, cov.g_cross, cov.h_diag, cov.h_cross]) == \
+            bits([g, g_ab, h, h_ab])
+
+    @given(mass=masses, length=lengths,
+           units=st.lists(overlapping | touching | far, min_size=1,
+                          max_size=12))
+    @example(mass=1e3, length=1.0, units=[0.0, 0.5, 1.0, 1.5, 2.0])
+    @settings(max_examples=60, deadline=None)
+    def test_cli_columns_are_the_scalars(self, mass, length, units):
+        argv = ["field", "--mass", repr(mass), "--length", repr(length),
+                "--r", ",".join(repr(u * length) for u in units),
+                "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        rows = json.loads(out.getvalue())["rows"]
+        s = spec(mass, length)
+        d_phi0, d_pi0 = d_phi(s, 0.0), d_pi(s, 0.0)
+        for row in rows:
+            r = row["r"]
+            # + 0.0: each cell is a one-term covariance sum, which gives 0
+            # for -0
+            d_phi_r, d_pi_r = d_phi(s, r) + 0.0, d_pi(s, r) + 0.0
+            want = [d_phi0, d_pi0, d_phi_r, d_pi_r]
+            assert bits([row[name] for name in ("D_phi0", "D_pi0", "D_phi_r",
+                                                "D_pi_r")]) == bits(want)
+            if r > length:
+                assert bits([row["epsilon"]]) == bits([negativity(
+                    CollectiveCovariance(*want)).epsilon])
+            else:
+                assert row["epsilon"] is None
+
+    def test_lag_zero_sits_at_zero_whatever_r_over_l(self, capsys):
+        # r/L overflows, and 0 (r/L) would be NaN: the refusal names the
+        # lag-1 distance
+        message = ("m L = 1e-300, r/L = inf at m=1.0, L=1e-300, r=1e+300 "
+                   "(floating-point range exceeded)")
+        for windows in (1, 2):
+            with pytest.raises(QuadratureError) as err:
+                field_covariance(FieldRegionSpec(1.0, 1e-300, 1e300, windows))
+            assert str(err.value) == message
+        assert cli.main(["field", "--mass", "1", "--length", "1e-300",
+                         "--r", "1e300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chainent: numerical failure: {message}\n"
 
 
 class TestDivergenceSlope:
