@@ -4,7 +4,8 @@ grids and the self-validation suite, with deterministic CSV/JSON output.
 Exit codes: 0 success, 1 validation failure, 2 usage/domain error,
 3 numerical failure.  Each subcommand returns its whole output as text with
 its exit code, and `main` does the single write to stdout or --out, so a
-failing grid point never leaves partial output behind.
+failing grid point never leaves partial output behind.  `main` builds its
+parser on its first call and reuses it; no parser default is mutable.
 
 A sweep builds its layout grid as one integer array, holds its couplings'
 tables in one array, takes the moments of every geometry under every
@@ -21,6 +22,7 @@ its bound exits 2.
 """
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -193,13 +195,13 @@ def _check_oracle_n(oracle_n, lag: int) -> None:
                           f"{oracle_n}")
 
 
-def _oracle_deviation(table, oracle_n: int, lags: int) -> float:
-    """max |table - N-site spectral sums| over g and h on lags 0..lags, the
-    comparison behind sweep's --oracle-n and validate's oracle check."""
-    oracle = correlations.finite_correlation_table(
-        table.alpha, n_sites=oracle_n, l_max=lags)
-    return max(float(np.max(np.abs(table.g[:lags + 1] - oracle.g))),
-               float(np.max(np.abs(table.h[:lags + 1] - oracle.h))))
+def _oracle_deviation(table, oracle) -> float:
+    """max |table - N-site spectral sums| over g and h on the oracle's
+    lags, the comparison behind sweep's --oracle-n and validate's oracle
+    check."""
+    lags = oracle.l_max + 1
+    return max(float(np.max(np.abs(table.g[:lags] - oracle.g))),
+               float(np.max(np.abs(table.h[:lags] - oracle.h))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +221,6 @@ def cmd_correlations(args) -> tuple[str, int]:
 
 # ---------------------------------------------------------------------------
 # sweep subcommand
-
-def _checked_table(alpha, l_max, oracle_n):
-    """The correlation table of one coupling; with oracle_n, cross-checked
-    against the N-site spectral sums on lags up to
-    min(l_max, SWEEP_ORACLE_LAGS)."""
-    table = correlations.correlation_table(alpha, l_max)
-    if oracle_n:
-        worst = _oracle_deviation(table, oracle_n,
-                                  min(l_max, SWEEP_ORACLE_LAGS))
-        if worst > ORACLE_TOL:
-            raise ChainentError(
-                f"oracle cross-check failed at alpha={alpha}: max deviation "
-                f"{worst:.3e} > {ORACLE_TOL}")
-    return table
-
 
 def _layout_grid(ms, ss, ds) -> np.ndarray:
     """Every (m, s, d) layout of the sorted lists `ms`, `ss` and `ds`, in
@@ -278,10 +265,19 @@ def cmd_sweep(args) -> tuple[str, int]:
                           f"lags in all")
     _check_oracle_n(args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
 
-    # every coupling's (g, h) rows in one array, filled table by table
+    # every coupling's (g, h) rows in one array, filled table by table; with
+    # --oracle-n each is checked as its oracle is drawn, so the first
+    # failing coupling raises
     gh = np.empty((len(alphas), 2, l_max + 1))
-    for alpha, pair in zip(alphas, gh):
-        table = _checked_table(alpha, l_max, args.oracle_n)
+    oracles = (correlations._finite_tables(
+        alphas, args.oracle_n, min(l_max, SWEEP_ORACLE_LAGS))
+        if args.oracle_n else [None] * len(alphas))
+    for alpha, oracle, pair in zip(alphas, oracles, gh):
+        table = correlations.correlation_table(alpha, l_max)
+        if oracle and (worst := _oracle_deviation(table, oracle)) > ORACLE_TOL:
+            raise ChainentError(
+                f"oracle cross-check failed at alpha={alpha}: max deviation "
+                f"{worst:.3e} > {ORACLE_TOL}")
         pair[0], pair[1] = table.g, table.h
     # the grid in (alpha, layout) row order, from one pass over every layout
     moments = entanglement._moments(gh, layouts).reshape(-1, 4).T
@@ -339,10 +335,11 @@ def cmd_field(args) -> tuple[str, int]:
 
 def _check_oracle_equivalence(oracle_n: int):
     worst = 0.0
-    for alpha in (0.1, 0.5, 0.9, 0.99):
+    alphas = (0.1, 0.5, 0.9, 0.99)
+    for alpha, oracle in zip(alphas, correlations._finite_tables(
+            alphas, oracle_n, VALIDATE_ORACLE_LAGS)):
         table = correlations.correlation_table(alpha, VALIDATE_ORACLE_LAGS)
-        worst = max(worst, _oracle_deviation(table, oracle_n,
-                                             VALIDATE_ORACLE_LAGS))
+        worst = max(worst, _oracle_deviation(table, oracle))
     return worst <= ORACLE_TOL, (
         f"max |closed-form - spectral-sum(N={oracle_n})| = {worst:.3e} "
         f"(tol {ORACLE_TOL:g})")
@@ -508,11 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alphas", "--alpha", dest="alphas",
                          type=parse_float_values, required=True,
                          help="couplings: comma list and/or 'a..b:count'")
-    p_sweep.add_argument("--m", type=parse_int_values, default=[1],
+    p_sweep.add_argument("--m", type=parse_int_values, default=(1,),
                          help="subblocks per block: comma list and/or 'a..b'")
-    p_sweep.add_argument("--s", type=parse_int_values, default=[1],
+    p_sweep.add_argument("--s", type=parse_int_values, default=(1,),
                          help="sites per subblock: comma list and/or 'a..b'")
-    p_sweep.add_argument("--d", type=parse_int_values, default=[0],
+    p_sweep.add_argument("--d", type=parse_int_values, default=(0,),
                          help="separations: comma list and/or 'a..b'")
     p_sweep.add_argument("--specs", default=None, metavar="M:S:D,...",
                          help="explicit geometry list in canonical 'm:s:d' "
@@ -549,8 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser `main` reads every argv with, built on its first call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, code = args.func(args)
         _emit(text, args.out)

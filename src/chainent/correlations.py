@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DomainError, _check_int, _check_real
 
-#: cap on the backward recurrence's steps past l_max, about 1 s of Python
+#: cap on the backward recurrence's steps past l_max, and so its Python
 #: loop: 1 - alpha below about 1.9e-11 is refused before the loop starts.
 MAX_RECURRENCE_STEPS = 3 * 10**6
 _LOG_EPS = math.log(2.0**-53)
@@ -34,12 +34,15 @@ _LOG_EPS = math.log(2.0**-53)
 #: near 100 MB.
 MAX_TABLE_LAGS = 2**22
 
-#: largest ring `finite_correlation_table` sums over.  It is a verification
-#: path; at this cap a fresh process peaks (VmHWM) at 225 MiB for small
-#: l_max, 192 MiB of it the ring and the spectrum of its columns 0..P/2,
-#: and at 542 MiB from l_max = N/4 on, where the transform is one
-#: full-length rfft; the fold to l_max = N - 1 adds nothing to that.
+#: largest ring `finite_correlation_table` sums over, a verification path:
+#: at the cap a fresh process's call peaks (VmHWM) below 260 MiB for small
+#: l_max, the ring and its columns 0..P/2 192 MiB of it, and below 580 MiB
+#: from l_max = N/4 on (one full-length rfft), the fold to N - 1 included.
+#: Couplings sharing one ring add one buffer the size of its columns.
 MAX_ORACLE_SITES = 2**24
+
+#: rows of the oracle ring transposed to its columns at a time, in cache
+_COPY_ROWS = 64
 
 
 def _check_coupling(alpha) -> float:
@@ -142,40 +145,79 @@ def correlation_table(alpha, l_max: int) -> CorrelationTable:
     return CorrelationTable(alpha=alpha, g=g, h=h)
 
 
-def _cosine_sums(ring: np.ndarray, top: int) -> np.ndarray:
-    """sum_k ring_k cos(2 pi l k/N) for l = 0..top, top <= N/2, of a real
-    even ring of N sites, ring_k = ring_{N-k}, by the four-step FFT (Bailey,
-    J. Supercomput. 4, 23 (1990)) pruned to those l: row l of the rffts
-    down the columns of the ring as a Q x P array, F_lj, gives
-    sum_j Re F_lj e^{-2 pi i l j/N}.
-
-    Evenness fixes half the columns.  Row q of column P - j holds
-    k = qP + P - j = N - (Q-1-q)P - j, so column P - j is column j
-    reversed, F_{l,P-j} = e^{2 pi i l/Q} conj(F_lj), and its twiddled term
-    Re F_{l,P-j} e^{-2 pi i l (P-j)/N} equals column j's.  Only columns
-    0..P/2 are transformed and twiddled, and columns 1..P/2-1, which stand
-    for a pair, are doubled before numpy's pairwise sum; column P/2 is its
-    own partner.  P = 1 is one full-length rfft."""
-    n_sites = ring.size
+def _oracle_ring(n_sites, l_max, couplings: int):
+    """(N, l_max, columns, buffer, twiddles) of `finite_correlation_table`
+    for `couplings` couplings: cos theta_k on columns 0..P/2 of the N-site
+    ring as a Q x P array, k = qP + j, one contiguous row per column j; the
+    array each coupling's 1/nu takes in turn, `columns` itself for one
+    coupling; cos and sin of 2 pi l j/N at the folded lags l."""
+    n_sites = _check_int("n_sites", n_sites, 2)
+    l_max = _check_int("l_max", l_max, 0)
+    if n_sites > MAX_ORACLE_SITES:
+        raise DomainError(f"n_sites must be <= {MAX_ORACLE_SITES}, got "
+                          f"{n_sites}")
+    if l_max >= n_sites:
+        raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
+    half = n_sites // 2
+    top = min(l_max + 1, half)
     # the largest power of two that divides N, with P^2 <= N and top <= Q/2
     p = 1 << (min(n_sites & -n_sites, math.isqrt(n_sites),
                   n_sites // (2 * top)).bit_length() - 1)
-    columns = p // 2 + 1
-    spectrum = np.fft.rfft(ring.reshape(n_sites // p, p)[:, :columns],
-                           axis=0)[:top + 1]
-    phi = np.outer(np.arange(top + 1), np.arange(columns))
+    # at P = 1 the one column's angle is 0 at every lag: one row broadcasts
+    phi = np.outer(np.arange(top + 1 if p > 1 else 1), np.arange(p // 2 + 1))
     phi = phi * (2.0 * np.pi / n_sites)
-    real = np.cos(phi)
-    real *= spectrum.real
-    np.sin(phi, out=phi)
-    phi *= spectrum.imag
-    phi += real
-    phi[:, 1:p // 2] *= 2.0
-    return phi.sum(-1)
+    twiddles = np.cos(phi), np.sin(phi, out=phi)
+    # the columns before the ring, which leaves one free block for the
+    # buffer and the spectra once it is copied
+    columns = np.empty((p // 2 + 1, n_sites // p)) if p > 1 else None
+    # cos theta up to theta = pi/2 (the whole half ring when N is odd), then
+    # on an even ring cos theta_{N/2-k} = -cos theta_k up to k = N/2, and
+    # the mirror cos theta_{N-k} = cos theta_k
+    ring = np.arange(n_sites, dtype=np.float64)
+    cos = ring[:half + 1 if n_sites % 2 else n_sites // 4 + 1]
+    cos *= 2.0 * np.pi / n_sites
+    np.cos(cos, out=cos)
+    np.negative(ring[:half + 1 - cos.size][::-1],
+                out=ring[cos.size:half + 1])
+    ring[half + 1:] = ring[1:n_sites - half][::-1]
+    rows = ring.reshape(n_sites // p, p)[:, :p // 2 + 1]
+    if p == 1:
+        columns = rows.T
+    else:
+        for start in range(0, n_sites // p, _COPY_ROWS):
+            block = slice(start, start + _COPY_ROWS)
+            columns[:, block] = rows[block].T
+    del ring, rows, cos     # its block is free now, unless P = 1
+    buffer = columns if couplings == 1 else np.empty_like(columns)
+    return n_sites, l_max, columns, buffer, twiddles
 
 
-def finite_correlation_table(alpha, n_sites: int,
-                             l_max: int) -> CorrelationTable:
+def _cosine_sums(inv_nu: np.ndarray, top: int, cos: np.ndarray,
+                 sin: np.ndarray) -> np.ndarray:
+    """sum_k ring_k cos(2 pi l k/N) for l = 0..top, top <= Q/2, of a real
+    even ring of N = Q P sites, ring_k = ring_{N-k}, given as columns
+    0..P/2 of its Q x P layout, one row each, with the twiddles cos and sin
+    of 2 pi l j/N, by the four-step FFT (Bailey, J. Supercomput. 4, 23
+    (1990)) pruned to those l: entry l of the rfft of column j, F_jl,
+    gives sum_j Re F_jl e^{-2 pi i l j/N}.
+
+    Evenness fixes half the columns.  Row q of column P - j holds
+    k = qP + P - j = N - (Q-1-q)P - j, so column P - j is column j
+    reversed, F_{P-j,l} = e^{2 pi i l/Q} conj(F_jl), and its twiddled term
+    Re F_{P-j,l} e^{-2 pi i l (P-j)/N} equals column j's.  Only columns
+    0..P/2 are transformed and twiddled, and columns 1..P/2-1, which stand
+    for a pair, are doubled before numpy's pairwise sum; column P/2 is its
+    own partner.  P = 1 is one full-length rfft."""
+    spectrum = np.fft.rfft(inv_nu)[:, :top + 1].T
+    # the terms in (lag, column) order, so each lag's sum is pairwise
+    terms = np.multiply(sin, spectrum.imag, order="C")
+    terms += cos * spectrum.real
+    terms[:, 1:inv_nu.shape[0] - 1] *= 2.0
+    return terms.sum(-1)
+
+
+def finite_correlation_table(alpha, n_sites: int, l_max: int, *,
+                             _ring=None) -> CorrelationTable:
     """Tabulate the exact N-site correlations up to lag `l_max`.
 
     g_l = (2N)^-1 sum_k cos(l theta_k)/nu_k and h_l the same with nu_k in
@@ -191,28 +233,16 @@ def finite_correlation_table(alpha, n_sites: int,
     covered for odd and even N.  The transform is needed at the folded lags
     0..min(l_max + 1, N/2) alone, and the ring symmetry supplies the rest.
 
-    The transform's input is built on the half ring k = 0..N/2 alone:
-    cos theta_k is evaluated up to theta = pi/2, and on an even ring the
-    rest of the half ring is cos theta_{N/2-k} = -cos theta_k (on an odd
-    ring cos is evaluated on all of it).  1/nu is formed in place there and
-    mirrored, 1/nu_{N-k} = 1/nu_k.  The half-ring values are within
-    rounding of a cos on the whole ring, and the transform reads the whole
-    ring's Q x P layout (below): a half-length cosine transform loses
-    accuracy as alpha -> 1.
-
-    It runs in four steps with N = Q P (`_cosine_sums`): rffts of length Q
-    down columns 0..P/2 of the ring as a Q x P array, their rows at the
-    folded lags, and a sum of the twiddled rows by numpy's pairwise sum,
-    with columns 1..P/2-1 doubled, since the ring's evenness makes column
-    P - j's term equal column j's.  P is the largest power of two that
-    divides N with P^2 <= N and every folded lag at most Q/2, so no
-    conjugate row is needed.  It is 1024 for validate's 2^20-site ring and
-    1, a single full-length rfft, on odd rings and for lags past N/4.
-    Measured on a 2-core x86 host at validate's 51 lags and N = 2^20, a
-    call takes 4.7 ms, against 9.3 ms over all P columns and 13 ms for
-    the full-length rfft alone; at N = 2^24 and 101 lags a fresh process
-    peaks at 225 MiB, against 292 MiB over all P columns and 542 MiB with
-    one full-length rfft.
+    It runs in four steps, N = Q P (`_cosine_sums`), on columns 0..P/2 of
+    the ring as a Q x P array, P the largest power of two that divides N
+    with P^2 <= N and every folded lag at most Q/2: 1024 for validate's
+    2^20-site ring, 1 (one full-length rfft) on odd rings and for lags past
+    N/4.  cos theta is evaluated up to theta = pi/2 alone, reflected and
+    mirrored onto the whole ring; the transform reads the whole ring, as a
+    half-length cosine transform loses accuracy as alpha -> 1.  Those
+    columns and the twiddles do not depend on alpha (`_oracle_ring`):
+    validate's and sweep's oracle checks build them once for all their
+    couplings (`_finite_tables`), with the bits of one call per coupling.
 
     g carries the transform's rounding and, as alpha -> 1, that of
     cos theta near theta = 0: against long double sums at N = 2^20, within
@@ -223,37 +253,19 @@ def finite_correlation_table(alpha, n_sites: int,
     the same ring at N = 2^20 for alpha up to 1 - 1e-5, 1.2e-14 at N = 2
     there, where g_0 is 79.  A validation path, independent of the
     hypergeometric production route; N above `MAX_ORACLE_SITES` is
-    refused.
+    refused.  `_ring` is `_finite_tables`'s shared ring.
     """
     alpha = _check_coupling(alpha)
-    n_sites = _check_int("n_sites", n_sites, 2)
-    l_max = _check_int("l_max", l_max, 0)
-    if n_sites > MAX_ORACLE_SITES:
-        raise DomainError(f"n_sites must be <= {MAX_ORACLE_SITES}, got "
-                          f"{n_sites}")
-    if l_max >= n_sites:
-        raise DomainError(f"l_max must satisfy 0 <= l_max < N, got {l_max}")
-    # 1/nu_k on the half ring k = 0..N/2, built in place: cos theta up to
-    # theta = pi/2 (the whole half ring when N is odd), then on an even ring
-    # cos theta_{N/2-k} = -cos theta_k, then 1 - alpha cos, sqrt, reciprocal
-    inv_nu = np.empty(n_sites)
-    half = n_sites // 2
-    cos = inv_nu[:half + 1 if n_sites % 2 else n_sites // 4 + 1]
-    cos[:] = np.arange(cos.size)
-    cos *= 2.0 * np.pi / n_sites
-    np.cos(cos, out=cos)
-    np.negative(inv_nu[:half + 1 - cos.size][::-1],
-                out=inv_nu[cos.size:half + 1])
-    half_ring = inv_nu[:half + 1]
-    half_ring *= -alpha
-    half_ring += 1.0
-    np.sqrt(half_ring, out=half_ring)
-    np.reciprocal(half_ring, out=half_ring)
-    # and the other half by 1/nu_{N-k} = 1/nu_k
-    inv_nu[half + 1:] = inv_nu[1:n_sites - half][::-1]
+    n_sites, l_max, columns, inv_nu, twiddles = (
+        _ring or _oracle_ring(n_sites, l_max, 1))
+    np.multiply(columns, -alpha, out=inv_nu)
+    inv_nu += 1.0
+    np.sqrt(inv_nu, out=inv_nu)
+    np.reciprocal(inv_nu, out=inv_nu)
     # g on lags -1..l_max+1, folded onto the ring's 0..N/2: lag -1 is lag
     # 1, and a lag l past N/2 is lag N - l
-    sums = _cosine_sums(inv_nu, min(l_max + 1, half))
+    half = n_sites // 2
+    sums = _cosine_sums(inv_nu, min(l_max + 1, half), *twiddles)
     g = np.concatenate((sums[1:2], sums, sums[n_sites - l_max - 1:
                                               n_sites - half][::-1]))
     g /= 2.0 * n_sites
@@ -262,3 +274,12 @@ def finite_correlation_table(alpha, n_sites: int,
     h *= -0.5 * alpha
     h += g[1:-1]
     return CorrelationTable(alpha=alpha, g=g[1:-1], h=h)
+
+
+def _finite_tables(alphas, n_sites, l_max):
+    """`finite_correlation_table(alpha, n_sites, l_max)` for each of the
+    sequence `alphas` in turn, bit for bit, from one shared ring: through
+    that function, so a trace of it sees every coupling."""
+    ring = _oracle_ring(n_sites, l_max, len(alphas))
+    for alpha in alphas:
+        yield finite_correlation_table(alpha, n_sites, l_max, _ring=ring)

@@ -52,10 +52,9 @@ SEPARABILITY_ATOL = 1e-12
 #: most lag counts (2 span per layout) times couplings that `_moments`
 #: holds at once; a chunk's products take at most twice as many floats,
 #: and a layout past the bound alone, a chunk of its own, 4 span floats,
-#: one coupling at a time.  Measured on a 2-core x86 host: the 5760-row,
-#: 4-coupling sweep of 2 chunks takes 10 ms, as it does with one chunk
-#: (20% more at 2^16), and the 10^5-row sweep's moments lift its peak by
-#: 19 MiB, against 69 MiB at 2^22, in 2% more time.
+#: one coupling at a time.  It bounds the moments' memory on any grid and
+#: leaves their bits alone: each layout's sums are its own rows' whatever
+#: the chunks.
 MOMENT_CHUNK = 2**21
 
 #: most sites of the verification-only `symplectic_form` and

@@ -263,6 +263,29 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
 
 
+    # each coupling's table and oracle table are drawn in turn, so the first
+    # coupling that fails raises: its oracle deviation, ahead of a later
+    # coupling whose table would raise ConvergenceError, and that table's
+    # ConvergenceError past couplings that pass.  P = 1 on the 8-site and
+    # the odd ring, P = 8 on the 64-site one
+    @pytest.mark.parametrize("alphas,oracle_n,refusal", [
+        ("0.5,0.999999999999999", "8", "oracle cross-check failed at "
+         "alpha=0.5: max deviation 1.821e-04 > 1e-08"),
+        ("0.1,0.99,0.999999999999999", "63", "oracle cross-check failed at "
+         "alpha=0.99: max deviation 2.681e-05 > 1e-08"),
+        ("0.1,0.99,0.999999999999999", "64", "oracle cross-check failed at "
+         "alpha=0.99: max deviation 2.308e-05 > 1e-08"),
+        ("0.1,0.5,0.999999999999999", "63", "backward recurrence needs "
+         "410894159 steps past l_max, more than 3000000 "
+         "(alpha=0.999999999999999); alpha is too close to 1")])
+    def test_oracle_check_raises_the_first_failing_coupling(
+            self, capsys, alphas, oracle_n, refusal):
+        assert run(["sweep", "--alphas", alphas, "--specs", "1:2:0",
+                    "--oracle-n", oracle_n]) == 3
+        assert capsys.readouterr() == (
+            "", f"chainent: numerical failure: {refusal}\n")
+
+
 class TestFieldCommand:
     def test_rows(self, capsys):
         assert run(["field", "--mass", "1", "--length", "1",
@@ -650,6 +673,54 @@ class TestFlagInventory:
                  for name, p in sub.choices.items()}
         assert found == self.OPTIONS
         assert sum(map(len, found.values())) == 21
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; every call parses as a
+    fresh `build_parser()` would."""
+
+    SEQUENCE = (
+        ["sweep", "--alphas", "0.5", "--m", "1..2", "--s", "1..3"],
+        ["sweep", "--alphas", "0.5"],
+        ["sweep", "--alphas", "0.5,0.9", "--specs", "1:2:0",
+         "--format", "json"],
+        ["sweep", "--alphas", "0.5", "--d", "1"],
+        ["field", "--mass", "1", "--length", "1", "--r", "0,2"],
+        ["sweep", "--alphas", "0.5", "--frobnicate"],
+        ["validate", "--oracle-n", "4096"],
+        ["correlations", "--alpha", "0.5", "--l-max", "3", "--format",
+         "json"],
+        ["correlations", "--alpha", "0.5", "--l-max", "3"],
+        ["sweep", "--alphas", "0.5", "--m", "2"],
+    )
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    def test_calls_in_one_process_equal_fresh_parsers(self, capsys,
+                                                      monkeypatch):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            want = [self.outcome(argv, capsys) for argv in self.SEQUENCE]
+        got = [self.outcome(argv, capsys) for argv in self.SEQUENCE]
+        assert got == want
+        assert [code for code, *_ in got] == [0] * 5 + [2] + [0] * 4
+        assert cli._parser() is cli._parser()
+
+    def test_no_default_is_mutable(self):
+        parser = cli._parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        defaults = [action.default for p in sub.choices.values()
+                    for action in p._actions]
+        assert (1,) in defaults and (0,) in defaults
+        assert not any(isinstance(value, (list, dict, set))
+                       for value in defaults)
 
 
 class TestBenchmarkContract:

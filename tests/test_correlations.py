@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from chainent import (ConvergenceError, DomainError, correlation_table,
                       finite_correlation_table, kernels)
-from chainent.correlations import MAX_ORACLE_SITES, _reduced_coupling
+from chainent.correlations import (MAX_ORACLE_SITES, _finite_tables,
+                                   _reduced_coupling)
 from tests import _frozen, oracles
 from tests.test_imports import peak_kib
 
@@ -262,6 +264,66 @@ class TestFiniteChain:
             "                                   finite_correlation_table)\n"
             "finite_correlation_table(0.9, MAX_ORACLE_SITES, 100)"
         ) < 260 * 1024
+
+
+class TestFiniteTables:
+    """`_finite_tables`, which draws the oracle tables of validate's and
+    sweep's checks from one ring."""
+
+    ALPHAS = (0.1, 0.5, 0.9, 0.99, 1 - 1e-5)
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 7, 12, 64, 4096, 2**16])
+    def test_equals_one_call_per_coupling(self, n_sites):
+        # l_max = 0, N/4 - 1, N/4 + 1 and N - 1: P = 1 and P > 1 where the
+        # ring allows it, and the fold past N/2.  Bit for bit against one
+        # call per coupling, and both within 4 ulp of g_0 of the
+        # full-length rffts of 1/nu and nu on the ring (2.5 measured)
+        cos = _oracle_ring_cos(n_sites)
+        for l_max in sorted({0, max(0, n_sites // 4 - 1),
+                             min(n_sites - 1, n_sites // 4 + 1),
+                             n_sites - 1}):
+            lags = np.arange(l_max + 1)
+            folded = np.minimum(lags, n_sites - lags)
+            tables = _finite_tables(self.ALPHAS, n_sites, l_max)
+            for alpha, table in zip(self.ALPHAS, tables, strict=True):
+                one = finite_correlation_table(alpha, n_sites, l_max)
+                assert table.alpha == alpha
+                assert np.array_equal(table.g, one.g)
+                assert np.array_equal(table.h, one.h)
+                nu = np.sqrt(1.0 - alpha * cos)
+                g = np.fft.rfft(1.0 / nu).real[folded] / (2.0 * n_sites)
+                h = np.fft.rfft(nu).real[folded] / (2.0 * n_sites)
+                ulp = np.spacing(g[0])
+                assert np.max(np.abs(table.g - g)) <= 4 * ulp
+                assert np.max(np.abs(table.h - h)) <= 4 * ulp
+
+    def test_holds_one_spectrum_at_a_time(self):
+        # past the ring's build, drawing four couplings holds the columns,
+        # one buffer of their size and one spectrum at a time, and one call
+        # builds the same ring.  The peaks differ by 0.5 MiB; a spectrum
+        # (4 MiB) kept past its coupling would add its size
+        n_sites, l_max = 2**20, 50
+
+        def peak(tables):
+            tracemalloc.start()
+            try:
+                for _ in tables():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: [finite_correlation_table(0.5, n_sites, l_max)])
+        four = peak(lambda: _finite_tables(self.ALPHAS[:4], n_sites, l_max))
+        p = _four_step_columns(n_sites, l_max + 1)
+        spectrum = (p // 2 + 1) * (n_sites // p // 2 + 1) * 16
+        assert four - one < spectrum / 2
+
+    def test_refuses_a_bad_ring_before_any_coupling(self):
+        with pytest.raises(DomainError, match="n_sites must be <="):
+            next(_finite_tables([0.5], MAX_ORACLE_SITES + 1, 3))
+        with pytest.raises(DomainError, match="l_max must satisfy"):
+            next(_finite_tables([0.5], 8, 8))
 
 
 class TestCorrelationTable:

@@ -1,8 +1,8 @@
 """The package runs on numpy alone: `import chainent`, `import chainent.cli`
 and every command, the field ones too, leave scipy unloaded in a fresh
 process, `field` and `validate` print the same bytes in a fresh process
-as in this one, and lag counting, the oracle's fold and the moments of
-a layout past the moment budget stay small in one."""
+as in this one, and lag counting, the oracle's fold, validate and the
+moments of a layout past the moment budget stay small in one."""
 
 import json
 import os
@@ -99,6 +99,16 @@ def test_oracle_fold_to_the_last_lag_stays_small():
         "from chainent.correlations import (MAX_ORACLE_SITES as N,\n"
         "                                   finite_correlation_table)\n"
         "finite_correlation_table(0.5, N, N - 1)") < 580 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_validate_stays_small():
+    # the oracle check's 2^20-site ring and its columns take 12 MiB while
+    # the columns are copied, then its four couplings share the columns,
+    # one buffer and one spectrum at a time; the process peaks near 45 MiB
+    assert peak_kib("import os\nfrom chainent import cli\n"
+                    "cli.main(['validate', '--out', os.devnull])"
+                    ) < 48 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
