@@ -8,10 +8,11 @@ arrangement.  A layout's lag multiplicities are its intra counts, the
 site pairs at lag l within block A (block B has the same counts), and its
 cross counts, the pairs at lag l between A and B, on lags 0..span - 1;
 they do not depend on the coupling.  `subblock_pairs` counts subblock
-pairs in closed form; `stacked_lag_counts` spreads the same counts into
-the lag multiplicities of many layouts at once, as double cumulative sums
-of a few spikes each, and `lag_count_array` is the direct pair count they
-are checked against.
+pairs in closed form; `_spikes` gives each layout's counts as the double
+cumulative sums of O(m) integer spikes, which the moments contract with
+the table's tail sums directly; `stacked_lag_counts` spreads them into
+the lag multiplicities of many layouts at once, and `lag_count_array` is
+the direct pair count they are checked against.
 """
 
 from dataclasses import dataclass
@@ -101,12 +102,11 @@ def layout_columns(layouts) -> tuple[np.ndarray, ...]:
     return m, s, d, 2 * m * s + (2 * m - 1) * d
 
 
-def stacked_lag_counts(layouts) -> np.ndarray:
-    """Lag multiplicities of many layouts laid end to end, as one float
-    array: for each (m, s, d) row of `layouts` in turn, its intra counts on
-    lags 0..span - 1 (intra[l] site pairs at lag l within block A, as many
-    as within B), then its cross counts on the same lags (cross[l] pairs at
-    lag l between A and B).
+def _spikes(m: int, s, d, span) -> tuple[np.ndarray, np.ndarray]:
+    """The spikes of layouts with m subblocks per block and columns s, d,
+    span: int lags and float weights, each of shape (2, 3m + 1, layouts),
+    whose double cumulative sums over lags 0..span - 1 are each layout's
+    intra counts (first index 0) and cross counts (first index 1).
 
     Two runs of s sites whose starts differ by D share s - |k| pairs at lag
     |D + k| for |k| < s: a tent of height s over lag D.  The runs
@@ -115,29 +115,60 @@ def stacked_lag_counts(layouts) -> np.ndarray:
     is the double cumulative sum of the spikes +1, -2, +1 at D - s + 1,
     D + 1 and D + s + 1, and the m runs paired with themselves, folded onto
     lags >= 0, that of the spikes m*s, -2m, -m*s, +2m at 0, 1, 2, s + 1.
-    So one `np.bincount` of O(m) spikes per layout and two cumulative sums
-    in place count every layout at once in O(span) work, not O((m*s)^2).
-    Each layout's counts are back at 0 where the next one starts, and every
-    partial sum is an integer below 2^53, so the float sums are exact.
+    The intra half holds those four and the even tents' spikes, the cross
+    half the odd tents' and a zero weight at span + 1, so both halves have
+    3m + 1.  Every spike lies at lag span + 1 or below, every weight is an
+    integer of magnitude at most 2 span (m*s or 4m at most), below 2^26
+    for any span up to `MAX_TABLE_LAGS`, and past its last spike each
+    half's double cumulative sum is back at 0.
+    """
+    t = np.arange(1, 2 * m)
+    peak = np.multiply.outer(t, s + d) + 1
+    offsets = np.multiply.outer((-1, 0, 1), s)
+    lags = np.empty((2, 3 * m + 1, s.size), dtype=np.int64)
+    lags[0, :3] = ((0,), (1,), (2,))
+    lags[0, 3] = s + 1
+    # each half's tents, written through contiguous views of `lags`
+    np.add(peak[1::2, None], offsets,
+           out=lags[0, 4:].reshape(m - 1, 3, s.size))
+    np.add(peak[0::2, None], offsets, out=lags[1, :-1].reshape(m, 3, s.size))
+    lags[1, -1] = span + 1
+    weights = np.zeros(lags.shape)
+    weights[0, 0:4:2] = np.multiply.outer((1, -1), m * s)
+    weights[0, 1:4:2] = ((-2 * m,), (2 * m,))
+    weights[0, 4:].reshape(m - 1, 3, s.size)[...] = np.multiply.outer(
+        2 * m - t[1::2], (1.0, -2.0, 1.0))[..., None]
+    weights[1, :-1].reshape(m, 3, s.size)[...] = np.multiply.outer(
+        2 * m - t[0::2], (1.0, -2.0, 1.0))[..., None]
+    return lags, weights
+
+
+def stacked_lag_counts(layouts) -> np.ndarray:
+    """Lag multiplicities of many layouts laid end to end, as one float
+    array: for each (m, s, d) row of `layouts` in turn, its intra counts on
+    lags 0..span - 1 (intra[l] site pairs at lag l within block A, as many
+    as within B), then its cross counts on the same lags (cross[l] pairs at
+    lag l between A and B).
+
+    One `np.bincount` of each layout's O(m) `_spikes`, placed at its
+    halves' starts, and two cumulative sums in place count every layout at
+    once in O(span) work, not O((m*s)^2).  Each layout's counts are back at
+    0 where the next one starts, and every partial sum is an integer below
+    2^53, so the float sums are exact.
     """
     m, s, d, span = layout_columns(layouts)
-    start = np.cumsum(2 * span) - 2 * span
-    # the tents t = 1..2m - 1 of every layout, odd t in its cross half
-    tents = 2 * m - 1
-    layout = np.repeat(np.arange(m.size), tents)
-    t = np.arange(layout.size) - np.repeat(np.cumsum(tents) - tents - 1,
-                                           tents)
-    pairs = 2 * m[layout] - t
-    peak = start[layout] + t * (s + d)[layout] + t % 2 * span[layout] + 1
-    half = s[layout]
-    spikes = np.concatenate((peak - half, peak, peak + half, start,
-                             start + 1, start + 2, start + s + 1))
-    weights = np.concatenate((pairs, -2 * pairs, pairs, m * s, -2 * m,
-                              -m * s, 2 * m))
-    counts = np.bincount(spikes, weights)
+    # where each layout's intra and cross halves start
+    starts = np.cumsum(2 * span) - 2 * span + np.multiply.outer((0, 1), span)
+    places, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for size in sorted(set(m.tolist())):
+        at = m == size
+        lags, weight = _spikes(size, s[at], d[at], span[at])
+        places.append((lags + starts[:, None, at]).ravel())
+        weights.append(weight.ravel())
+    counts = np.bincount(np.concatenate(places), np.concatenate(weights))
     np.cumsum(counts, out=counts)
     np.cumsum(counts, out=counts)
-    # the last layout's last spike lies past its end
+    # the last layout's last spikes lie past its end
     return counts[:2 * span.sum()]
 
 

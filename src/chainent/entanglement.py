@@ -22,14 +22,13 @@ Every rule here is written once, elementwise over floats and arrays alike:
 `_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
 takes its values from it), `_moments` the covariances of any number of
 layouts under a (couplings, g/h, lags) stack of tables, `_approx` the
-nearest-neighbour estimate.  `_moments` is one loop nest: span-sorted
-chunks of layouts within `MOMENT_CHUNK`, counted by one
-`blocks.stacked_lag_counts` each, then one product per run of equal spans
-(per coupling for a run past the bound), summed in an order numpy fixes,
-not a BLAS kernel.  A sweep calls each of them once on its whole grid,
-`covariance_of_blocks` calls `_moments` on one coupling and one layout,
-and validate's chain-cutoffs check `_moments` and `_verdict` once on its
-17 layouts.
+nearest-neighbour estimate.  `_moments` reads each layout's O(m) spikes
+(`blocks._spikes`) against two double-double tail sums of each table row,
+in blocks within `MOMENT_CHUNK`, with exact products and a double-double
+sum per layout, so no BLAS kernel and no SIMD-dependent sum enters.
+A sweep calls each of them once on its whole grid, `covariance_of_blocks`
+calls `_moments` on one coupling and one layout, and validate's
+chain-cutoffs check `_moments` and `_verdict` once on its 17 layouts.
 """
 
 import math
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (BlockSpec, block_indices, layout_columns,
-                     stacked_lag_counts)
+from .blocks import BlockSpec, _spikes, block_indices, layout_columns
 from .correlations import CorrelationTable
 from .errors import (DomainError, InvalidCovarianceError, LagBoundError,
                      _check_int, _check_real)
@@ -49,13 +47,13 @@ VACUUM_PRODUCT = 0.25
 #: rounding slack of the separability test, relative to 4 (delta1*delta2)_0
 SEPARABILITY_ATOL = 1e-12
 
-#: most lag counts (2 span per layout) times couplings that `_moments`
-#: holds at once; a chunk's products take at most twice as many floats,
-#: and a layout past the bound alone, a chunk of its own, 4 span floats,
-#: one coupling at a time.  It bounds the moments' memory on any grid and
-#: leaves their bits alone: each layout's sums are its own rows' whatever
-#: the chunks.
-MOMENT_CHUNK = 2**21
+#: most floats in one of `_moments`' arrays, at least one table row's or
+#: one layout's: a block of table rows' tail sums (rows x (lags + 2)), or a
+#: chunk's spike terms (rows x 2 halves x spikes x layouts), where a layout
+#: past it alone sums its spikes in runs within it.  It bounds the
+#: moments' memory on any grid and leaves their bits alone: each layout's
+#: value is its own whatever the blocks, chunks and runs.
+MOMENT_CHUNK = 2**16
 
 #: most sites of the verification-only `symplectic_form` and
 #: `collective_symplectic`
@@ -154,74 +152,189 @@ class EntanglementResult:
         return not self.separable
 
 
+def _tail_sums(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """R2[p] = sum_{q >= p} sum_{l >= q} f_l of each row f of `rows`, shape
+    (rows, lags), in double-double: hi split by Veltkamp into two halves of
+    at most 26 bits, and lo, each of shape (rows, lags + 2) and indexed by
+    lags + 1 - p for p = 0..lags + 1 (two zeros past the last lag).
+
+    Each tail sum is the reversed float cumsum plus the cumsum of its
+    steps' exact TwoSum errors, R2 summing R1's hi with R1's lo folded
+    into its own errors.  Every operation is elementwise or a sequential
+    cumsum along a row, so each row's sums are its own whatever the others.
+    """
+    terms = np.zeros((len(rows), rows.shape[1] + 2))
+    terms[:, 2:] = rows[:, ::-1]
+    virtual = np.empty_like(terms)
+    lo = None
+    for _ in "12":
+        hi = terms.cumsum(1)
+        # the exact error of hi[k] = hi[k - 1] + terms[k], by TwoSum
+        before, after, error = hi[:, :-1], hi[:, 1:], virtual[:, 1:]
+        np.subtract(after, before, out=error)
+        terms[:, 1:] -= error
+        np.subtract(after, error, out=error)
+        np.subtract(before, error, out=error)
+        terms[:, 1:] += error
+        if lo is not None:
+            terms += lo
+        lo = terms.cumsum(1, out=terms)
+        terms = hi
+    # Veltkamp's split of hi, by 2^27 + 1
+    top = hi * 134217729.0
+    np.subtract(top, hi, out=virtual)
+    top -= virtual
+    hi -= top
+    return top, hi, lo
+
+
+def _products(top, bottom, lo, at, weights):
+    """Each product w_j R2[at_j] under each row of the tail sums (top,
+    bottom, lo), as a double-double (hi, lo) of shape (rows,) + at.shape.
+
+    top w and bottom w are exact, since |w| < 2^26 and both halves of R2's
+    hi have at most 26 bits; Fast2Sum adds them exactly, and lo w joins
+    the lo part.
+    """
+    # mode="clip" only spares np.take its checked, buffered path: every
+    # index is in range
+    high = top.take(at, 1, mode="clip")
+    high *= weights
+    low = bottom.take(at, 1, mode="clip")
+    low *= weights
+    total = high + low
+    high -= total
+    low += high
+    lo.take(at, 1, out=high, mode="clip")
+    high *= weights
+    low += high
+    return total, low
+
+
+def _halving_tree(total, low):
+    """The double-double sums over the next-to-last axis of the terms
+    (total, low), each pass adding adjacent pairs (an odd last term carried
+    up), hi by TwoSum and lo plainly, in place.  Each sum covers an aligned
+    run of 2^k terms, so the sums of aligned runs of any power-of-two
+    length, summed in turn, give the same bits."""
+    count = total.shape[-2]
+    while count > 1:
+        half, odd = divmod(count, 2)
+        first = total[..., 0:2 * half:2, :]
+        second = total[..., 1:2 * half:2, :]
+        # the exact error of first + second, by TwoSum
+        added = first + second
+        virtual = added - first
+        second -= virtual
+        np.subtract(added, virtual, out=virtual)
+        np.subtract(first, virtual, out=virtual)
+        virtual += second
+        virtual += low[..., 0:2 * half:2, :]
+        virtual += low[..., 1:2 * half:2, :]
+        total[..., :half, :], low[..., :half, :] = added, virtual
+        if odd:
+            total[..., half, :] = total[..., 2 * half, :]
+            low[..., half, :] = low[..., 2 * half, :]
+        count = half + odd
+    return total[..., 0, :], low[..., 0, :]
+
+
+def _spike_sums(top, bottom, lo, at, weights) -> np.ndarray:
+    """sum_j w_j R2[p_j] over the spikes' lags p = `at` and `weights`,
+    each of shape (intra/cross, spikes, layouts), under each row of the
+    tail sums (top, bottom, lo) of `_tail_sums`, rounded once, shape
+    (rows, intra/cross, layouts): the `_halving_tree` of the `_products`,
+    taken in aligned runs of spikes of a power-of-two length within
+    `MOMENT_CHUNK` terms.
+    """
+    # the index of lag p in the tail sums
+    np.subtract(top.shape[1] - 1, at, out=at)
+    count = at.shape[1]
+    width = 1 << max(0, (MOMENT_CHUNK // (len(top) * 2 * at.shape[2])
+                         ).bit_length() - 1)
+    runs = np.empty((2, len(top), 2, -(-count // width), at.shape[2]))
+    for i, start in enumerate(range(0, count, width)):
+        run = slice(start, start + width)
+        runs[:, :, :, i] = _halving_tree(*_products(
+            top, bottom, lo, at[:, run], weights[:, run]))
+    total, low = _halving_tree(*runs)
+    return total + low
+
+
 def _moments(gh: np.ndarray, layouts) -> np.ndarray:
     """(G, H, G_AB, H_AB) of each (m, s, d) row of `layouts`, shape
     (couplings, layouts, 4), under each coupling's stacked (g, h) rows
     `gh`, shape (couplings, 2, lags).
 
-    The layouts are taken in order of span, in chunks whose lag counts,
-    2 span per layout, times the couplings stay within `MOMENT_CHUNK` (a
-    longer layout is a chunk of its own), each counted by one
-    `stacked_lag_counts`.  Each run of equal spans in a chunk is one
-    product, (couplings, layouts, intra/cross, g/h, span), summed over its
-    contiguous last axis by numpy's pairwise sum, whose order is fixed in
-    numpy's source and not by the host's BLAS kernel: every layout gets
-    the bits of its own (rows * counts).sum(-1).  A run past
-    `MOMENT_CHUNK` is contracted one coupling at a time, each sum over the
-    same row.  Against the exact contraction of the same float rows, each
-    column is within 4 * 2^-53 * sum_l |count_l f_l| / n (at most 3.5 in
-    those units, measured on layouts from 1:1:0 to 300:1:0 down to
-    1 - alpha = 1e-5).
+    A layout's counts are the double cumulative sum of its O(m)
+    `blocks._spikes`, so sum_l count_l f_l = sum_j w_j R2[p_j], where
+    R2[p] = sum_{l >= p} (l - p + 1) f_l is two tail sums of the row f
+    (the last spike, at span + 1, reads a zero).  `_tail_sums` gives R2 in
+    double-double for blocks of rows within `MOMENT_CHUNK` floats, and
+    `_spike_sums` contracts the spikes of runs of layouts of one m within
+    it: each product w_j R2[p_j] exact, each layout's terms summed by a
+    double-double tree whose shape depends on m alone, rounded once and
+    then divided by n.  Every operation is elementwise or a sequential
+    cumsum, so no BLAS kernel or SIMD width enters, and each value depends
+    only on its layout and its rows: a grid gives every layout the bits it
+    has alone under the same rows.  Those rows include the lags past the
+    layout's span, where the tail sums start, so another table length can
+    move a value in its last bits.  Against the exact contraction of the
+    same float rows, each column is within 2 * 2^-53 * sum_l |count_l f_l|
+    / n, one rounding of the sum and one of the division (at most 1.41 in
+    those units, measured on layouts from 1:1:0 to 2000:1:0 at
+    1 - alpha = 0.4 down to 1e-5, on tables 1000 lags past the spans).
     """
     layouts = np.asarray(layouts, dtype=np.int64).reshape(-1, 3)
     m, s, d, span = layout_columns(layouts)
-    if span.max() > gh.shape[-1]:
+    couplings, _, lags = gh.shape
+    if span.max() > lags:
         i = span.argmax()
         raise LagBoundError(
-            f"table covers lags <= {gh.shape[-1] - 1} but spec "
+            f"table covers lags <= {lags - 1} but spec "
             f"{m[i]}:{s[i]}:{d[i]} needs {span[i] - 1}")
-    couplings = len(gh)
-    order = span.argsort(kind="stable")
-    # count entries before each layout in that order
-    ends = np.cumsum(np.append(0, 2 * span[order]))
-    chunk = max(1, MOMENT_CHUNK // couplings)
-    moments = np.empty((couplings, span.size, 4))
-    start = 0
-    while start < span.size:
-        stop = max(start + 1, int(ends.searchsorted(ends[start] + chunk,
-                                                    "right")) - 1)
-        picked = order[start:stop]
-        counts = stacked_lag_counts(layouts[picked])
-        widths = span[picked]
-        sums = np.empty((couplings, widths.size, 4))
-        edges = np.flatnonzero(np.diff(widths, prepend=0, append=0)).tolist()
-        offset = 0
-        for first, last in zip(edges, edges[1:]):
-            width, size = int(widths[first]), last - first
-            run = counts[offset:offset + 2 * width * size].reshape(size, 2, 1,
-                                                                   width)
-            step = couplings if run.size * couplings <= MOMENT_CHUNK else 1
-            for c in range(0, couplings, step):
-                rows = gh[c:c + step, None, None, :, :width]
-                sums[c:c + step, first:last] = (rows * run).sum(-1).reshape(
-                    -1, size, 4)
-            offset += run.size
-        moments[:, picked] = sums
-        # free this chunk's counts (`run` views them) before the next
-        # chunk's are made, whose pages then come back without faults
-        del counts, run
-        start = stop
-    return moments / (m * s)[:, None]
+    rows = gh.reshape(-1, lags)
+    # (row, intra/cross, layout), where row = 2 coupling + g/h
+    moments = np.empty((len(rows), 2, span.size))
+    block = min(len(rows), max(1, MOMENT_CHUNK // (lags + 2)))
+    for first in range(0, len(rows), block):
+        sums = _tail_sums(rows[first:first + block])
+        # a set, as np.unique would import numpy.ma
+        for size in sorted(set(m.tolist())):
+            group = (m == size).nonzero()[0]
+            step = max(1, MOMENT_CHUNK // (2 * (3 * size + 1) * block))
+            for start in range(0, group.size, step):
+                picked = group[start:start + step]
+                moments[first:first + block, :, picked] = _spike_sums(
+                    *sums, *_spikes(size, s[picked], d[picked],
+                                    span[picked]))
+        # free these tail sums before the next block's are made
+        del sums
+    moments = moments.reshape(couplings, 2, 2, span.size).transpose(
+        0, 3, 2, 1).reshape(couplings, span.size, 4)
+    moments /= (m * s)[:, None]
+    # a sum of zero terms may carry the sign of a negative weight: + 0.0
+    # makes it 0.0
+    moments += 0.0
+    return moments
 
 
 def covariance_of_blocks(table: CorrelationTable,
                          spec: BlockSpec) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
 
+    `_moments` contracts the whole table: the lags past the span hold no
+    pairs, but its tail sums start at the table's last lag, so the value
+    depends on the rows passed, not only on the lags below the span.  The
+    same spec under a longer table of the same coupling may move in its
+    last bits (within the bound stated there), and the cost grows with the
+    table's length.  A `chainent sweep` row equals this call on the
+    sweep's own table bit for bit.
+
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
     """
-    gh = np.stack((table.g[:spec.span], table.h[:spec.span]))
+    gh = np.stack((table.g, table.h))
     [[moments]] = _moments(gh[None], [(spec.m, spec.s, spec.d)]).tolist()
     return CollectiveCovariance(*moments)
 
@@ -303,7 +416,9 @@ def collective_symplectic(n_sites: int, spec: BlockSpec) -> np.ndarray:
         raise DomainError(
             f"spec {spec} spans {spec.span} sites, exceeding N = {n_sites}")
     a, b = block_indices(spec)
-    rest = np.setdiff1d(np.arange(n_sites), np.concatenate((a, b)))
+    keep = np.ones(n_sites, dtype=bool)
+    keep[a] = keep[b] = False
+    rest = np.flatnonzero(keep)
     n = spec.n
     # phase[k, rank] = exp(2 pi i rank k / n) / sqrt(n)
     angle = np.outer(np.arange(n), 2.0 * np.pi * np.arange(n)) / n

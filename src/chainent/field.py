@@ -91,13 +91,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .blocks import subblock_pairs
 from .entanglement import CollectiveCovariance, EntanglementResult, negativity
 from .errors import DomainError, QuadratureError, _check_int, _check_real
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+#: the 16-point Gauss-Legendre rule on [-1, 1], numpy's `leggauss(16)`
+#: (exactly symmetric), from its eight positive nodes and their weights
+_GL_NODES = np.array((0.09501250983763744, 0.2816035507792589,
+                      0.45801677765722737, 0.6178762444026438,
+                      0.755404408355003, 0.8656312023878318,
+                      0.9445750230732326, 0.9894009349916499))
+_GL_WEIGHTS = np.array((0.18945061045506864, 0.18260341504492364,
+                        0.16915651939500265, 0.1495959888165767,
+                        0.12462897125553407, 0.0951585116824926,
+                        0.062253523938647456, 0.027152459411754176))
+_GL_NODES = np.concatenate((-_GL_NODES[::-1], _GL_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_WEIGHTS[::-1], _GL_WEIGHTS))
 
 #: past this argument e^{-x}, and with it K0, x K1 and Ki2, underflow to 0
 _UNDERFLOW = 750.0

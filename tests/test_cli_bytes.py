@@ -28,13 +28,13 @@ FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
 
 #: argv -> (sha256 of stdout, exit code)
 PINS = [
-    (SWEEP, "c6e14bb9d67c37c7266891db202148d8502bc495029ff560fe17047644cf8a6b",
+    (SWEEP, "9435e8bbf384baf320301f8a0ef078b9440e762031dc5392e75da1df4945100a",
      0),
     (SWEEP + ["--format", "json"],
-     "274fd1107bff4611338bb2dd0dbd8a7a59e72eef04948762b996855919ec9f9b", 0),
+     "e99574e32fe3d57a57d62d967727cb48514b59c1cc629c5b9d078932c058043b", 0),
     (["sweep", "--alphas", "0.99", "--specs", "2:3:1,1:6:0", "--oracle-n",
       "4096"],
-     "b333b87b668ca349c3d2c5067c0f31be6287bb3eba49424572e6474c3265766c", 0),
+     "55d75446ebce1fd39575f3663d8e29b24391f7fda07d30a36139b37e1954946b", 0),
     (["correlations", "--alpha", "0.9", "--l-max", "40", "--oracle-n",
       "65536"],
      "1de06921adf835ec1cbc9c84555f25672a7c1a47bd0d5e692a8144810ed150c6", 0),

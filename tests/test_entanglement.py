@@ -81,18 +81,34 @@ def coupling_rows(tables, alphas, lags):
                       tables(alpha, lags).h[:lags]) for alpha in alphas])
 
 
-def contracted(gh, spec):
-    """(G, H, G_AB, H_AB) of one layout, shape (..., 4), from its direct
-    pair counts, each row times them summed over the last axis."""
-    a, b = block_indices(spec)
-    rows = gh[..., :spec.span]
-    moments = []
-    for other in (a, b):
-        counts = np.zeros(spec.span)
-        pairs = lag_count_array(a, other)
-        counts[:pairs.size] = pairs
-        moments.append((rows * counts).sum(-1))
-    return np.concatenate(moments, axis=-1) / spec.n
+def moment_errors(gh, layouts, got):
+    """Error of each of `got`, shape (couplings, layouts, 4), against the
+    exact contraction of the same float rows `gh` with each layout's direct
+    pair counts, in units of 2^-53 * sum_l |count_l f_l| / n."""
+    errors = np.empty(got.shape)
+    for c, rows in enumerate(gh.tolist()):
+        # each row as integers over one power-of-two denominator
+        exact = []
+        for row in rows:
+            ratios = [f.as_integer_ratio() for f in row]
+            scale = max(q for _, q in ratios)
+            exact.append(([p * (scale // q) for p, q in ratios], scale))
+        for i, layout in enumerate(layouts):
+            spec = BlockSpec(*layout)
+            a, b = block_indices(spec)
+            pairs = [(lag_count_array(a, other).tolist(), exact[row])
+                     for other in (a, b) for row in (0, 1)]
+            for k, (counts, (row, scale)) in enumerate(pairs):
+                terms = [count * f for count, f in zip(counts, row)]
+                error = abs(Fraction(got[c, i, k]) * scale * spec.n
+                            - sum(terms))
+                errors[c, i, k] = error * 2**53 / sum(map(abs, terms))
+    return errors
+
+
+#: most error of a moment in the units of `moment_errors`, as stated in
+#: `_moments`' docstring
+MOMENT_UNITS = 2
 
 
 layout_lists = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5),
@@ -101,7 +117,8 @@ layout_lists = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5),
 
 
 class TestGridMoments:
-    # one pass over many layouts gives each layout's own contraction
+    # one pass over many layouts gives each layout the bits it has alone
+    # under the same rows, whatever the budget
 
     @given(layouts=layout_lists,
            alphas=st.lists(st.sampled_from((0.1, 0.5, 0.9, 0.999)),
@@ -121,77 +138,86 @@ class TestGridMoments:
                            max(spec.span for spec in specs) + extra)
         with mock.patch.object(entanglement, "MOMENT_CHUNK", budget):
             got = _moments(gh, layouts)
-        want = np.stack([contracted(gh, spec) for spec in specs], axis=-2)
+        want = np.concatenate([_moments(gh, [layout]) for layout in layouts],
+                              axis=1)
         assert got.shape == (len(alphas), len(specs), 4)
         assert np.array_equal(got, want)
+        assert moment_errors(gh, layouts, got).max() <= MOMENT_UNITS
 
-    @pytest.mark.parametrize("budget", [1, entanglement.MOMENT_CHUNK])
+    # one term at a time, and everything at once
+    @pytest.mark.parametrize("budget", [1, 2**21])
     def test_four_couplings(self, tables, budget):
-        # at budget 1 each layout is past it alone and is contracted one
-        # coupling at a time
         gh = coupling_rows(tables, [0.1, 0.5, 0.9, 0.999], 40)
         layouts = [(2, 3, 1), (1, 2, 0), (1, 5, 3)]
         with mock.patch.object(entanglement, "MOMENT_CHUNK", budget):
             got = _moments(gh, layouts)
-        want = np.stack([contracted(gh, BlockSpec(*layout))
-                         for layout in layouts], axis=-2)
+        want = np.concatenate([_moments(gh[[c]], layouts) for c in range(4)])
         assert got.shape == (4, 3, 4)
         assert np.array_equal(got, want)
+        assert moment_errors(gh, layouts, got).max() <= MOMENT_UNITS
 
     def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
-        # the summed 2 span of these layouts, once per coupling, crosses the
-        # budget at least three times, so runs of equal spans are split
-        # between chunks too
-        layouts = [(m, s, d) for d in (10000, 15000, 20000)
-                   for m in (3, 1, 2) for s in range(1, 6)]
-        specs = [BlockSpec(*layout) for layout in layouts]
-        alphas = (0.3, 0.9)
-        entries = len(alphas) * sum(2 * spec.span for spec in specs)
-        assert entries >= 3 * entanglement.MOMENT_CHUNK
-        counted = []
-        original = entanglement.stacked_lag_counts
-        monkeypatch.setattr(entanglement, "stacked_lag_counts",
-                            lambda rows: counted.append(rows) or
-                            original(rows))
-        gh = coupling_rows(tables, alphas, max(spec.span for spec in specs))
+        # at a budget of 40 terms each table row's tail sums are a block of
+        # their own; the four 1:s:d layouts are one chunk, the 2:s:d ones
+        # two chunks of two, and each 9:s:d layout a chunk of its own whose
+        # 28 spikes a half are two runs, of 16 and 12
+        layouts = [(m, s, d) for d in (0, 3) for m in (1, 9, 2)
+                   for s in (4, 1)]
+        gh = coupling_rows(tables, (0.3, 0.9, 0.999),
+                           max(BlockSpec(*layout).span for layout in layouts))
+        want = _moments(gh, layouts)
+        calls = {"_tail_sums": 0, "_products": 0}
+        for name in calls:
+            original = getattr(entanglement, name)
+            monkeypatch.setattr(entanglement, name,
+                                lambda *args, name=name, original=original:
+                                calls.__setitem__(name, calls[name] + 1) or
+                                original(*args))
+        monkeypatch.setattr(entanglement, "MOMENT_CHUNK", 40)
         got = _moments(gh, layouts)
-        assert len(counted) >= 4
-        assert sum(map(len, counted)) == len(layouts)
-        want = np.stack([contracted(gh, spec) for spec in specs], axis=-2)
+        assert calls["_tail_sums"] == 6
+        assert calls["_products"] == 6 * (1 + 2 + 4 * 2)
         assert np.array_equal(got, want)
+        alone = np.concatenate([_moments(gh, [layout]) for layout in layouts],
+                               axis=1)
+        assert np.array_equal(got, alone)
 
     def test_short_table_names_the_longest_layout(self, tables):
         gh = coupling_rows(tables, [0.5], 10)
         with pytest.raises(LagBoundError, match="spec 1:3:5 needs 10"):
             _moments(gh, [(1, 2, 0), (1, 3, 5), (1, 1, 1)])
 
+    def test_a_longer_table_keeps_the_bound(self, tables):
+        # the tail sums start at the table's end, so a longer table may
+        # move a value in its last bits, within the bound either way
+        layouts = [(300, 1, 0), (1, 100, 0)]
+        short = coupling_rows(tables, [0.9999], 600)
+        long = coupling_rows(tables, [0.9999], 2000)
+        for gh in (short, long):
+            assert moment_errors(gh, layouts, _moments(gh, layouts)).max() \
+                <= MOMENT_UNITS
+        assert np.allclose(_moments(short, layouts), _moments(long, layouts),
+                           rtol=1e-14, atol=0)
+
 
 class TestMomentAccuracy:
     # the moment pass alone: the same float table contracted with the exact
-    # integer pair counts in rationals, so the table's own error drops out
+    # integer pair counts, so the table's own error drops out
 
     LAYOUTS = [(1, 100, 0), (1, 100, 1), (2, 50, 0), (4, 25, 1), (1, 1, 0),
-               (30, 2, 1), (300, 1, 0)]
+               (30, 2, 1), (300, 1, 0), (1000, 1, 0), (2000, 1, 0),
+               (1000, 2, 0)]
 
     @pytest.mark.parametrize("gap", [0.4, 1e-2, 1e-4, 1e-5])
     def test_within_the_stated_bound(self, tables, gap):
-        # the bound of `_moments`' docstring, 4 * 2^-53 * sum_l |count_l f_l|
-        # / n per column; h's lags nearly cancel, so H's relative error
-        # reaches 8e-15 at 1 - alpha = 1e-4 within it
-        specs = [BlockSpec(*layout) for layout in self.LAYOUTS]
-        gh = coupling_rows(tables, [1.0 - gap],
-                           max(spec.span for spec in specs))
-        [got] = _moments(gh, self.LAYOUTS)
-        for spec, moments in zip(specs, got.tolist()):
-            a, b = block_indices(spec)
-            # G and H from the intra counts, G_AB and H_AB from the cross
-            pairs = [(lag_count_array(a, other).tolist(), row)
-                     for other in (a, b) for row in gh[0].tolist()]
-            for moment, (counts, row) in zip(moments, pairs):
-                terms = [count * Fraction(f) for count, f in zip(counts, row)]
-                error = abs(Fraction(moment) - sum(terms) / spec.n)
-                scale = sum(map(abs, terms)) / spec.n
-                assert error <= 4 * scale / 2**53, (spec, moments)
+        # the bound of `_moments`' docstring, 2 * 2^-53 * sum_l
+        # |count_l f_l| / n per column, on a table 1000 lags longer than
+        # the longest span; h's lags nearly cancel, so H's relative error
+        # is larger within it
+        lags = max(BlockSpec(*layout).span for layout in self.LAYOUTS) + 1000
+        gh = coupling_rows(tables, [1.0 - gap], lags)
+        errors = moment_errors(gh, self.LAYOUTS, _moments(gh, self.LAYOUTS))
+        assert errors.max() <= MOMENT_UNITS, errors.max()
 
 
 class TestNegativity:

@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,14 @@ def test_field_takes_its_transcendentals_from_math():
               and (node.module or "").split(".")[0] == "numpy"
               for alias in node.names if alias.name in SIMD_TRANSCENDENTALS]
     assert not found
+
+
+def test_gauss_legendre_rule_is_numpys():
+    # the literal rule, mirrored from its positive half, is numpy's bit for
+    # bit, so no field value moves with it
+    nodes, weights = leggauss(16)
+    assert np.array_equal(chainent.field._GL_NODES, nodes)
+    assert np.array_equal(chainent.field._GL_WEIGHTS, weights)
 
 
 class TestBesselFunctions:

@@ -1,8 +1,9 @@
 """The package runs on numpy alone: `import chainent`, `import chainent.cli`
-and every command, the field ones too, leave scipy unloaded in a fresh
-process, `field` and `validate` print the same bytes in a fresh process
-as in this one, and lag counting, the oracle's fold, validate and the
-moments of a layout past the moment budget stay small in one."""
+and every command, the field ones too, leave scipy, numpy.ma and
+numpy.polynomial unloaded in a fresh process, `field` and `validate` print
+the same bytes in a fresh process as in this one, and lag counting, the
+oracle's fold, validate, the largest sweep grid and the moments of a
+layout past the moment budget stay small in one."""
 
 import json
 import os
@@ -45,12 +46,20 @@ def fresh_python(code: str, *args: str,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+#: modules no stage may load: scipy, an extra of the tests only, and two
+#: numpy subpackages that numpy itself imports lazily, which cost a fresh
+#: process milliseconds: numpy.ma (`np.unique` and `np.setdiff1d` import it
+#: on their first call) and numpy.polynomial
+UNLOADED = ("scipy", "numpy.ma", "numpy.polynomial")
+
+
 @pytest.fixture(scope="module")
-def scipy_after_stage():
-    """stage -> whether scipy is loaded once it has run."""
+def loaded_after_stage():
+    """stage -> the modules of `UNLOADED` loaded once it has run."""
     lines = ["import json, os, sys", "loaded = {}"]
     for name, statement in STAGES:
-        lines += [statement, f"loaded[{name!r}] = 'scipy' in sys.modules"]
+        lines += [statement, f"loaded[{name!r}] = [module for module in "
+                             f"{UNLOADED!r} if module in sys.modules]"]
     lines.append("print(json.dumps(loaded))")
     done = fresh_python("\n".join(lines))
     assert done.returncode == 0, done.stderr
@@ -58,8 +67,14 @@ def scipy_after_stage():
 
 
 @pytest.mark.parametrize("stage", [name for name, _ in STAGES])
-def test_stage_loads_no_scipy(scipy_after_stage, stage):
-    assert scipy_after_stage[stage] is False
+def test_stage_loads_no_scipy(loaded_after_stage, stage):
+    assert "scipy" not in loaded_after_stage[stage]
+
+
+@pytest.mark.parametrize("stage", [name for name, _ in STAGES])
+def test_stage_loads_no_numpy_extras(loaded_after_stage, stage):
+    assert not {"numpy.ma", "numpy.polynomial"} & set(
+        loaded_after_stage[stage])
 
 
 @pytest.mark.parametrize("argv", [FIELD, VALIDATE], ids=" ".join)
@@ -113,14 +128,25 @@ def test_validate_stays_small():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 def test_a_layout_past_the_moment_budget_stays_small():
-    # each layout's 2^22 counts, times its two couplings, pass the budget
-    # four times alone; its product takes 64 MiB one coupling at a time,
-    # and both couplings at once peaked at 305 MiB
+    # each table row's 2^21 lags pass the moment budget alone, so the tail
+    # sums are made one row at a time, four arrays of 16 MiB; the process
+    # peaks near 190 MiB, and all four rows at once would pass the bound
     assert peak_kib(
         "import os\nfrom chainent import cli\n"
         "cli.main(['sweep', '--alphas', '0.3,0.5', '--specs',\n"
         "          '1:1048576:0,1:1048575:1', '--out', os.devnull])"
     ) < 290 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_a_sweep_of_the_largest_grid_stays_small():
+    # 10^5 rows: the moments hold a few arrays of `MOMENT_CHUNK` floats at
+    # a time, so the CSV text sets the peak, near 112 MiB
+    assert peak_kib(
+        "import os\nfrom chainent import cli\n"
+        "cli.main(['sweep', '--alphas', '0.5', '--m', '1..10', '--s',\n"
+        "          '1..100', '--d', '0..99', '--out', os.devnull])"
+    ) < 126 * 1024
 
 
 def test_field_names_resolve_to_the_field_module():
