@@ -16,6 +16,8 @@ blocks       : periodic two-block geometry and lag multiplicities
 entanglement : collective covariances, negativity degree, Duan witness
 field        : smeared scalar-field propagators and their negativity
 kernels      : the AGM that seeds the correlation tables at lag 0
+render       : CSV and JSON text of the command line's tables
+digits       : %.17g's text of many floats at once, for the CSV
 cli          : sweep / correlations / field / validate command line
 """
 

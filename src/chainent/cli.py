@@ -13,7 +13,10 @@ coupling in one pass, and computes its rows as columns with the array
 forms of the library's rules.  A field grid likewise takes D(0) once, the
 propagators of every separated window pair in one Bessel pass and
 epsilon from one verdict over its columns.  Every table is rendered from
-its columns, formatting each distinct int or float of a column once.
+its columns by `chainent.render`, formatting each distinct int or float
+of a column once: a CSV table as one byte matrix, whose floats of a large
+table come from `digits.fill`, a numpy kernel with %.17g's bytes (see
+`render_csv` for its error bound, fallback band and range).
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
@@ -33,6 +36,7 @@ import numpy as np
 from . import blocks, correlations, entanglement, field
 from .blocks import BlockSpec
 from .errors import ChainentError, DomainError
+from .render import render_csv, render_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -122,43 +126,6 @@ def parse_float_values(text: str) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # output formatting
-
-def _column_text(column) -> list[str]:
-    """The CSV cells of one column: `str` of an int and %.17g of a float,
-    each formatted once per distinct bit pattern (not per value, which
-    would print -0.0 as 0), and empty for the None of an object column."""
-    column = np.asarray(column)
-    if column.dtype == object:          # values, and None for no value
-        keep = np.not_equal(column, None)
-        text = np.full(column.shape, "", dtype=object)
-        text[keep] = _column_text(column[keep].tolist())
-        return text.tolist()
-    fmt = "%.17g".__mod__ if column.dtype.kind == "f" else str
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    distinct = np.array(list(map(fmt, column[first].tolist())), dtype=object)
-    return distinct[inverse].tolist()
-
-
-def render_csv(schema_tag: str, columns, cells) -> str:
-    """CSV under a `# schema` line and a header, from `cells`, one array or
-    sequence per column in `columns` order.  An int column's cells are
-    written with `str` and a float column's with %.17g, each distinct bit
-    pattern of a column once and gathered back to its rows; a None cell,
-    in an object column, is empty.  The bytes are those of one format per
-    cell."""
-    lines = [f"# {schema_tag}", ",".join(columns)]
-    lines += map(",".join, zip(*map(_column_text, cells)))
-    return "\n".join(lines) + "\n"
-
-
-def render_json(schema_tag: str, columns, cells) -> str:
-    """JSON rows of `cells`, taken as `render_csv` takes them: `tolist`
-    gives Python ints, floats and None."""
-    rows = [dict(zip(columns, row))
-            for row in zip(*(np.asarray(c).tolist() for c in cells))]
-    return json.dumps({"schema": schema_tag, "rows": rows}, indent=2) + "\n"
-
 
 def _render_table(args, schema_tag: str, columns, cells) -> str:
     """A table subcommand's output in its --format."""

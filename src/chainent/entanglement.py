@@ -277,13 +277,15 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
     then divided by n.  Every operation is elementwise or a sequential
     cumsum, so no BLAS kernel or SIMD width enters, and each value depends
     only on its layout and its rows: a grid gives every layout the bits it
-    has alone under the same rows.  Those rows include the lags past the
-    layout's span, where the tail sums start, so another table length can
-    move a value in its last bits.  Against the exact contraction of the
-    same float rows, each column is within 2 * 2^-53 * sum_l |count_l f_l|
-    / n, one rounding of the sum and one of the division (at most 1.41 in
-    those units, measured on layouts from 1:1:0 to 2000:1:0 at
-    1 - alpha = 0.4 down to 1e-5, on tables 1000 lags past the spans).
+    has alone under the same rows.  The tail sums start at the rows' last
+    nonzero lag, or at the longest span if that is further: lags past it
+    add exact zeros, so a table's trailing zeros leave every bit alone,
+    while the nonzero lags past a layout's span can move a value in its
+    last bits.  Against the exact contraction of the same float rows, each
+    column is within 2 * 2^-53 * sum_l |count_l f_l| / n, one rounding of
+    the sum and one of the division (at most 1.41 in those units, measured
+    on layouts from 1:1:0 to 2000:1:0 at 1 - alpha = 0.4 down to 1e-5, on
+    tables 1000 lags past the spans).
     """
     layouts = np.asarray(layouts, dtype=np.int64).reshape(-1, 3)
     m, s, d, span = layout_columns(layouts)
@@ -294,6 +296,11 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
             f"table covers lags <= {lags - 1} but spec "
             f"{m[i]}:{s[i]}:{d[i]} needs {span[i] - 1}")
     rows = gh.reshape(-1, lags)
+    # past every row's last nonzero lag the tail sums and their errors add
+    # exact zeros, so the rows end there, or at the longest span
+    nonzero = np.flatnonzero(rows.any(0))
+    lags = max(int(nonzero[-1]) + 1 if nonzero.size else 0, int(span.max()))
+    rows = rows[:, :lags]
     # (row, intra/cross, layout), where row = 2 coupling + g/h
     moments = np.empty((len(rows), 2, span.size))
     block = min(len(rows), max(1, MOMENT_CHUNK // (lags + 2)))
@@ -323,13 +330,13 @@ def covariance_of_blocks(table: CorrelationTable,
                          spec: BlockSpec) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
 
-    `_moments` contracts the whole table: the lags past the span hold no
-    pairs, but its tail sums start at the table's last lag, so the value
-    depends on the rows passed, not only on the lags below the span.  The
-    same spec under a longer table of the same coupling may move in its
-    last bits (within the bound stated there), and the cost grows with the
-    table's length.  A `chainent sweep` row equals this call on the
-    sweep's own table bit for bit.
+    `_moments` contracts the table up to its last nonzero lag: the lags
+    past the span hold no pairs, but its tail sums start there, so the
+    value depends on the rows passed, not only on the lags below the span.
+    The same spec under a longer table of the same coupling may move in
+    its last bits (within the bound stated there); the table's zeros past
+    its last nonzero lag cost a scan and move nothing.  A `chainent sweep`
+    row equals this call on the sweep's own table bit for bit.
 
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.

@@ -2,6 +2,8 @@ import argparse
 import importlib.resources
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainent
-from chainent import cli, correlations, entanglement, field
+from chainent import cli, correlations, entanglement, field, render
 from chainent.blocks import BlockSpec
 from chainent.errors import ChainentError, DomainError
 
@@ -650,6 +652,132 @@ class TestRenderCsv:
             np.array([], dtype=np.int64), np.array([])]) == "# t\nx,y\n"
         assert cli.render_json("t", ["x", "y"], [[], []]) == (
             '{\n  "schema": "t",\n  "rows": []\n}\n')
+
+
+def kernel_text(values) -> list[str]:
+    """The text of each float of `values` through `_float_slots`' vectorised
+    kernel, its NULs squeezed out."""
+    rows = render._float_slots(np.asarray(values, dtype=float), True)
+    lines = np.concatenate((rows, np.full((len(rows), 1), ord("\n"),
+                                          np.uint8)), axis=1)
+    return str(lines[lines != 0], "ascii").splitlines()
+
+
+def near_ties(e: int, offsets) -> list[float]:
+    """Doubles x = M 2^E of decimal exponent e whose scaled x 10^(16 - e)
+    has the fractional part (b // 2 + offset) / b, b the denominator of
+    2^E 10^(16 - e): ties or near-ties of the 17th digit."""
+    exponent = math.frexp(3 * 10.0**e)[1] - 53
+    scale = Fraction(2)**exponent * Fraction(10)**(16 - e)
+    a, b = scale.numerator, scale.denominator
+    assert b < 2**52
+    ties = []
+    for offset in offsets:
+        mantissa = 2**52 + ((b // 2 + offset) * pow(a, -1, b) - 2**52) % b
+        x = math.ldexp(mantissa, exponent)
+        scaled = Fraction(x) * Fraction(10)**(16 - e)
+        assert 10**16 <= scaled < 10**17
+        assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2**-20
+        ties.append(x)
+    return ties
+
+
+class TestFloatKernel:
+    """`_float_slots`' vectorised %.17g against Python's, value by value."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        assert kernel_text(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        # every binary exponent, so subnormals, inf and NaN too
+        rng = np.random.default_rng(30)
+        bits = rng.integers(0, 2**64 - 1, 10**5, dtype=np.uint64,
+                            endpoint=True)
+        self.check(np.concatenate((bits.view(np.float64), EDGE_FLOATS,
+                                   [math.nan, -math.nan])))
+
+    def test_random_values_of_every_decimal_exponent(self):
+        rng = np.random.default_rng(31)
+        exponents = rng.integers(-300, 301, 10**5)
+        values = rng.uniform(1, 10, exponents.size) * 10.0**exponents
+        self.check(values * rng.choice([-1, 1], values.size))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        self.check(np.concatenate((
+            powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
+            -powers)))
+
+    # a log10 biased by 1e-12 puts e one off next to each power of ten, or
+    # keeps it for the doubles just below one whose 17 digits round up to
+    # 10^17 (as at 1e-243 and 1e98); at 0.5 half of all floats are off
+    @pytest.mark.parametrize("bias", [-1e-12, 1e-12, -0.5, 0.5])
+    def test_a_wrong_decimal_exponent_takes_the_fallback(self, monkeypatch,
+                                                         bias):
+        powers = np.array([float(f"1e{k}") for k in range(-290, 300)])
+        values = np.concatenate((powers, np.nextafter(powers, 0),
+                                 np.nextafter(powers, math.inf),
+                                 powers * (1 - 1e-13), powers * 1.5))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+        self.check(values)
+
+    # %g prints e from -4 to 16 in fixed notation, with e+XX past them and
+    # e+XXX from 100 on
+    @pytest.mark.parametrize("e", [-5, -4, -1, 0, 1, 15, 16, 17, 99, 100,
+                                   -99, -100, 299, -290])
+    def test_both_sides_of_each_form_switch(self, e):
+        rng = np.random.default_rng(e + 1000)
+        mantissas = np.concatenate((rng.uniform(1, 10, 2000),
+                                    [1, 1.5, 2.5, 9.5, 9.75, 9.999]))
+        values = mantissas * 10.0**e
+        # and values with few digits, whose trailing zeros are not printed
+        short = np.array([round(m, digits) for m, digits in zip(
+            mantissas[:200].tolist(), rng.integers(0, 6, 200).tolist())]
+                         ) * 10.0**e
+        self.check(np.concatenate((values, -values, short)))
+
+    def test_near_ties_take_the_fallback(self, monkeypatch):
+        # exact ties at e = 0 and -1 (17 fractional bits make 18 digits
+        # ending in 5), near-ties within 1e-10 of a half at e = 0 and 30
+        ties = ([(2**17 + a) / 2**17 for a in (1, 3, 5, 77, 2**16 + 1)]
+                + [(2**17 + a) / 2**18 for a in (1, 3, 4097)]
+                + near_ties(0, (-2, -1, 1, 2)) + near_ties(30, (-1, 0, 1)))
+        fallback = []
+        kernel = render._float_slots
+
+        def spy(values, vectorise):
+            if not vectorise:
+                fallback.extend(values.tolist())
+            return kernel(values, vectorise)
+
+        monkeypatch.setattr(render, "_float_slots", spy)
+        self.check(ties + [-tie for tie in ties] + [0.1, 1.5, 3e30])
+        assert set(ties) <= set(fallback) and 0.1 not in fallback
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_tables_either_side_of_the_chunk(self, offset):
+        rows = render.RENDER_CHUNK + offset
+        rng = np.random.default_rng(rows)
+        scale = 10.0**rng.integers(-8, 20, rows)
+        cells = [rng.standard_normal(rows) * scale, rng.integers(-5, 5, rows),
+                 np.where(rng.random(rows) < 0.3, None,
+                          rng.standard_normal(rows)),
+                 np.round(rng.standard_normal(rows), 2) * 0.0]
+        columns = [f"c{i}" for i in range(len(cells))]
+        assert cli.render_csv("t", columns, cells) == TestRenderCsv.per_cell(
+            "t", columns, TestRenderCsv.rows(cells))
+
+    @given(cells=render_columns())
+    @settings(max_examples=200)
+    def test_vectorised_columns_match_the_per_cell_formatter(self, cells):
+        columns = [f"c{i}" for i in range(len(cells))]
+        with mock.patch.object(render, "RENDER_CROSSOVER", 0):
+            text = cli.render_csv("tag", columns, cells)
+        assert text == TestRenderCsv.per_cell("tag", columns,
+                                              TestRenderCsv.rows(cells))
 
 
 class TestFlagInventory:

@@ -200,6 +200,44 @@ class TestGridMoments:
                            rtol=1e-14, atol=0)
 
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6])
+    def test_tail_sums_past_the_last_nonzero_lag_are_exact_zeros(self,
+                                                                  alpha):
+        # the reverse cumsums and their TwoSum errors over a table's
+        # trailing zeros are zeros, so cutting them moves no tail sum
+        table = correlation_table(alpha, 2**14)
+        rows = np.stack((table.g, table.h))
+        end = int(np.flatnonzero(rows.any(0))[-1]) + 1
+        assert end < 2**13
+        full = entanglement._tail_sums(rows)
+        for whole, cut in zip(full, entanglement._tail_sums(rows[:, :end])):
+            assert np.array_equal(whole[:, -(end + 2):], cut)
+            assert not whole[:, :-(end + 2)].any()
+
+    def test_a_long_table_gives_the_bits_of_its_trimmed_copy(self,
+                                                             monkeypatch):
+        # alpha = 0.5 underflows to zero past lag 534; of 2^20 lags only
+        # those up to the last nonzero one, or up to the longest span (1200
+        # for 2:300:0) if that is further, reach the tail sums
+        table = correlation_table(0.5, 2**20)
+        gh = np.stack((table.g, table.h))[None]
+        end = int(np.flatnonzero(gh[0].any(0))[-1]) + 1
+        assert end < 1200
+        original, lags = entanglement._tail_sums, []
+        monkeypatch.setattr(entanglement, "_tail_sums", lambda rows: (
+            lags.append(rows.shape[1]) or original(rows)))
+        short, wide = [(1, 5, 2), (3, 4, 1)], [(1, 5, 2), (2, 300, 0)]
+        assert np.array_equal(_moments(gh, short),
+                              _moments(gh[..., :end], short))
+        assert np.array_equal(_moments(gh, wide),
+                              _moments(gh[..., :1200], wide))
+        assert lags == [end, end, 1200, 1200]
+        want = CollectiveCovariance(*_moments(gh, [(1, 5, 2)])[0, 0])
+        lags.clear()
+        assert covariance_of_blocks(table, BlockSpec(1, 5, 2)) == want
+        assert lags == [end]
+
+
 class TestMomentAccuracy:
     # the moment pass alone: the same float table contracted with the exact
     # integer pair counts, so the table's own error drops out

@@ -20,6 +20,8 @@ SRC = str(Path(chainent.__file__).resolve().parents[1])
 
 FIELD = ["field", "--mass", "1", "--length", "1", "--r", "0,0.5,1,1.05,2,20"]
 VALIDATE = ["validate", "--oracle-n", "4096"]
+SWEEP_120 = ["sweep", "--alphas", "0.3,0.6", "--m", "1..3", "--s", "1..5",
+             "--d", "0..3"]
 
 #: each stage runs after the ones before it, in one fresh process
 STAGES = (
@@ -75,6 +77,20 @@ def test_stage_loads_no_scipy(loaded_after_stage, stage):
 def test_stage_loads_no_numpy_extras(loaded_after_stage, stage):
     assert not {"numpy.ma", "numpy.polynomial"} & set(
         loaded_after_stage[stage])
+
+
+def test_the_float_kernel_loads_only_for_a_large_table():
+    # a fresh process compiles each module it imports: `chainent.cli` and
+    # a table below `render.RENDER_CROSSOVER` distinct floats leave the
+    # kernel module out, and the 120-row sweep's 859 distinct floats load it
+    done = fresh_python(
+        "import os, sys\nfrom chainent import cli\nloaded = []\n"
+        f"for argv in ({FIELD!r}, {SWEEP_120!r}):\n"
+        "    loaded.append('chainent.digits' in sys.modules)\n"
+        "    cli.main(argv + ['--out', os.devnull])\n"
+        "print(loaded + ['chainent.digits' in sys.modules])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False, True]"
 
 
 @pytest.mark.parametrize("argv", [FIELD, VALIDATE], ids=" ".join)
@@ -141,12 +157,24 @@ def test_a_layout_past_the_moment_budget_stays_small():
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 def test_a_sweep_of_the_largest_grid_stays_small():
     # 10^5 rows: the moments hold a few arrays of `MOMENT_CHUNK` floats at
-    # a time, so the CSV text sets the peak, near 112 MiB
+    # a time, so the CSV text sets the peak, near 101 MiB
     assert peak_kib(
         "import os\nfrom chainent import cli\n"
         "cli.main(['sweep', '--alphas', '0.5', '--m', '1..10', '--s',\n"
         "          '1..100', '--d', '0..99', '--out', os.devnull])"
     ) < 126 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_the_largest_grids_csv_takes_no_more_than_the_per_cell_text():
+    # 10^5 rows rendered as one byte matrix in chunks: the distinct values'
+    # bytes, one chunk and one copy of the text at a time peak near
+    # 101 MiB; 123 MiB is the per-cell renderer's 117.1 MiB plus 5 %
+    assert peak_kib(
+        "import os\nfrom chainent import cli\n"
+        "cli.main(['sweep', '--alphas', '0.5', '--m', '1..10', '--s',\n"
+        "          '1..100', '--d', '0..99', '--out', os.devnull])"
+    ) < 123 * 1024
 
 
 def test_field_names_resolve_to_the_field_module():
