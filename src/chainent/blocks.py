@@ -10,9 +10,8 @@ cross counts, the pairs at lag l between A and B, on lags 0..span - 1;
 they do not depend on the coupling.  `subblock_pairs` counts subblock
 pairs in closed form; `_spikes` gives each layout's counts as the double
 cumulative sums of O(m) integer spikes, which the moments contract with
-the table's tail sums directly; `stacked_lag_counts` spreads them into
-the lag multiplicities of many layouts at once, and `lag_count_array` is
-the direct pair count they are checked against.
+the table's head sums directly; `lag_count_array` is the direct pair
+count they are checked against.
 """
 
 from dataclasses import dataclass
@@ -141,35 +140,6 @@ def _spikes(m: int, s, d, span) -> tuple[np.ndarray, np.ndarray]:
     weights[1, :-1].reshape(m, 3, s.size)[...] = np.multiply.outer(
         2 * m - t[0::2], (1.0, -2.0, 1.0))[..., None]
     return lags, weights
-
-
-def stacked_lag_counts(layouts) -> np.ndarray:
-    """Lag multiplicities of many layouts laid end to end, as one float
-    array: for each (m, s, d) row of `layouts` in turn, its intra counts on
-    lags 0..span - 1 (intra[l] site pairs at lag l within block A, as many
-    as within B), then its cross counts on the same lags (cross[l] pairs at
-    lag l between A and B).
-
-    One `np.bincount` of each layout's O(m) `_spikes`, placed at its
-    halves' starts, and two cumulative sums in place count every layout at
-    once in O(span) work, not O((m*s)^2).  Each layout's counts are back at
-    0 where the next one starts, and every partial sum is an integer below
-    2^53, so the float sums are exact.
-    """
-    m, s, d, span = layout_columns(layouts)
-    # where each layout's intra and cross halves start
-    starts = np.cumsum(2 * span) - 2 * span + np.multiply.outer((0, 1), span)
-    places, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for size in sorted(set(m.tolist())):
-        at = m == size
-        lags, weight = _spikes(size, s[at], d[at], span[at])
-        places.append((lags + starts[:, None, at]).ravel())
-        weights.append(weight.ravel())
-    counts = np.bincount(np.concatenate(places), np.concatenate(weights))
-    np.cumsum(counts, out=counts)
-    np.cumsum(counts, out=counts)
-    # the last layout's last spikes lie past its end
-    return counts[:2 * span.sum()]
 
 
 def lag_count_array(x, y) -> np.ndarray:

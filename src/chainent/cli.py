@@ -378,15 +378,13 @@ def _check_chain_cutoffs(oracle_n: int):
 
 
 def _check_lag_counts(oracle_n: int):
-    specs = (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2))
-    counts = blocks.stacked_lag_counts([(spec.m, spec.s, spec.d)
-                                        for spec in specs])
-    # each layout's intra counts, then its cross counts, span lags each
-    halves = np.split(counts, np.cumsum([spec.span for spec in specs
-                                         for _ in "ab"])[:-1])
-    for spec, intra, cross in zip(specs, halves[0::2], halves[1::2]):
+    for spec in (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2)):
+        _, s, d, span = blocks.layout_columns([(spec.m, spec.s, spec.d)])
+        lags, weights = blocks._spikes(spec.m, s, d, span)
         a, b = blocks.block_indices(spec)
-        for got, other in zip((intra, cross), (a, b)):
+        for at, weight, other in zip(lags[..., 0], weights[..., 0], (a, b)):
+            # the counts are the double cumulative sum of the spikes
+            got = np.bincount(at, weight).cumsum().cumsum()[:spec.span]
             pairs = blocks.lag_count_array(a, other)
             # a pair count ends at its largest lag; got runs to max_lag
             if not np.array_equal(np.trim_zeros(got, "b"), pairs):

@@ -23,7 +23,7 @@ Every rule here is written once, elementwise over floats and arrays alike:
 takes its values from it), `_moments` the covariances of any number of
 layouts under a (couplings, g/h, lags) stack of tables, `_approx` the
 nearest-neighbour estimate.  `_moments` reads each layout's O(m) spikes
-(`blocks._spikes`) against two double-double tail sums of each table row,
+(`blocks._spikes`) against two double-double head sums of each table row,
 in blocks within `MOMENT_CHUNK`, with exact products and a double-double
 sum per layout, so no BLAS kernel and no SIMD-dependent sum enters.
 A sweep calls each of them once on its whole grid, `covariance_of_blocks`
@@ -48,7 +48,7 @@ VACUUM_PRODUCT = 0.25
 SEPARABILITY_ATOL = 1e-12
 
 #: most floats in one of `_moments`' arrays, at least one table row's or
-#: one layout's: a block of table rows' tail sums (rows x (lags + 2)), or a
+#: one layout's: a block of table rows' head sums (rows x (lags + 2)), or a
 #: chunk's spike terms (rows x 2 halves x spikes x layouts), where a layout
 #: past it alone sums its spikes in runs within it.  It bounds the
 #: moments' memory on any grid and leaves their bits alone: each layout's
@@ -152,19 +152,19 @@ class EntanglementResult:
         return not self.separable
 
 
-def _tail_sums(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """R2[p] = sum_{q >= p} sum_{l >= q} f_l of each row f of `rows`, shape
+def _head_sums(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P2[p] = sum_{q < p} sum_{l < q} f_l of each row f of `rows`, shape
     (rows, lags), in double-double: hi split by Veltkamp into two halves of
     at most 26 bits, and lo, each of shape (rows, lags + 2) and indexed by
-    lags + 1 - p for p = 0..lags + 1 (two zeros past the last lag).
+    p = 0..lags + 1 (two zeros ahead of the first lag).
 
-    Each tail sum is the reversed float cumsum plus the cumsum of its
-    steps' exact TwoSum errors, R2 summing R1's hi with R1's lo folded
-    into its own errors.  Every operation is elementwise or a sequential
-    cumsum along a row, so each row's sums are its own whatever the others.
+    Each head sum is the float cumsum plus the cumsum of its steps' exact
+    TwoSum errors, P2 summing P1's hi with P1's lo folded into its own
+    errors.  Every operation is elementwise or a sequential cumsum along a
+    row, so each row's sums are its own whatever the others.
     """
     terms = np.zeros((len(rows), rows.shape[1] + 2))
-    terms[:, 2:] = rows[:, ::-1]
+    terms[:, 2:] = rows
     virtual = np.empty_like(terms)
     lo = None
     for _ in "12":
@@ -189,10 +189,10 @@ def _tail_sums(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _products(top, bottom, lo, at, weights):
-    """Each product w_j R2[at_j] under each row of the tail sums (top,
+    """Each product w_j P2[at_j] under each row of the head sums (top,
     bottom, lo), as a double-double (hi, lo) of shape (rows,) + at.shape.
 
-    top w and bottom w are exact, since |w| < 2^26 and both halves of R2's
+    top w and bottom w are exact, since |w| < 2^26 and both halves of P2's
     hi have at most 26 bits; Fast2Sum adds them exactly, and lo w joins
     the lo part.
     """
@@ -240,15 +240,13 @@ def _halving_tree(total, low):
 
 
 def _spike_sums(top, bottom, lo, at, weights) -> np.ndarray:
-    """sum_j w_j R2[p_j] over the spikes' lags p = `at` and `weights`,
+    """sum_j w_j P2[p_j] over the spikes' lags p = `at` and `weights`,
     each of shape (intra/cross, spikes, layouts), under each row of the
-    tail sums (top, bottom, lo) of `_tail_sums`, rounded once, shape
+    head sums (top, bottom, lo) of `_head_sums`, rounded once, shape
     (rows, intra/cross, layouts): the `_halving_tree` of the `_products`,
     taken in aligned runs of spikes of a power-of-two length within
     `MOMENT_CHUNK` terms.
     """
-    # the index of lag p in the tail sums
-    np.subtract(top.shape[1] - 1, at, out=at)
     count = at.shape[1]
     width = 1 << max(0, (MOMENT_CHUNK // (len(top) * 2 * at.shape[2])
                          ).bit_length() - 1)
@@ -267,25 +265,23 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
     `gh`, shape (couplings, 2, lags).
 
     A layout's counts are the double cumulative sum of its O(m)
-    `blocks._spikes`, so sum_l count_l f_l = sum_j w_j R2[p_j], where
-    R2[p] = sum_{l >= p} (l - p + 1) f_l is two tail sums of the row f
-    (the last spike, at span + 1, reads a zero).  `_tail_sums` gives R2 in
-    double-double for blocks of rows within `MOMENT_CHUNK` floats, and
-    `_spike_sums` contracts the spikes of runs of layouts of one m within
-    it: each product w_j R2[p_j] exact, each layout's terms summed by a
-    double-double tree whose shape depends on m alone, rounded once and
-    then divided by n.  Every operation is elementwise or a sequential
-    cumsum, so no BLAS kernel or SIMD width enters, and each value depends
-    only on its layout and its rows: a grid gives every layout the bits it
-    has alone under the same rows.  The tail sums start at the rows' last
-    nonzero lag, or at the longest span if that is further: lags past it
-    add exact zeros, so a table's trailing zeros leave every bit alone,
-    while the nonzero lags past a layout's span can move a value in its
-    last bits.  Against the exact contraction of the same float rows, each
-    column is within 2 * 2^-53 * sum_l |count_l f_l| / n, one rounding of
-    the sum and one of the division (at most 1.41 in those units, measured
-    on layouts from 1:1:0 to 2000:1:0 at 1 - alpha = 0.4 down to 1e-5, on
-    tables 1000 lags past the spans).
+    `blocks._spikes` and vanish past its span, so its weights w_j and
+    w_j p_j sum to 0 and sum_l count_l f_l = sum_j w_j P2[p_j], where
+    P2[p] = sum_{l < p - 1} (p - 1 - l) f_l is two head sums of the row f
+    on the lags below the span.  `_head_sums` gives P2 in double-double on
+    the lags below the longest span, for blocks of rows within
+    `MOMENT_CHUNK` floats, and `_spike_sums` contracts the spikes of runs
+    of layouts of one m within it: each product w_j P2[p_j] exact, each
+    layout's terms summed by a double-double tree whose shape depends on m
+    alone, rounded once and then divided by n.  Every operation is
+    elementwise or a sequential cumsum from lag 0, so no BLAS kernel or
+    SIMD width enters, and each value depends only on its layout and its
+    rows' lags below its span: a grid gives every layout the bits it has
+    alone, under any rows at least its span long.  Against the exact
+    contraction of the same float rows, each column is within
+    2 * 2^-53 * sum_l |count_l f_l| / n, one rounding of the sum and one
+    of the division (at most 1.41 in those units, measured on layouts from
+    1:1:0 to 2000:1:0 at 1 - alpha = 0.4 down to 1e-5).
     """
     layouts = np.asarray(layouts, dtype=np.int64).reshape(-1, 3)
     m, s, d, span = layout_columns(layouts)
@@ -295,17 +291,13 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
         raise LagBoundError(
             f"table covers lags <= {lags - 1} but spec "
             f"{m[i]}:{s[i]}:{d[i]} needs {span[i] - 1}")
-    rows = gh.reshape(-1, lags)
-    # past every row's last nonzero lag the tail sums and their errors add
-    # exact zeros, so the rows end there, or at the longest span
-    nonzero = np.flatnonzero(rows.any(0))
-    lags = max(int(nonzero[-1]) + 1 if nonzero.size else 0, int(span.max()))
-    rows = rows[:, :lags]
+    lags = int(span.max())
+    rows = gh.reshape(2 * couplings, -1)[:, :lags]
     # (row, intra/cross, layout), where row = 2 coupling + g/h
     moments = np.empty((len(rows), 2, span.size))
     block = min(len(rows), max(1, MOMENT_CHUNK // (lags + 2)))
     for first in range(0, len(rows), block):
-        sums = _tail_sums(rows[first:first + block])
+        sums = _head_sums(rows[first:first + block])
         # a set, as np.unique would import numpy.ma
         for size in sorted(set(m.tolist())):
             group = (m == size).nonzero()[0]
@@ -315,7 +307,7 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
                 moments[first:first + block, :, picked] = _spike_sums(
                     *sums, *_spikes(size, s[picked], d[picked],
                                     span[picked]))
-        # free these tail sums before the next block's are made
+        # free these head sums before the next block's are made
         del sums
     moments = moments.reshape(couplings, 2, 2, span.size).transpose(
         0, 3, 2, 1).reshape(couplings, span.size, 4)
@@ -330,18 +322,15 @@ def covariance_of_blocks(table: CorrelationTable,
                          spec: BlockSpec) -> CollectiveCovariance:
     """Collective covariance of the two blocks from a correlation table.
 
-    `_moments` contracts the table up to its last nonzero lag: the lags
-    past the span hold no pairs, but its tail sums start there, so the
-    value depends on the rows passed, not only on the lags below the span.
-    The same spec under a longer table of the same coupling may move in
-    its last bits (within the bound stated there); the table's zeros past
-    its last nonzero lag cost a scan and move nothing.  A `chainent sweep`
-    row equals this call on the sweep's own table bit for bit.
+    `_moments` reads only the table's lags below the span, so the value
+    depends on the spec and those lags alone: a longer table's further lags
+    move nothing, and a `chainent sweep` row equals this call on the
+    sweep's table bit for bit.
 
     Raises LagBoundError if the table is shorter than the largest lag the
     geometry needs; the caller must rebuild it with l_max >= spec.max_lag.
     """
-    gh = np.stack((table.g, table.h))
+    gh = np.stack((table.g[:spec.span], table.h[:spec.span]))
     [[moments]] = _moments(gh[None], [(spec.m, spec.s, spec.d)]).tolist()
     return CollectiveCovariance(*moments)
 

@@ -6,7 +6,9 @@ field oracles integrate with mpmath (the Fourier integral with oscillatory
 tails, and the window's triangle kernel against an exponential
 representation of K0, neither touching a Bessel function), covariances are
 enumerated pair by pair, and small finite chains are summed term by term
-with math.fsum.
+with math.fsum.  `stacked_lag_counts` is the one exception: it spreads the
+production spikes into lag counts, for the tests that check them against
+the direct pair count or need many layouts' counts at once.
 
 Run ``python -m tests.oracles`` (from the repository root, with mpmath
 installed) to regenerate the oracle values frozen in ``tests/_frozen.py``.
@@ -154,6 +156,37 @@ def covariance_by_enumeration(table, indices_a, indices_b):
             double_sum(table.h, indices_a, indices_a),
             double_sum(table.g, indices_a, indices_b),
             double_sum(table.h, indices_a, indices_b))
+
+
+def stacked_lag_counts(layouts) -> np.ndarray:
+    """Lag multiplicities of many layouts laid end to end, as one float
+    array: for each (m, s, d) row of `layouts` in turn, its intra counts on
+    lags 0..span - 1 (intra[l] site pairs at lag l within block A, as many
+    as within B), then its cross counts on the same lags (cross[l] pairs at
+    lag l between A and B).
+
+    One `np.bincount` of each layout's O(m) `chainent.blocks._spikes`,
+    placed at its halves' starts, and two cumulative sums in place count
+    every layout at once in O(span) work, not O((m*s)^2).  Each layout's
+    counts are back at 0 where the next one starts, and every partial sum
+    is an integer below 2^53, so the float sums are exact.
+    """
+    from chainent.blocks import _spikes, layout_columns
+
+    m, s, d, span = layout_columns(layouts)
+    # where each layout's intra and cross halves start
+    starts = np.cumsum(2 * span) - 2 * span + np.multiply.outer((0, 1), span)
+    places, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for size in sorted(set(m.tolist())):
+        at = m == size
+        lags, weight = _spikes(size, s[at], d[at], span[at])
+        places.append((lags + starts[:, None, at]).ravel())
+        weights.append(weight.ravel())
+    counts = np.bincount(np.concatenate(places), np.concatenate(weights))
+    np.cumsum(counts, out=counts)
+    np.cumsum(counts, out=counts)
+    # the last layout's last spikes lie past its end
+    return counts[:2 * span.sum()]
 
 
 def finite_correlation_fsum(l, alpha, n_sites, power):

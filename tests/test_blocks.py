@@ -4,9 +4,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
-from chainent.blocks import (lag_count_array, stacked_lag_counts,
-                             subblock_pairs)
+from chainent.blocks import lag_count_array, subblock_pairs
 from chainent.correlations import MAX_TABLE_LAGS
+from tests import oracles
 
 spec_strategy = st.builds(BlockSpec,
                           m=st.integers(1, 4),
@@ -122,8 +122,8 @@ class TestLagMultiset:
         # the spike counts against the O(n^2) pairwise counter, zero-padded
         # to the span (A-A pairs never reach the last lag); each layout's
         # spikes end at 0 before the next layout begins
-        counts = stacked_lag_counts([(spec.m, spec.s, spec.d)
-                                     for spec in specs])
+        counts = oracles.stacked_lag_counts([(spec.m, spec.s, spec.d)
+                                             for spec in specs])
         assert counts.dtype == np.float64
         want = []
         for spec in specs:

@@ -174,6 +174,16 @@ class TestSweepCommand:
         keys = [tuple(map(int, line.split(",")[1:4])) for line in lines[2:]]
         assert keys == [(1, 2, 0), (2, 3, 1)]
 
+    def test_a_longer_layout_leaves_the_other_rows_alone(self, capsys):
+        # G at 3:1:3 and G_AB at 4:1:1 are exact ties at alpha = 0.999; the
+        # longer layout lengthens the table, which must move neither row
+        outputs = []
+        for specs in ("3:1:3,4:1:1", "3:1:3,4:1:1,10:30:5"):
+            assert run(["sweep", "--alphas", "0.999", "--specs", specs]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        short, wide = outputs
+        assert len(short) == 4 and wide[:4] == short
+
     def test_rejects_malformed_specs(self, capsys):
         assert run(["sweep", "--alphas", "0.9", "--specs", "2:3"]) == 2
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainent import (BlockSpec, CollectiveCovariance, DomainError,
-                      EntanglementResult, InvalidCovarianceError, LagBoundError, approx_negativity,
+from chainent import (BlockSpec, CollectiveCovariance, CorrelationTable,
+                      DomainError, EntanglementResult, InvalidCovarianceError,
+                      LagBoundError, approx_negativity,
                       block_entanglement, block_indices, collective_symplectic,
                       correlation_table, covariance_of_blocks,
                       negativity, symplectic_form)
 from chainent import entanglement
-from chainent.blocks import lag_count_array, stacked_lag_counts
+from chainent.blocks import lag_count_array
 from chainent.entanglement import _approx, _moments, _verdict
 from tests import oracles
 
@@ -117,8 +118,8 @@ layout_lists = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5),
 
 
 class TestGridMoments:
-    # one pass over many layouts gives each layout the bits it has alone
-    # under the same rows, whatever the budget
+    # one pass over many layouts gives each layout the bits it has alone,
+    # under any rows at least its span long, whatever the budget
 
     @given(layouts=layout_lists,
            alphas=st.lists(st.sampled_from((0.1, 0.5, 0.9, 0.999)),
@@ -157,7 +158,7 @@ class TestGridMoments:
         assert moment_errors(gh, layouts, got).max() <= MOMENT_UNITS
 
     def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
-        # at a budget of 40 terms each table row's tail sums are a block of
+        # at a budget of 40 terms each table row's head sums are a block of
         # their own; the four 1:s:d layouts are one chunk, the 2:s:d ones
         # two chunks of two, and each 9:s:d layout a chunk of its own whose
         # 28 spikes a half are two runs, of 16 and 12
@@ -166,7 +167,7 @@ class TestGridMoments:
         gh = coupling_rows(tables, (0.3, 0.9, 0.999),
                            max(BlockSpec(*layout).span for layout in layouts))
         want = _moments(gh, layouts)
-        calls = {"_tail_sums": 0, "_products": 0}
+        calls = {"_head_sums": 0, "_products": 0}
         for name in calls:
             original = getattr(entanglement, name)
             monkeypatch.setattr(entanglement, name,
@@ -175,7 +176,7 @@ class TestGridMoments:
                                 original(*args))
         monkeypatch.setattr(entanglement, "MOMENT_CHUNK", 40)
         got = _moments(gh, layouts)
-        assert calls["_tail_sums"] == 6
+        assert calls["_head_sums"] == 6
         assert calls["_products"] == 6 * (1 + 2 + 4 * 2)
         assert np.array_equal(got, want)
         alone = np.concatenate([_moments(gh, [layout]) for layout in layouts],
@@ -188,54 +189,48 @@ class TestGridMoments:
             _moments(gh, [(1, 2, 0), (1, 3, 5), (1, 1, 1)])
 
     def test_a_longer_table_keeps_the_bound(self, tables):
-        # the tail sums start at the table's end, so a longer table may
-        # move a value in its last bits, within the bound either way
+        # the head sums stop at the longest span, so the table's lags past
+        # it move nothing, and the values keep the bound
         layouts = [(300, 1, 0), (1, 100, 0)]
-        short = coupling_rows(tables, [0.9999], 600)
         long = coupling_rows(tables, [0.9999], 2000)
-        for gh in (short, long):
-            assert moment_errors(gh, layouts, _moments(gh, layouts)).max() \
-                <= MOMENT_UNITS
-        assert np.allclose(_moments(short, layouts), _moments(long, layouts),
-                           rtol=1e-14, atol=0)
+        short = long[..., :600]
+        assert moment_errors(short, layouts, _moments(short, layouts)).max() \
+            <= MOMENT_UNITS
+        assert np.array_equal(_moments(short, layouts),
+                              _moments(long, layouts))
 
+    @given(layouts=layout_lists,
+           alphas=st.lists(st.sampled_from((0.3, 0.5, 0.9, 0.999)),
+                           min_size=1, max_size=2, unique=True),
+           extra=st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_cut_past_the_longest_span_give_the_same_bits(
+            self, tables, layouts, alphas, extra):
+        spans = [BlockSpec(*layout).span for layout in layouts]
+        gh = coupling_rows(tables, alphas, max(spans) + 100)
+        got = _moments(gh[..., :max(spans) + extra], layouts)
+        assert np.array_equal(got, _moments(gh, layouts))
+        # and each layout alone under rows cut at its own span
+        alone = np.concatenate([_moments(gh[..., :span], [layout])
+                                for layout, span in zip(layouts, spans)],
+                               axis=1)
+        assert np.array_equal(got, alone)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6])
-    def test_tail_sums_past_the_last_nonzero_lag_are_exact_zeros(self,
-                                                                  alpha):
-        # the reverse cumsums and their TwoSum errors over a table's
-        # trailing zeros are zeros, so cutting them moves no tail sum
-        table = correlation_table(alpha, 2**14)
-        rows = np.stack((table.g, table.h))
-        end = int(np.flatnonzero(rows.any(0))[-1]) + 1
-        assert end < 2**13
-        full = entanglement._tail_sums(rows)
-        for whole, cut in zip(full, entanglement._tail_sums(rows[:, :end])):
-            assert np.array_equal(whole[:, -(end + 2):], cut)
-            assert not whole[:, :-(end + 2)].any()
-
-    def test_a_long_table_gives_the_bits_of_its_trimmed_copy(self,
-                                                             monkeypatch):
-        # alpha = 0.5 underflows to zero past lag 534; of 2^20 lags only
-        # those up to the last nonzero one, or up to the longest span (1200
-        # for 2:300:0) if that is further, reach the tail sums
-        table = correlation_table(0.5, 2**20)
-        gh = np.stack((table.g, table.h))[None]
-        end = int(np.flatnonzero(gh[0].any(0))[-1]) + 1
-        assert end < 1200
-        original, lags = entanglement._tail_sums, []
-        monkeypatch.setattr(entanglement, "_tail_sums", lambda rows: (
-            lags.append(rows.shape[1]) or original(rows)))
-        short, wide = [(1, 5, 2), (3, 4, 1)], [(1, 5, 2), (2, 300, 0)]
-        assert np.array_equal(_moments(gh, short),
-                              _moments(gh[..., :end], short))
-        assert np.array_equal(_moments(gh, wide),
-                              _moments(gh[..., :1200], wide))
-        assert lags == [end, end, 1200, 1200]
-        want = CollectiveCovariance(*_moments(gh, [(1, 5, 2)])[0, 0])
-        lags.clear()
-        assert covariance_of_blocks(table, BlockSpec(1, 5, 2)) == want
-        assert lags == [end]
+    @pytest.mark.parametrize("spec", [BlockSpec(1, 5, 2),
+                                      BlockSpec(2, 300, 0)], ids=str)
+    def test_covariance_reads_only_the_span(self, monkeypatch, spec):
+        # alpha = 0.999 stays nonzero for 15733 lags; of 2^20 lags the call
+        # hands `_moments` the span alone, so the table cut there gives the
+        # same bits
+        table = correlation_table(0.999, 2**20)
+        original, lags = entanglement._moments, []
+        monkeypatch.setattr(entanglement, "_moments", lambda gh, layouts: (
+            lags.append(gh.shape[-1]) or original(gh, layouts)))
+        cut = CorrelationTable(table.alpha, table.g[:spec.span],
+                               table.h[:spec.span])
+        assert covariance_of_blocks(table, spec) \
+            == covariance_of_blocks(cut, spec)
+        assert lags == [spec.span, spec.span]
 
 
 class TestMomentAccuracy:
@@ -517,7 +512,8 @@ class TestBoundaryScaling:
     @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     def test_cross_lags_cross_a_boundary(self, n):
         for spec in divisor_layouts(n):
-            cross = stacked_lag_counts([(spec.m, spec.s, spec.d)])[spec.span:]
+            cross = oracles.stacked_lag_counts(
+                [(spec.m, spec.s, spec.d)])[spec.span:]
             lags = np.arange(1, cross.size)
             assert cross[0] == 0
             assert np.all(cross[1:] <= 2 * (2 * spec.m - 1)

@@ -16,7 +16,7 @@ import chainent.field
 from chainent import (CollectiveCovariance, DomainError, FieldRegionSpec,
                       QuadratureError, cli, d_phi, d_pi, field_covariance,
                       field_negativity, negativity)
-from chainent.blocks import stacked_lag_counts, subblock_pairs
+from chainent.blocks import subblock_pairs
 from chainent.field import MAX_WINDOWS, _ascending, _k0_xk1, _ki2
 from tests import _frozen, oracles
 
@@ -398,7 +398,8 @@ class TestPeriodicRegions:
     @pytest.mark.parametrize("windows", range(1, 21))
     def test_closed_form_counts_match_chain_layout(self, windows):
         # the windows are the chain layout of `windows` one-site subblocks
-        intra, cross = stacked_lag_counts([(windows, 1, 0)]).reshape(2, -1)
+        intra, cross = oracles.stacked_lag_counts([(windows, 1, 0)]).reshape(
+            2, -1)
         lags = np.arange(2 * windows)
         count = np.where(lags == 0, windows, 2 * windows - lags)
         assert np.array_equal(intra, np.where(lags % 2 == 0, count, 0))

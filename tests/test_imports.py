@@ -116,10 +116,13 @@ def peak_kib(statements: str) -> int:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 def test_lag_counts_of_many_subblocks_stay_small():
-    # the counter holds O(m) spikes and the O(span) counts; an m x 2m pair
+    # the moments hold O(m) spikes and O(span) head sums; an m x 2m pair
     # count of these 5040 subblocks would peak past 400 MB
-    assert peak_kib("from chainent.blocks import stacked_lag_counts\n"
-                    "stacked_lag_counts([(5040, 1, 0)])") < 100 * 1024
+    assert peak_kib("from chainent import (BlockSpec, correlation_table,\n"
+                    "                      covariance_of_blocks)\n"
+                    "covariance_of_blocks(correlation_table(0.5, 10079),\n"
+                    "                     BlockSpec(5040, 1, 0))"
+                    ) < 100 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
