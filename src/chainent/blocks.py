@@ -9,9 +9,9 @@ site pairs at lag l within block A (block B has the same counts), and its
 cross counts, the pairs at lag l between A and B, on lags 0..span - 1;
 they do not depend on the coupling.  `subblock_pairs` counts subblock
 pairs in closed form; `_spikes` gives each layout's counts as the double
-cumulative sums of O(m) integer spikes, which the moments contract with
-the table's head sums directly; `lag_count_array` is the direct pair
-count they are checked against.
+cumulative sums of O(m) integer spikes, a rule of their index that the
+moments apply run by run against the table's head sums; `lag_count_array`
+is the direct pair count they are checked against.
 """
 
 from dataclasses import dataclass
@@ -101,11 +101,11 @@ def layout_columns(layouts) -> tuple[np.ndarray, ...]:
     return m, s, d, 2 * m * s + (2 * m - 1) * d
 
 
-def _spikes(m: int, s, d, span) -> tuple[np.ndarray, np.ndarray]:
-    """The spikes of layouts with m subblocks per block and columns s, d,
-    span: int lags and float weights, each of shape (2, 3m + 1, layouts),
-    whose double cumulative sums over lags 0..span - 1 are each layout's
-    intra counts (first index 0) and cross counts (first index 1).
+def _spikes(m, s, d, start=0, stop=None) -> tuple[np.ndarray, np.ndarray]:
+    """Spikes start..stop - 1 (by default all 3 max(m) + 1) of layouts with
+    columns m, s, d: int lags and float weights, each of shape
+    (2, stop - start, layouts), whose double cumulative sums are each
+    layout's intra counts (first index 0) and cross counts (first index 1).
 
     Two runs of s sites whose starts differ by D share s - |k| pairs at lag
     |D + k| for |k| < s: a tent of height s over lag D.  The runs
@@ -114,31 +114,26 @@ def _spikes(m: int, s, d, span) -> tuple[np.ndarray, np.ndarray]:
     is the double cumulative sum of the spikes +1, -2, +1 at D - s + 1,
     D + 1 and D + s + 1, and the m runs paired with themselves, folded onto
     lags >= 0, that of the spikes m*s, -2m, -m*s, +2m at 0, 1, 2, s + 1.
-    The intra half holds those four and the even tents' spikes, the cross
-    half the odd tents' and a zero weight at span + 1, so both halves have
-    3m + 1.  Every spike lies at lag span + 1 or below, every weight is an
-    integer of magnitude at most 2 span (m*s or 4m at most), below 2^26
-    for any span up to `MAX_TABLE_LAGS`, and past its last spike each
-    half's double cumulative sum is back at 0.
+    Spike j of the cross half is spike j mod 3 of tent t = 2 (j div 3) + 1,
+    and of the intra half, past the fold's first three, spike (j - 4) mod 3
+    of tent t = 2 ((j - 4) div 3) + 2 (the fold's +2m is tent 0's last),
+    weighted max(2m - t, 0): a layout's own 3m + 1 spikes a half, then
+    weight 0.  Every weight is an integer of magnitude at most 2 span (m*s
+    or 4m at most), below 2^26 for any span up to `MAX_TABLE_LAGS`, every
+    spike of nonzero weight lies at lag span + 1 or below, and past it
+    each half's double cumulative sum is 0.
     """
-    t = np.arange(1, 2 * m)
-    peak = np.multiply.outer(t, s + d) + 1
-    offsets = np.multiply.outer((-1, 0, 1), s)
-    lags = np.empty((2, 3 * m + 1, s.size), dtype=np.int64)
-    lags[0, :3] = ((0,), (1,), (2,))
-    lags[0, 3] = s + 1
-    # each half's tents, written through contiguous views of `lags`
-    np.add(peak[1::2, None], offsets,
-           out=lags[0, 4:].reshape(m - 1, 3, s.size))
-    np.add(peak[0::2, None], offsets, out=lags[1, :-1].reshape(m, 3, s.size))
-    lags[1, -1] = span + 1
-    weights = np.zeros(lags.shape)
-    weights[0, 0:4:2] = np.multiply.outer((1, -1), m * s)
-    weights[0, 1:4:2] = ((-2 * m,), (2 * m,))
-    weights[0, 4:].reshape(m - 1, 3, s.size)[...] = np.multiply.outer(
-        2 * m - t[1::2], (1.0, -2.0, 1.0))[..., None]
-    weights[1, :-1].reshape(m, 3, s.size)[...] = np.multiply.outer(
-        2 * m - t[0::2], (1.0, -2.0, 1.0))[..., None]
+    if stop is None:
+        stop = 3 * int(m.max()) + 1
+    # each half's tent t and the spike k of it, intra past the fold
+    t, k = np.divmod(np.arange(start, stop) - ((4,), (0,)), 3)
+    t = 2 * t + ((2,), (1,))
+    lags = t[..., None] * (s + d) + ((k - 1)[..., None] * s + 1)
+    weights = np.maximum(2.0 * m - t[..., None], 0.0)
+    weights *= np.array((1.0, -2.0, 1.0))[k, None]
+    if start < 3:
+        lags[0, :3 - start] = np.arange(3)[start:stop, None]
+        weights[0, :3 - start] = np.array((m * s, -2 * m, -m * s))[start:stop]
     return lags, weights
 
 

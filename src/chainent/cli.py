@@ -378,11 +378,12 @@ def _check_chain_cutoffs(oracle_n: int):
 
 
 def _check_lag_counts(oracle_n: int):
-    for spec in (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2)):
-        _, s, d, span = blocks.layout_columns([(spec.m, spec.s, spec.d)])
-        lags, weights = blocks._spikes(spec.m, s, d, span)
+    specs = (BlockSpec(1, 3, 0), BlockSpec(2, 2, 1), BlockSpec(4, 3, 2))
+    m, s, d, _ = blocks.layout_columns([(x.m, x.s, x.d) for x in specs])
+    lags, weights = blocks._spikes(m, s, d)
+    for i, spec in enumerate(specs):
         a, b = blocks.block_indices(spec)
-        for at, weight, other in zip(lags[..., 0], weights[..., 0], (a, b)):
+        for at, weight, other in zip(lags[..., i], weights[..., i], (a, b)):
             # the counts are the double cumulative sum of the spikes
             got = np.bincount(at, weight).cumsum().cumsum()[:spec.span]
             pairs = blocks.lag_count_array(a, other)

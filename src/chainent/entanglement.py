@@ -22,10 +22,10 @@ Every rule here is written once, elementwise over floats and arrays alike:
 `_verdict` gives delta1, delta2, epsilon and Delta (`EntanglementResult`
 takes its values from it), `_moments` the covariances of any number of
 layouts under a (couplings, g/h, lags) stack of tables, `_approx` the
-nearest-neighbour estimate.  `_moments` reads each layout's O(m) spikes
-(`blocks._spikes`) against two double-double head sums of each table row,
-in blocks within `MOMENT_CHUNK`, with exact products and a double-double
-sum per layout, so no BLAS kernel and no SIMD-dependent sum enters.
+nearest-neighbour estimate.  `_moments` makes each layout's O(m) spikes
+(`blocks._spikes`) a run within `MOMENT_CHUNK` at a time, against two
+double-double head sums of each table row, with exact products and a
+double-double sum per layout, so no BLAS kernel or SIMD-dependent sum enters.
 A sweep calls each of them once on its whole grid, `covariance_of_blocks`
 calls `_moments` on one coupling and one layout, and validate's
 chain-cutoffs check `_moments` and `_verdict` once on its 17 layouts.
@@ -196,8 +196,9 @@ def _products(top, bottom, lo, at, weights):
     hi have at most 26 bits; Fast2Sum adds them exactly, and lo w joins
     the lo part.
     """
-    # mode="clip" only spares np.take its checked, buffered path: every
-    # index is in range
+    # mode="clip" keeps every index in range: a spike past the head sums
+    # pads a layout of fewer subblocks than its chunk's largest, with
+    # weight 0, and it spares np.take its checked, buffered path
     high = top.take(at, 1, mode="clip")
     high *= weights
     low = bottom.take(at, 1, mode="clip")
@@ -216,7 +217,8 @@ def _halving_tree(total, low):
     (total, low), each pass adding adjacent pairs (an odd last term carried
     up), hi by TwoSum and lo plainly, in place.  Each sum covers an aligned
     run of 2^k terms, so the sums of aligned runs of any power-of-two
-    length, summed in turn, give the same bits."""
+    length, summed in turn, give the same bits; so do the terms followed
+    by zeros, as TwoSum(x, 0) = (x, 0) and a carried term is it plus 0."""
     count = total.shape[-2]
     while count > 1:
         half, odd = divmod(count, 2)
@@ -239,22 +241,22 @@ def _halving_tree(total, low):
     return total[..., 0, :], low[..., 0, :]
 
 
-def _spike_sums(top, bottom, lo, at, weights) -> np.ndarray:
-    """sum_j w_j P2[p_j] over the spikes' lags p = `at` and `weights`,
-    each of shape (intra/cross, spikes, layouts), under each row of the
-    head sums (top, bottom, lo) of `_head_sums`, rounded once, shape
-    (rows, intra/cross, layouts): the `_halving_tree` of the `_products`,
-    taken in aligned runs of spikes of a power-of-two length within
-    `MOMENT_CHUNK` terms.
+def _spike_sums(top, bottom, lo, m, s, d) -> np.ndarray:
+    """sum_j w_j P2[p_j] over the `blocks._spikes` of layouts with columns
+    m, s, d, under each row of the head sums (top, bottom, lo) of
+    `_head_sums`, rounded once, shape (rows, intra/cross, layouts): the
+    `_halving_tree` of the `_products`, taken in aligned runs of spikes of
+    a power-of-two length within `MOMENT_CHUNK` terms, each run's spikes
+    made just before they are contracted.
     """
-    count = at.shape[1]
-    width = 1 << max(0, (MOMENT_CHUNK // (len(top) * 2 * at.shape[2])
+    count = 3 * int(m.max()) + 1
+    width = 1 << max(0, (MOMENT_CHUNK // (len(top) * 2 * m.size)
                          ).bit_length() - 1)
-    runs = np.empty((2, len(top), 2, -(-count // width), at.shape[2]))
+    runs = np.empty((2, len(top), 2, -(-count // width), m.size))
     for i, start in enumerate(range(0, count, width)):
-        run = slice(start, start + width)
         runs[:, :, :, i] = _halving_tree(*_products(
-            top, bottom, lo, at[:, run], weights[:, run]))
+            top, bottom, lo, *_spikes(m, s, d, start,
+                                      min(start + width, count))))
     total, low = _halving_tree(*runs)
     return total + low
 
@@ -270,10 +272,12 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
     P2[p] = sum_{l < p - 1} (p - 1 - l) f_l is two head sums of the row f
     on the lags below the span.  `_head_sums` gives P2 in double-double on
     the lags below the longest span, for blocks of rows within
-    `MOMENT_CHUNK` floats, and `_spike_sums` contracts the spikes of runs
-    of layouts of one m within it: each product w_j P2[p_j] exact, each
-    layout's terms summed by a double-double tree whose shape depends on m
-    alone, rounded once and then divided by n.  Every operation is
+    `MOMENT_CHUNK` floats, and `_spike_sums` contracts the spikes of
+    chunks of layouts within it, in grid order: each product w_j P2[p_j]
+    exact, each layout's terms summed by a double-double tree, rounded
+    once and then divided by n.  A layout of fewer subblocks than its
+    chunk's largest ends its terms with zeros, which leave the tree's bits
+    alone, so the sum depends on the layout's own terms.  Every operation is
     elementwise or a sequential cumsum from lag 0, so no BLAS kernel or
     SIMD width enters, and each value depends only on its layout and its
     rows' lags below its span: a grid gives every layout the bits it has
@@ -296,17 +300,13 @@ def _moments(gh: np.ndarray, layouts) -> np.ndarray:
     # (row, intra/cross, layout), where row = 2 coupling + g/h
     moments = np.empty((len(rows), 2, span.size))
     block = min(len(rows), max(1, MOMENT_CHUNK // (lags + 2)))
+    step = max(1, MOMENT_CHUNK // (2 * (3 * int(m.max()) + 1) * block))
     for first in range(0, len(rows), block):
         sums = _head_sums(rows[first:first + block])
-        # a set, as np.unique would import numpy.ma
-        for size in sorted(set(m.tolist())):
-            group = (m == size).nonzero()[0]
-            step = max(1, MOMENT_CHUNK // (2 * (3 * size + 1) * block))
-            for start in range(0, group.size, step):
-                picked = group[start:start + step]
-                moments[first:first + block, :, picked] = _spike_sums(
-                    *sums, *_spikes(size, s[picked], d[picked],
-                                    span[picked]))
+        for start in range(0, span.size, step):
+            chunk = slice(start, start + step)
+            moments[first:first + block, :, chunk] = _spike_sums(
+                *sums, m[chunk], s[chunk], d[chunk])
         # free these head sums before the next block's are made
         del sums
     moments = moments.reshape(couplings, 2, 2, span.size).transpose(

@@ -165,24 +165,20 @@ def stacked_lag_counts(layouts) -> np.ndarray:
     as within B), then its cross counts on the same lags (cross[l] pairs at
     lag l between A and B).
 
-    One `np.bincount` of each layout's O(m) `chainent.blocks._spikes`,
-    placed at its halves' starts, and two cumulative sums in place count
-    every layout at once in O(span) work, not O((m*s)^2).  Each layout's
-    counts are back at 0 where the next one starts, and every partial sum
-    is an integer below 2^53, so the float sums are exact.
+    One `np.bincount` of the layouts' `chainent.blocks._spikes`, placed at
+    their halves' starts (a padding spike of weight 0 may land anywhere),
+    and two cumulative sums in place count every layout at once in O(span)
+    work, not O((m*s)^2).  Each layout's counts are back at 0 where the
+    next one starts, and every partial sum is an integer below 2^53, so
+    the float sums are exact.
     """
     from chainent.blocks import _spikes, layout_columns
 
     m, s, d, span = layout_columns(layouts)
     # where each layout's intra and cross halves start
     starts = np.cumsum(2 * span) - 2 * span + np.multiply.outer((0, 1), span)
-    places, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for size in sorted(set(m.tolist())):
-        at = m == size
-        lags, weight = _spikes(size, s[at], d[at], span[at])
-        places.append((lags + starts[:, None, at]).ravel())
-        weights.append(weight.ravel())
-    counts = np.bincount(np.concatenate(places), np.concatenate(weights))
+    lags, weights = _spikes(m, s, d)
+    counts = np.bincount((lags + starts[:, None]).ravel(), weights.ravel())
     np.cumsum(counts, out=counts)
     np.cumsum(counts, out=counts)
     # the last layout's last spikes lie past its end

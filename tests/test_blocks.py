@@ -4,7 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainent import BlockSpec, DomainError, block_indices
-from chainent.blocks import lag_count_array, subblock_pairs
+from chainent.blocks import (_spikes, lag_count_array, layout_columns,
+                             subblock_pairs)
 from chainent.correlations import MAX_TABLE_LAGS
 from tests import oracles
 
@@ -134,6 +135,34 @@ class TestLagMultiset:
                 half[:pairs.size] = pairs
                 want.append(half)
         assert np.array_equal(counts, np.concatenate(want))
+
+    @given(layouts=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6),
+                                      st.integers(0, 5)),
+                            min_size=1, max_size=8),
+           run=st.tuples(st.integers(0, 28), st.integers(0, 28)))
+    @example(layouts=[(3, 2, 1), (1, 4, 0), (9, 1, 5), (2, 3, 2)],
+             run=(2, 13))
+    @example(layouts=[(2, 1, 0), (1, 1, 0)], run=(3, 4))
+    def test_a_run_of_spikes_is_its_slice_of_the_whole(self, layouts, run):
+        # unsorted, mixed-m layouts: any run [a, b) of spikes is that slice
+        # of all of them, each layout's first 3m + 1 a half are the spikes
+        # it has alone, and every spike past them has weight 0
+        m, s, d, _ = layout_columns(layouts)
+        lags, weights = _spikes(m, s, d)
+        count = 3 * max(m) + 1
+        assert lags.shape == weights.shape == (2, count, len(layouts))
+        assert lags.dtype.kind == "i" and weights.dtype == np.float64
+        a, b = sorted(min(end, count) for end in run)
+        part = _spikes(m, s, d, a, b)
+        assert np.array_equal(part[0], lags[:, a:b])
+        assert np.array_equal(part[1], weights[:, a:b])
+        for i, layout in enumerate(layouts):
+            own = 3 * layout[0] + 1
+            alone = _spikes(*(column[i:i + 1] for column in (m, s, d)))
+            assert alone[0].shape == (2, own, 1)
+            assert np.array_equal(alone[0][..., 0], lags[:, :own, i])
+            assert np.array_equal(alone[1][..., 0], weights[:, :own, i])
+            assert not weights[:, own:, i].any()
 
     @pytest.mark.parametrize("m", range(1, 65))
     def test_subblock_pairs_match_the_pair_count(self, m):

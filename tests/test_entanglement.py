@@ -159,9 +159,9 @@ class TestGridMoments:
 
     def test_grid_past_the_chunk_budget(self, tables, monkeypatch):
         # at a budget of 40 terms each table row's head sums are a block of
-        # their own; the four 1:s:d layouts are one chunk, the 2:s:d ones
-        # two chunks of two, and each 9:s:d layout a chunk of its own whose
-        # 28 spikes a half are two runs, of 16 and 12
+        # their own and, at the 9:s:d layouts' 28 spikes a half, each layout
+        # a chunk of its own: the 1:s:d and 2:s:d layouts' 4 and 7 spikes
+        # are one run, the 9:s:d ones' two runs, of 16 and 12
         layouts = [(m, s, d) for d in (0, 3) for m in (1, 9, 2)
                    for s in (4, 1)]
         gh = coupling_rows(tables, (0.3, 0.9, 0.999),
@@ -177,11 +177,27 @@ class TestGridMoments:
         monkeypatch.setattr(entanglement, "MOMENT_CHUNK", 40)
         got = _moments(gh, layouts)
         assert calls["_head_sums"] == 6
-        assert calls["_products"] == 6 * (1 + 2 + 4 * 2)
+        assert calls["_products"] == 6 * (8 + 4 * 2)
         assert np.array_equal(got, want)
         alone = np.concatenate([_moments(gh, [layout]) for layout in layouts],
                                axis=1)
         assert np.array_equal(got, alone)
+
+    @given(terms=st.lists(st.tuples(st.floats(-2.0**60, 2.0**60),
+                                    st.floats(-2.0**-60, 2.0**-60)),
+                          min_size=1, max_size=40),
+           zeros=st.integers(1, 40))
+    @example(terms=[(1.0, 2.0**-60), (2.0**53, 0.0), (-1.0, 0.0)], zeros=1)
+    def test_trailing_zeros_keep_the_tree_bits(self, terms, zeros):
+        # TwoSum(x, 0) = (x, 0), and an odd term carried up is that term
+        # plus a zero, so terms followed by zeros sum to the same bits (a
+        # sum of zeros may lose its sign, which `_moments` drops)
+        total, low = np.array(terms).T[:, :, None]
+        want = entanglement._halving_tree(total.copy(), low.copy())
+        padded = [np.concatenate((part, np.zeros((zeros, 1))))
+                  for part in (total, low)]
+        got = entanglement._halving_tree(*padded)
+        assert np.array_equal(got, want)
 
     def test_short_table_names_the_longest_layout(self, tables):
         gh = coupling_rows(tables, [0.5], 10)

@@ -147,7 +147,7 @@ def test_validate_stays_small():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 def test_a_layout_past_the_moment_budget_stays_small():
-    # each table row's 2^21 lags pass the moment budget alone, so the tail
+    # each table row's 2^21 lags pass the moment budget alone, so the head
     # sums are made one row at a time, four arrays of 16 MiB; the process
     # peaks near 190 MiB, and all four rows at once would pass the bound
     assert peak_kib(
@@ -155,6 +155,17 @@ def test_a_layout_past_the_moment_budget_stays_small():
         "cli.main(['sweep', '--alphas', '0.3,0.5', '--specs',\n"
         "          '1:1048576:0,1:1048575:1', '--out', os.devnull])"
     ) < 290 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_a_layout_of_many_subblocks_makes_its_spikes_a_run_at_a_time():
+    # the 1.5 million spikes a half of m = 500000 are made and contracted a
+    # run within the moment budget at a time, so the process peaks near
+    # 92 MiB; all of them at once would take it near 160 MiB
+    assert peak_kib(
+        "import os\nfrom chainent import cli\n"
+        "cli.main(['sweep', '--alphas', '0.5', '--specs', '500000:1:0',\n"
+        "          '--out', os.devnull])") < 120 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
