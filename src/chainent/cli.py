@@ -11,12 +11,15 @@ A sweep builds its layout grid as one integer array, holds its couplings'
 tables in one array, takes the moments of every geometry under every
 coupling in one pass, and computes its rows as columns with the array
 forms of the library's rules.  A field grid likewise takes D(0) once, the
-propagators of every separated window pair in one Bessel pass and
-epsilon from one verdict over its columns.  Every table is rendered from
-its columns by `chainent.render`, formatting each distinct int or float
-of a column once: a CSV table as one byte matrix, whose floats of a large
-table come from `digits.fill`, a numpy kernel with %.17g's bytes (see
-`render_csv` for its error bound, fallback band and range).
+propagators of every separated window pair in one Bessel pass and epsilon
+from one verdict over its columns, and refuses the row a loop would, by
+rule: rows ascend with NaN last, D(0) comes first, overlapping rows
+precede separated ones, and no separated verdict fails (`cmd_field`).
+Every table is rendered from its columns by `chainent.render`, formatting
+each distinct int or float of a column once: a CSV table as one byte
+matrix, whose floats of a large table come from `digits.fill`, a numpy
+kernel with %.17g's bytes (see `render_csv` for its error bound, fallback
+band and range).
 
 Every size is bounded: a list token expands to at most `MAX_GRID` values,
 a sweep holds at most `MAX_GRID` rows and `correlations.MAX_TABLE_LAGS`
@@ -75,9 +78,10 @@ class _GridError(DomainError, argparse.ArgumentTypeError):
 
 def _parse_values(text: str, scalar, read_range) -> list:
     """Comma-separated scalars and 'a..b' ranges (read by read_range), sorted
-    and unique; an item that does not parse or holds no value is a
-    DomainError, a range past `MAX_GRID` values a _GridError."""
-    values = []
+    and unique, with one NaN last (a set and a sort place it at random; only
+    a scalar reads as NaN); an item that does not parse or holds no value is
+    a DomainError, a range past `MAX_GRID` values a _GridError."""
+    values, nan = [], []
     for token in map(str.strip, text.split(",")):
         try:
             new = read_range(token) if ".." in token else [scalar(token)]
@@ -87,8 +91,8 @@ def _parse_values(text: str, scalar, read_range) -> list:
             new = []
         if not new:
             raise DomainError(f"bad value or range {token!r}")
-        values.extend(new)
-    return sorted(set(values))
+        (values if new[0] == new[0] else nan).extend(new)
+    return sorted(set(values)) + nan[:1]
 
 
 def _check_grid(token: str, count: int) -> None:
@@ -107,7 +111,7 @@ def _linspace_range(token: str) -> list[float]:
     body, _, count = token.partition(":")
     lo, hi = map(float, body.split("..", 1))
     count = int(count)
-    if count < 2 or not (math.isfinite(lo) and math.isfinite(hi)):
+    if count < 2 or not math.isfinite(hi - lo):     # a non-finite end or span
         return []
     _check_grid(token, count)
     return np.linspace(lo, hi, count).tolist()
@@ -266,31 +270,26 @@ def cmd_sweep(args) -> tuple[str, int]:
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
-    # D_phi(0) and D_pi(0) once, every separation's propagators from one
-    # `field._pairs` call (one Bessel pass over the separated windows) and
-    # epsilon of the separated ones from one verdict, None where the
-    # windows overlap
+    # D(0) once, every separation's propagators from one `field._pairs`
+    # call and epsilon of the separated ones from one verdict, None where
+    # the windows overlap.  A refused grid raises what a loop over its rows
+    # meets first: they ascend with NaN last, so the first row's spec checks
+    # m, L and every finite row, D(0) comes next, and `_pairs` raises its
+    # first failing pair in row order.  No verdict fails then: D_phi(0) > 0
+    # at every m and L, D_phi(r) < D_phi(0) and delta2 = D_pi(0) = +inf.
     r, length = np.array(args.r), args.length
-    try:
-        # the least and the greatest separation check every one, NaN too
-        field.FieldRegionSpec(args.mass, length, float(r.min()))
-        spec = field.FieldRegionSpec(args.mass, length, float(r.max()))
-        d_phi0, d_pi0 = field.d_phi(spec, 0.0), field.d_pi(spec, 0.0)
-        # + 0.0: a one-term sum of the covariance, which gives 0 for -0
-        d_phi_r, d_pi_r = field._pairs(spec, r, 1) + 0.0
-        apart = r > length
-        epsilon = np.full(r.size, None)
-        epsilon[apart] = entanglement._verdict(
-            d_phi0, d_pi0, d_phi_r[apart], d_pi_r[apart],
-            entanglement.VACUUM_PRODUCT)[2]
-    except ChainentError:
-        # the error of the first separation without a row, as a loop over
-        # the grid meets it
-        for at in args.r:
-            spec = field.FieldRegionSpec(args.mass, length, at)
-            (field.field_negativity if at > length
-             else field.field_covariance)(spec)
-        raise
+    spec = field.FieldRegionSpec(args.mass, length, float(r[0]))
+    d_phi0, d_pi0 = field.d_phi(spec, 0.0), field.d_pi(spec, 0.0)
+    finite = int(np.isfinite(r).sum())
+    # + 0.0: a one-term sum of the covariance, which gives 0 for -0
+    d_phi_r, d_pi_r = field._pairs(spec, r[:finite], 1) + 0.0
+    if finite < r.size:
+        field.FieldRegionSpec(args.mass, length, float(r[finite]))  # raises
+    apart = r > length
+    epsilon = np.full(r.size, None)
+    epsilon[apart] = entanglement._verdict(
+        d_phi0, d_pi0, d_phi_r[apart], d_pi_r[apart],
+        entanglement.VACUUM_PRODUCT)[2]
     cells = (np.full(r.size, args.mass), np.full(r.size, length), r,
              np.full(r.size, d_phi0), np.full(r.size, d_pi0), d_phi_r, d_pi_r,
              epsilon)

@@ -283,8 +283,8 @@ def _panel_counts(widths):
     """Panels of the graded rule from each of `widths` (see `_graded_rule`):
     one per doubling whose start lies below 1, as an int array.  The start
     of doubling floor(log2(1/width + 1)) is tested; every earlier one lies
-    below 1/2."""
-    doublings = np.array([int(math.log2(1.0 / w + 1.0))
+    below 1/2.  A width under 2^-1023 counts as 2^-1023 (1/width fits)."""
+    doublings = np.array([int(math.log2(1.0 / max(w, 2.0**-1023) + 1.0))
                           for w in widths.tolist()], dtype=int)
     return doublings + (widths * (2.0 ** doublings - 1.0) < 1.0)
 
@@ -425,15 +425,16 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
 
 def _pairs(spec: FieldRegionSpec, at, lags) -> np.ndarray:
     """D_phi and D_pi of window pairs `lags` window spacings `at` apart, as
-    the two rows of an array: `at` (floats >= 0) and `lags` (ints >= 1) are
-    broadcast against each other.  Each value is the one `d_phi` or `d_pi`
-    gives at distance lags `at`, except that rho is lags (at/L), so the
-    distance need not fit a float.
+    the two rows of an array: `at` (finite floats >= 0) and `lags` (ints
+    >= 1) are broadcast against each other.  Each value is the one `d_phi`
+    or `d_pi` gives at distance lags `at`, except that rho is lags (at/L),
+    so the distance need not fit a float.
 
-    The separated pairs take one `_separated` call.  An overlapping pair,
-    which must have lag 1, takes `d_phi` and `d_pi` and raises their
-    errors; the callers pass these first.  Of the separated pairs, the
-    first one without a value raises the error the scalars raise there."""
+    The separated pairs take one `_separated` call, an overlapping one
+    (lag 1 only) `d_phi` and `d_pi`.  The first failing pair raises the
+    scalars' error, overlapping ones first: over the field command's rows,
+    an ascending `at` at lag 1, the first in order.  A NaN `at` would read
+    as overlapping, an inf one as past the float range."""
     at, lags = np.broadcast_arrays(np.asarray(at, dtype=float), lags)
     length = spec.length
     mu = spec.mass * length

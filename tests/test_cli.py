@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib.resources
+import io
 import json
 import math
 from fractions import Fraction
@@ -19,6 +21,22 @@ from chainent.errors import ChainentError, DomainError
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_captured(argv):
+    """exit code, stdout and stderr of one in-process run"""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: masses and window lengths 10^U(-323, 308), the float range's edges and
+#: values FieldRegionSpec refuses
+SCALES = st.one_of(
+    st.floats(-323.0, 308.0).map(lambda x: 10.0**x),
+    st.sampled_from([5e-324, 1e-310, 1.0, 1e300, 2.0**1023,
+                     1.7976931348623157e308, 0.0, -1.0, math.inf, math.nan]))
 
 
 def load_schema(name):
@@ -50,10 +68,19 @@ class TestParsing:
         (cli.parse_int_values, "1..x"), (cli.parse_int_values, "1,3..1"),
         (cli.parse_int_values, "1.5"), (cli.parse_float_values, "1:2..3"),
         (cli.parse_float_values, "0..1:0"), (cli.parse_float_values, "0.5,"),
-        (cli.parse_float_values, "0..inf:3")])
+        (cli.parse_float_values, "0..inf:3"),
+        # finite ends, but a span past the float range: linspace's NaN
+        (cli.parse_float_values, "-1e308..1e308:3")])
     def test_rejects_malformed_item(self, parse, text):
         with pytest.raises(cli.DomainError):
             parse(text)
+
+    def test_nan_sorts_last_once(self):
+        # a NaN compares false to all: a set and a sort alone would place
+        # each one anywhere, and differently from call to call
+        for _ in range(20):
+            *values, nan = cli.parse_float_values("1,nan,2,-1,nan")
+            assert values == [-1.0, 1.0, 2.0] and math.isnan(nan)
 
     def test_range_up_to_the_grid_bound(self):
         assert len(cli.parse_int_values(f"1..{cli.MAX_GRID}")) == cli.MAX_GRID
@@ -136,6 +163,13 @@ class TestSweepCommand:
         assert len(rows) == 8
         keys = [(float(r[0]), int(r[1]), int(r[2]), int(r[3])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_nan_coupling_is_refused_in_one_place(self):
+        # the couplings are checked in order, NaN last: 1.5 is refused
+        outcomes = {run_captured(["sweep", "--alphas", "1.5,nan,0.5",
+                                  "--specs", "1:1:0"]) for _ in range(20)}
+        assert outcomes == {(2, "", "chainent: domain error: coupling must "
+                                    "satisfy 0 < alpha < 1, got 1.5\n")}
 
     def test_epsilon_approx_only_for_adjacent_subblocks(self, capsys):
         assert run(["sweep", "--alphas", "0.5", "--m", "1", "--s", "2",
@@ -349,9 +383,29 @@ class TestFieldCommand:
         assert calls == [40]
         assert capsys.readouterr().out.count("\n") == 2 + 43
 
+    def test_refusal_takes_no_work_per_row(self, capsys, monkeypatch):
+        # a grid refused at its last row takes one pass over the rows
+        # before it, not one evaluation per row
+        calls = {name: [] for name in ("field_negativity", "field_covariance",
+                                       "d_phi", "_separated")}
+        for name, sizes in calls.items():
+            def counted(*args, _original=getattr(field, name), _sizes=sizes):
+                _sizes.append(np.size(args[-1]))
+                return _original(*args)
+
+            monkeypatch.setattr(field, name, counted)
+        assert run(["field", "--mass", "1", "--length", "1",
+                    "--r", "1.05..20:40,inf"]) == 2
+        assert capsys.readouterr() == ("", "chainent: domain error: "
+                                       "separation must be a finite real, "
+                                       "got inf\n")
+        assert calls == {"field_negativity": [], "field_covariance": [],
+                         "d_phi": [1], "_separated": [40]}
+
     @staticmethod
     def first_refusal(mass, length, separations):
-        """stderr and exit code of a per-separation loop over the grid"""
+        """stderr and exit code of a per-separation loop over the grid, or
+        None where every separation has a row"""
         for r in separations:
             try:
                 spec = field.FieldRegionSpec(mass, length, r)
@@ -363,7 +417,7 @@ class TestFieldCommand:
                 return f"chainent: domain error: {exc}\n", 2
             except ChainentError as exc:
                 return f"chainent: numerical failure: {exc}\n", 3
-        raise AssertionError("every separation of the grid has a row")
+        return None
 
     @pytest.mark.parametrize("mass,length,r,refused", [
         ("-1", "1", "2", "mass must be positive"),
@@ -385,6 +439,26 @@ class TestFieldCommand:
         assert run(["field", "--mass", mass, "--length", length,
                     f"--r={r}"]) == code
         assert capsys.readouterr() == ("", expected)
+
+    @given(mass=SCALES, length=SCALES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_refuses_as_a_loop_over_its_rows(self, mass, length, data):
+        # overlapping, touching, nearly touching and separated windows,
+        # separations past the float range and ones FieldRegionSpec refuses
+        pool = [0.0, length, math.nextafter(length, math.inf), 5e-324,
+                1e-310, 1e300, 1.7976931348623157e308, math.inf, -math.inf,
+                math.nan, -1.0, 0.5 * length, 3.0 * length]
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=6))
+        text = ",".join(map(repr, picks))
+        refusal = self.first_refusal(mass, length,
+                                     cli.parse_float_values(text))
+        code, out, err = run_captured(["field", f"--mass={mass!r}",
+                                      f"--length={length!r}", f"--r={text}"])
+        if refusal is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (err, code) == refusal and out == ""
 
     @pytest.mark.parametrize("flag,value", [("--r", "nan"), ("--mass", "inf"),
                                             ("--length", "inf")])

@@ -87,6 +87,14 @@ class TestPropagators:
         assert d_pi(spec(mass, length), r) == pytest.approx(
             want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mass", [2.0**1023, 1.7976931348623157e308])
+    def test_largest_unit_masses_give_separated_zeros(self, mass):
+        # 1/(m L) is subnormal, and its inverse can round to inf inside the
+        # panel count; every node underflows to 0
+        values = chainent.field._pairs(spec(mass, 1.0), [1.05, 2.0, 20.0], 1)
+        assert values.tolist() == [[0.0] * 3, [0.0] * 3]
+        assert d_phi(spec(mass, 1.0), 2.0) == d_pi(spec(mass, 1.0), 2.0) == 0
+
     @pytest.mark.parametrize("mass,length", [(1e150, 1e150), (1e300, 1.0),
                                              (3.0, 1e154)])
     @pytest.mark.parametrize("frac", [0.3, 0.999])
