@@ -11,10 +11,11 @@ A sweep builds its layout grid as one integer array, holds its couplings'
 tables in one array, takes the moments of every geometry under every
 coupling in one pass, and computes its rows as columns with the array
 forms of the library's rules.  A field grid likewise takes D(0) once, the
-propagators of every separated window pair in one Bessel pass and epsilon
-from one verdict over its columns, and refuses the row a loop would, by
-rule: rows ascend with NaN last, D(0) comes first, overlapping rows
-precede separated ones, and no separated verdict fails (`cmd_field`).
+propagators of all its window pairs, overlapping and separated, in one
+array pass and epsilon from one verdict over its columns, and refuses the
+row a loop would, by rule: rows ascend with NaN last, D(0) comes first,
+the pass refuses its first failing pair in row order, and no separated
+verdict fails (`cmd_field`).
 Every table is rendered from its columns by `chainent.render`, formatting
 each distinct int or float of a column once: a CSV table as one byte
 matrix, whose floats of a large table come from `digits.fill`, a numpy
@@ -270,13 +271,14 @@ def cmd_sweep(args) -> tuple[str, int]:
 # field subcommand
 
 def cmd_field(args) -> tuple[str, int]:
-    # D(0) once, every separation's propagators from one `field._pairs`
-    # call and epsilon of the separated ones from one verdict, None where
-    # the windows overlap.  A refused grid raises what a loop over its rows
-    # meets first: they ascend with NaN last, so the first row's spec checks
-    # m, L and every finite row, D(0) comes next, and `_pairs` raises its
-    # first failing pair in row order.  No verdict fails then: D_phi(0) > 0
-    # at every m and L, D_phi(r) < D_phi(0) and delta2 = D_pi(0) = +inf.
+    # D(0) once, the propagators of every separation, overlapping or
+    # separated, from one `field._pairs` call and epsilon of the separated
+    # ones from one verdict, None where the windows overlap.  A refused
+    # grid raises what a loop over its rows meets first: they ascend with
+    # NaN last, so the first row's spec checks m, L and every finite row,
+    # D(0) comes next, and `_pairs` raises its first failing pair in row
+    # order.  No verdict fails then: D_phi(0) > 0 at every m and L,
+    # D_phi(r) < D_phi(0) and delta2 = D_pi(0) = +inf.
     r, length = np.array(args.r), args.length
     spec = field.FieldRegionSpec(args.mass, length, float(r[0]))
     d_phi0, d_pi0 = field.d_phi(spec, 0.0), field.d_pi(spec, 0.0)

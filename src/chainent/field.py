@@ -33,14 +33,10 @@ window's triangle kernel integrated against a Bessel function:
   cancels.  They are summed by 16-point Gauss-Legendre panels in s = r - t.
   Panel widths double away from s = r - L and start at min(r - L, 1/m):
   no panel is wider than its distance to the singularity at s = 0, and
-  the first ones resolve the decay length 1/m.  One array pass serves
-  every separated window pair of a call: the rules of all pairs are
-  built at once, K0 and x K1 are evaluated once over all their nodes
+  the first ones resolve the decay length 1/m.  The rules of all pairs
+  are built at once, K0 and x K1 are evaluated once over all their nodes
   (`_separated`), and each value is one numpy sum (no BLAS dot) over its
-  own nodes, the same whether its pair comes alone or with others.  So
-  `field_covariance` takes all its lags, and the field command all its
-  separations, in one pass, and `d_phi` and `d_pi` are that pass at one
-  separation.  Relative accuracy is about 1e-15, also for nearly touching
+  own nodes.  Relative accuracy is about 1e-15, also for nearly touching
   windows, tiny masses and large separations.
 * Overlapping windows, r <= L: second differences of
   Phi(x) = 2 Int_0^x (x - t) K0(mt) dt, the triangle's second derivative
@@ -74,14 +70,17 @@ Both propagators are evaluated at unit window length, at mass mu = m L and
 separation rho = r/L, then rescaled once: D_phi = L D_phi|_(mu, rho) and
 D_pi = D_pi|_(mu, rho) / L.  No intermediate grows like L^2, so a value is
 returned whenever it and m L fit a float; the branch is still chosen on
-the sign of r - L, since r/L can round to 1.  `field_covariance` takes
-the distance l r of window pairs l apart as rho = l (r/L), so l r need not
-fit a float either, and its lag-0 term at rho = 0.  Where m L overflows,
-the propagators are
-their large-mass limits D_phi = (L - r)/(2 m L) and D_pi = m (L - r)/(2 L)
-for r < L, and 0 for r > L (at m L = 1e300 the evaluated values agree with
-these to 2 ulp); where m L underflows, or r/L leaves the float range,
-QuadratureError.
+the sign of r - L, since r/L can round to 1.  Where m L overflows, the
+propagators are their large-mass limits D_phi = (L - r)/(2 m L) and D_pi
+= m (L - r)/(2 L) for r < L, and 0 for r > L (at m L = 1e300 the
+evaluated values agree with these to 2 ulp); where m L underflows, or r/L
+leaves the float range, QuadratureError.
+
+Every window pair of a call goes through one array pass (`_pairs`), one
+per branch, and each value has the bits it has alone: `field_covariance`
+takes all its lags in one call, lag l at rho = l (r/L), so l r need not
+fit a float, and lag 0 at rho = 0; the field command takes all its
+separations in one call; `d_phi` and `d_pi` are that pass at one pair.
 
 The closed forms have no tolerance to set.  `d_phi` and `d_pi` still accept
 `tol` for callers written against the earlier quadrature, and ignore it.
@@ -113,8 +112,8 @@ _GL_WEIGHTS = np.concatenate((_GL_WEIGHTS[::-1], _GL_WEIGHTS))
 _UNDERFLOW = 750.0
 
 #: trapezoid nodes t = 0, 0.15, ..., 4.5 for the Bickley function Ki2
-_KI2_COSH = [math.cosh(0.15 * j) for j in range(31)]
-_KI2_WEIGHTS = 0.15 / np.array(_KI2_COSH)**2
+_KI2_COSH = np.array([math.cosh(0.15 * j) for j in range(31)])
+_KI2_WEIGHTS = 0.15 / _KI2_COSH**2
 _KI2_WEIGHTS[0] *= 0.5
 
 #: trapezoid nodes u = 0, 0.25, ..., 6.5 and weights 2 h exp(-u^2) for K0
@@ -202,7 +201,7 @@ def _ascending(mu: float, x):
     powers = np.ones((x.size, _SERIES_TERMS))
     powers[:, 1:] = 0.25 * u[:, None] * u[:, None]
     powers = np.cumprod(powers, axis=1)
-    log_half = (np.array([math.log(v) for v in x.tolist()])
+    log_half = (np.fromiter(map(math.log, x.tolist()), float, x.size)
                 + (math.log(mu) - _LN2))
     a, ab = (powers[:, None, None, :] * _SERIES).sum(-1).T
     return ab - log_half * a
@@ -233,7 +232,8 @@ def _k0_xk1(mu: float, x):
             # two (values, 27) arrays at a time, the rest in place
             terms = col + cosh
             np.divide(_U_WEIGHTS, np.sqrt(terms, out=terms), out=terms)
-            half = np.array([math.exp(-0.5 * v) for v in u[large].tolist()])
+            half = np.fromiter(map(math.exp, (-0.5 * u[large]).tolist()),
+                               float)
             k0[at][large] = terms.sum(-1) * half * half
             xk1[at][large] = (np.multiply(terms, cosh, out=cosh).sum(-1)
                               * half * half)
@@ -241,42 +241,71 @@ def _k0_xk1(mu: float, x):
 
 
 def _phi_shape(mu: float, x):
-    """f(u) = Phi(x) / x^2 at u = mu x <= 2 (x a 1-d array of positive
-    values): 2 Int_0^u K0 / u - 2 (1 - u K1(u))/u^2."""
-    _, one_minus_k1, int_k0 = _ascending(mu, x)
-    return 2.0 * int_k0 - 0.5 * one_minus_k1
+    """f(u) = Phi(x) / x^2, 2 Int_0^u K0 / u - 2 (1 - u K1(u))/u^2, and
+    K0(u) at u = mu x <= 2 (x a 1-d array of positive values), from one
+    `_ascending` call."""
+    k0, one_minus_k1, int_k0 = _ascending(mu, x)
+    return 2.0 * int_k0 - 0.5 * one_minus_k1, k0
 
 
-def _ki2(u: float) -> float:
-    """Bickley function Ki2(u) = Int_0^inf exp(-u cosh t) / cosh^2 t dt.
+def _ki2(u):
+    """Bickley function Ki2(u) = Int_0^inf exp(-u cosh t) / cosh^2 t dt at a
+    1-d array of u >= 0.
 
-    Ki2(u) = 1 - pi u/2 + u^2 f(u)/2; for u > 2 the trapezoid rule in t,
-    whose absolute error there is below 1e-16.  Past `_UNDERFLOW` every
-    node underflows to 0, and u cosh t could overflow.
+    Ki2(u) = 1 - pi u/2 + u^2 f(u)/2 up to u = 2, and Ki2(0) = 1; beyond,
+    the trapezoid rule in t, whose absolute error there is below 1e-16.
+    Past `_UNDERFLOW` every node underflows to 0, and u cosh t could
+    overflow.
     """
-    if u > _UNDERFLOW:
-        return 0.0
-    if u > 2.0:
-        nodes = np.array([math.exp(-u * c) for c in _KI2_COSH])
-        return float((nodes * _KI2_WEIGHTS).sum())
-    if not u:
-        return 1.0
-    return 1.0 - 0.5 * math.pi * u + 0.5 * u * u * float(
-        _phi_shape(1.0, np.array([u]))[0])
+    ki2 = np.where(u > 0.0, 0.0, 1.0)
+    small = (u > 0.0) & (u <= 2.0)
+    if small.any():
+        s = u[small]
+        ki2[small] = (1.0 - 0.5 * math.pi * s
+                      + 0.5 * s * s * _phi_shape(1.0, s)[0])
+    large = (u > 2.0) & (u <= _UNDERFLOW)
+    if large.any():
+        exponents = np.multiply.outer(-u[large], _KI2_COSH)
+        nodes = np.fromiter(map(math.exp, exponents.ravel().tolist()), float,
+                            exponents.size).reshape(exponents.shape)
+        ki2[large] = (nodes * _KI2_WEIGHTS).sum(-1)
+    return ki2
 
 
-def _overlap_phi(mu: float, rho: float, rest: float) -> float:
-    """4 pi D_phi at unit window length, Phi(rho+1) + Phi(rest) - 2 Phi(rho),
-    for rho = r/L <= 1 and rest = (L - r)/L."""
-    terms = ((1.0, rho + 1.0), (1.0, rest), (-2.0, rho))
-    if mu * (rho + 1.0) <= 2.0:
-        terms = [(c, x) for c, x in terms if x]
-        shapes = _phi_shape(mu, np.array([x for _, x in terms])).tolist()
-        return sum(c * x * x * f for (c, x), f in zip(terms, shapes))
-    # Phi(x) = pi x/mu - 2/mu^2 + 2 Ki2(mu x)/mu^2: the linear parts add up to
-    # 2 pi rest/mu exactly, so only the decaying Bickley parts are differenced
-    return (2.0 * math.pi * rest / mu
-            + 2.0 / (mu * mu) * sum(c * _ki2(mu * x) for c, x in terms))
+def _overlapping(mu: float, rho, rest) -> np.ndarray:
+    """D_phi and D_pi at unit window length, as the two rows of an array,
+    for overlapping window pairs: 1-d arrays rho = r/L <= 1 and rest =
+    (L - r)/L, at a finite mu; at D_pi's poles r = 0 and r = L a stand-in,
+    which `_pairs` replaces.  The second differences of the module
+    docstring: while mu (rho+1) <= 2 one `_ascending` call gives Phi's
+    shape f and K0 at all three points, beyond it `_ki2` and `_k0_xk1`.
+    Taken in blocks of 512 rows, as `_k0_xk1` takes its values, so a long
+    grid costs no more resident memory than a short one."""
+    unit = np.empty((2, rho.size))
+    signs = np.array([[1.0], [1.0], [-2.0]])
+    for lo in range(0, rho.size, 512):
+        at = slice(lo, lo + 512)
+        x = np.array([rho[at] + 1.0, rest[at], rho[at]])
+        # a term at x = 0 is 0, and its K0 is never used: rho + 1 stands in
+        inner = np.where(x > 0.0, x, x[0])
+        phi, k0 = np.empty(x.shape[1]), np.empty(x.shape)
+        small = mu * x[0] <= 2.0
+        if small.any():
+            shape, k0_small = _phi_shape(mu, inner[:, small].ravel())
+            k0[:, small] = k0_small.reshape(3, -1)
+            terms = signs * x[:, small] * x[:, small] * shape.reshape(3, -1)
+            phi[small] = terms[0] + terms[1] + terms[2]
+        large = ~small
+        if large.any():
+            ki2 = _ki2((mu * x[:, large]).ravel()).reshape(3, -1)
+            phi[large] = (2.0 * math.pi * x[1, large] / mu + 2.0 / (mu * mu)
+                          * (ki2[0] + ki2[1] - 2.0 * ki2[2]))
+            k0[:, large] = _k0_xk1(mu, inner[:, large].ravel())[0].reshape(
+                3, -1)
+        unit[0, at] = phi / (4.0 * math.pi)
+        unit[1, at] = ((2.0 * k0[2] - k0[0] - k0[1]) / (2.0 * math.pi)
+                       + mu * (mu * unit[0, at]))
+    return unit
 
 
 def _panel_counts(widths):
@@ -349,33 +378,6 @@ def _separated(mu: float, rho, gap) -> np.ndarray:
     return unit
 
 
-def _unit(spec: FieldRegionSpec, r: float,
-          lag: int = 1) -> tuple[float, float, float]:
-    """mu = m L, rho = lag r/L and gap = rho - 1: the mass, center distance
-    and gap at unit window length of two windows lag r apart.  rho is
-    lag (r/L), finite also where lag r overflows.  At lag 1 the gap is
-    (r - L)/L, one rounding from the truth also for nearly touching windows;
-    past it rho > 2, and rho - 1 loses nothing.  mu is inf where m L
-    overflows, and the callers then return their large-mass limits; where
-    m L underflows, or r/L overflows or underflows, QuadratureError."""
-    length = spec.length
-    mu, rho = spec.mass * length, lag * (r / length)
-    if mu < math.inf and not (mu > 0.0 and rho < math.inf
-                              and (rho > 0.0 or lag * r == 0.0)):
-        raise QuadratureError(
-            f"m L = {mu}, r/L = {rho} at m={spec.mass}, L={length}, "
-            f"r={lag * r} (floating-point range exceeded)")
-    return mu, rho, (r - length) / length if lag == 1 else rho - 1.0
-
-
-def _finite(value: float, name: str, spec: FieldRegionSpec, r: float) -> float:
-    if not math.isfinite(value):
-        raise QuadratureError(
-            f"{name} evaluated to {value} at m={spec.mass}, L={spec.length}, "
-            f"r={r} (floating-point range exceeded)")
-    return value
-
-
 def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     """Smeared field propagator D_phi at center distance `at`.
 
@@ -383,15 +385,7 @@ def d_phi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
     (the evaluation is a closed form, see the module docstring).
     """
     r = abs(_check_real("separation", at))
-    mu, rho, gap = _unit(spec, r)
-    if mu == math.inf:      # the large-mass limit (L - r)/(2 m L), 0 past L
-        return max(0.0, -gap) / spec.mass / 2.0
-    if gap > 0.0:
-        unit = float(_separated(mu, np.array([rho]),
-                                np.array([gap]))[0, 0]) / (2.0 * math.pi)
-    else:
-        unit = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
-    return _finite(spec.length * unit, "D_phi", spec, r)
+    return float(_pairs(spec, r, 1, (0,))[0, 0])
 
 
 def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
@@ -408,73 +402,74 @@ def d_pi(spec: FieldRegionSpec, at: float, tol: float | None = None) -> float:
         return math.inf
     if r == spec.length:
         return -math.inf
-    mu, rho, gap = _unit(spec, r)
-    if mu == math.inf:      # the large-mass limit m (L - r)/(2 L), 0 past L
-        return max(0.0, -gap) * spec.mass / 2.0
-    if gap > 0.0:
-        unit = float(_separated(mu, np.array([rho]),
-                                np.array([gap]))[1, 0]) / (2.0 * math.pi)
-    else:
-        at_r, at_sum, at_rest = _k0_xk1(
-            mu, np.array([rho, rho + 1.0, -gap]))[0].tolist()
-        contact = (2.0 * at_r - at_sum - at_rest) / (2.0 * math.pi)
-        phi = _overlap_phi(mu, rho, -gap) / (4.0 * math.pi)
-        unit = contact + mu * (mu * phi)
-    return _finite(unit / spec.length, "D_pi", spec, r)
+    return float(_pairs(spec, r, 1, (1,))[0, 0])
 
 
-def _pairs(spec: FieldRegionSpec, at, lags) -> np.ndarray:
+def _pairs(spec: FieldRegionSpec, at, lags, rows=(0, 1)) -> np.ndarray:
     """D_phi and D_pi of window pairs `lags` window spacings `at` apart, as
-    the two rows of an array: `at` (finite floats >= 0) and `lags` (ints
-    >= 1) are broadcast against each other.  Each value is the one `d_phi`
-    or `d_pi` gives at distance lags `at`, except that rho is lags (at/L),
-    so the distance need not fit a float.
+    the rows `rows` (0 for D_phi, 1 for D_pi) of an array: `at` finite
+    floats >= 0, `lags` an int >= 0 or an array of them in `at`'s shape,
+    lag 0 only at `at` = 0.  At unit window length rho is lags
+    (at/L) and the gap rho - 1, at lag 1 (at - L)/L, one rounding from the
+    truth also for nearly touching windows; past it rho > 2, and rho - 1
+    loses nothing.  D_pi is +inf at distance 0 and -inf at distance L.
 
-    The separated pairs take one `_separated` call, an overlapping one
-    (lag 1 only) `d_phi` and `d_pi`.  The first failing pair raises the
-    scalars' error, overlapping ones first: over the field command's rows,
-    an ascending `at` at lag 1, the first in order.  A NaN `at` would read
-    as overlapping, an inf one as past the float range."""
-    at, lags = np.broadcast_arrays(np.asarray(at, dtype=float), lags)
+    The first failing pair raises QuadratureError: where m L underflows,
+    or r/L overflows or underflows, otherwise where a value of `rows`
+    leaves the float range, D_phi before D_pi; so `d_phi` and `d_pi` each
+    refuse only their own value.  Over the field command's rows, an
+    ascending `at` at lag 1, that is the first in order."""
+    at = np.asarray(at, dtype=float).reshape(-1)
     length = spec.length
     mu = spec.mass * length
-    with np.errstate(over="ignore"):    # r/L past the float range
+    with np.errstate(over="ignore"):    # r/L or a value past the float range
         rho = lags * (at / length)
         gap = np.where(lags == 1, (at - length) / length, rho - 1.0)
-    values = np.zeros((2, at.size))     # the large-mass limit past L is 0
-    apart = gap > 0.0
-    for i in np.flatnonzero(~apart).tolist():
-        values[:, i] = d_phi(spec, at[i]), d_pi(spec, at[i])
-    if mu == math.inf:
-        return values
-    # apart, rho > 1, so only m L and rho can leave the range (see `_unit`)
-    ok = apart & (mu > 0.0) & (rho < math.inf)
-    if ok.any():
-        unit = _separated(mu, rho[ok], gap[ok]) / (2.0 * math.pi)
-        with np.errstate(over="ignore"):
-            values[:, ok] = length * unit[0], unit[1] / length
-    bad = apart & ~(ok & np.isfinite(values).all(0))
+        fits = (mu == math.inf) | ((mu > 0.0) & (rho < math.inf)
+                                   & ((rho > 0.0) | (at == 0.0)))
+        near, far = fits & (gap <= 0.0), fits & (gap > 0.0)
+        if mu == math.inf:  # (L - r)/(2 m L) and m (L - r)/(2 L), 0 past L
+            rest = np.maximum(-gap, 0.0) + 0.0
+            values = np.array([rest / spec.mass, rest * spec.mass]) / 2.0
+        else:
+            values = np.zeros((2, at.size))
+            if far.any():
+                values[:, far] = _separated(mu, rho[far], gap[far]) / (
+                    2.0 * math.pi)
+            values[:, near] = _overlapping(mu, rho[near], -gap[near])
+            values[0] *= length
+            values[1] /= length
+    finite = np.isfinite(values)
+    zero, touching = at == 0.0, gap == 0.0      # D_pi's poles, see `d_pi`
+    values[1, zero], values[1, touching] = math.inf, -math.inf
+    finite[1] |= zero | touching
+    bad = ~(fits & finite[list(rows)].all(0))
     if bad.any():
         i = int(np.argmax(bad))
-        r, lag = float(at[i]), int(lags[i])
-        _unit(spec, r, lag)
-        for value, name in zip(values[:, i].tolist(), ("D_phi", "D_pi")):
-            _finite(value, name, spec, lag * r)
-    return values
+        r = int(np.broadcast_to(lags, at.shape)[i]) * float(at[i])
+        if not fits[i]:
+            raise QuadratureError(
+                f"m L = {mu}, r/L = {float(rho[i])} at m={spec.mass}, "
+                f"L={length}, r={r} (floating-point range exceeded)")
+        row = next(q for q in rows if not finite[q, i])
+        raise QuadratureError(
+            f"{('D_phi', 'D_pi')[row]} evaluated to {float(values[row, i])} "
+            f"at m={spec.mass}, L={length}, r={r} "
+            f"(floating-point range exceeded)")
+    return values[list(rows)]
 
 
 def field_covariance(spec: FieldRegionSpec) -> CollectiveCovariance:
     """Collective covariance of the two parties: single-window propagators
     summed over center distances l r, as many as `blocks.subblock_pairs`
     counts ordered window pairs l apart: (A, A) at even l, (A, B) at odd l.
-    The lag-0 term is D(0); every lag from 1 on is one `_pairs` call, at
+    All lags take one `_pairs` call, lag 0 at distance 0 and lag l at
     l (r/L), so l r need not fit a float.
     A 1/sqrt(windows L) norm per collective operator keeps [Q, P] = i: the
     vacuum product stays 1/4."""
     w = spec.windows
-    at_zero = d_phi(spec, 0.0), d_pi(spec, 0.0)
-    per_lag = np.column_stack([at_zero, _pairs(spec, spec.separation,
-                                               np.arange(1, 2 * w))])
+    lags = np.arange(2 * w)
+    per_lag = _pairs(spec, np.where(lags, spec.separation, 0.0), lags)
     # every count is positive, since 0 * D_pi(0) = 0 * inf is NaN
     g, h = (subblock_pairs(w) * per_lag).tolist()
     return CollectiveCovariance(

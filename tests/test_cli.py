@@ -383,6 +383,22 @@ class TestFieldCommand:
         assert calls == [40]
         assert capsys.readouterr().out.count("\n") == 2 + 43
 
+    def test_one_overlapping_window_evaluation_per_grid(self, capsys,
+                                                        monkeypatch):
+        calls = []
+        original = field._overlapping
+
+        def counted(mu, rho, rest):
+            calls.append(rho.size)
+            return original(mu, rho, rest)
+
+        monkeypatch.setattr(field, "_overlapping", counted)
+        assert run(["field", "--mass", "1", "--length", "1",
+                    "--r", "0,0.5,1,1.05..20:40"]) == 0
+        # D_phi(0), then every separation up to L in one call
+        assert calls == [1, 3]
+        assert capsys.readouterr().out.count("\n") == 2 + 43
+
     def test_refusal_takes_no_work_per_row(self, capsys, monkeypatch):
         # a grid refused at its last row takes one pass over the rows
         # before it, not one evaluation per row

@@ -60,15 +60,20 @@ class TestPropagators:
             func(spec(), at)
 
     def test_overflow_is_a_numerical_failure(self):
-        # D_pi grows like 1/L as m L -> 0 and leaves the float range here
-        with pytest.raises(QuadratureError):
+        # D_pi grows like 1/L as m L -> 0 and leaves the float range here;
+        # D_phi is refused for its own value alone, which fits
+        with pytest.raises(QuadratureError, match="^D_pi evaluated to -inf "):
             d_pi(spec(mass=1.0, length=1e-310), 2e-310)
+        assert d_phi(spec(mass=1.0, length=1e-310),
+                     2e-310) == 1.135166494217576e-308
 
     @pytest.mark.parametrize("mass,length", [(1e-200, 1e-200)])
     def test_unit_mass_out_of_range_is_a_numerical_failure(self, mass, length):
-        # the propagators are evaluated at m L, which underflows
-        with pytest.raises(QuadratureError):
+        # the propagators are evaluated at m L, which underflows; D_pi's
+        # pole at r = 0 takes no evaluation
+        with pytest.raises(QuadratureError, match="^m L = 0.0, r/L = 0.0 "):
             d_phi(spec(mass, length), 0.0)
+        assert d_pi(spec(mass, length), 0.0) == math.inf
 
     @pytest.mark.parametrize("mass,length", [
         (1e200, 1e200), (1e300, 1e10), (3.0, 1e308)])
@@ -334,7 +339,7 @@ class TestBesselFunctions:
 
     def test_bickley_ki2(self, mp):
         # absolute accuracy, which is what the overlap's differences need
-        for x in BESSEL_POINTS:
+        for x, got in zip(BESSEL_POINTS, _ki2(np.array(BESSEL_POINTS))):
             x_mp = mp.mpf(x)
             if x <= 2.0:    # Ki2 = x (K1 - Ki1), Ki1 = pi/2 - Int_0^x K0
                 want = x_mp * (mp.besselk(1, x_mp) - mp.pi / 2
@@ -343,7 +348,7 @@ class TestBesselFunctions:
                 want = mp.exp(-x_mp) * mp.quad(
                     lambda u: mp.exp(-u * u) * 2 / mp.sqrt(2 * x_mp + u * u)
                     * (x_mp / (x_mp + u * u))**2, [0, 1, 3, mp.inf])
-            assert _ki2(x) == pytest.approx(float(want), rel=0.0, abs=2e-16)
+            assert got == pytest.approx(float(want), rel=0.0, abs=2e-16)
 
     def test_overlap_accuracy(self, mp):
         # the overlap branch's series: formerly 1.1e-14 off with iti0k0
@@ -496,6 +501,21 @@ class TestOneEvaluation:
         cov = field_covariance(s)
         assert bits([cov.g_diag, cov.g_cross, cov.h_diag, cov.h_cross]) == \
             bits([g, g_ab, h, h_ab])
+
+    @given(mass=masses | st.just(1e305), length=lengths,
+           units=st.lists(overlapping | touching | far, max_size=12))
+    @example(mass=1e-3, length=1.0, units=[0.5, 1.5])   # mu (rho+1) <= 2
+    @example(mass=1e3, length=1.0, units=[0.5, 1.5])    # Ki2 differences
+    @example(mass=1e305, length=2.0**20, units=[0.5, 1.5])  # m L overflows
+    @settings(max_examples=60, deadline=None)
+    def test_a_grid_is_its_pairs_one_at_a_time(self, mass, length, units):
+        # the overlapping pairs of both branches, both poles of D_pi and the
+        # large-mass limit, each evaluated with the others or alone
+        s = spec(mass, length)
+        at = sorted({0.0, length, math.nextafter(length, 0.0)}
+                    | {u * length for u in units})
+        assert bits(chainent.field._pairs(s, at, 1).ravel()) == bits(
+            [d_phi(s, r) for r in at] + [d_pi(s, r) for r in at])
 
     @given(mass=masses, length=lengths,
            units=st.lists(overlapping | touching | far, min_size=1,

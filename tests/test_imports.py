@@ -169,6 +169,17 @@ def test_a_layout_of_many_subblocks_makes_its_spikes_a_run_at_a_time():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_a_field_grid_of_overlapping_windows_stays_small():
+    # 10^5 overlapping rows are evaluated 512 at a time, so the process
+    # peaks near 85 MiB, as a loop over the rows did; all of them at once
+    # would take it near 294 MiB
+    assert peak_kib(
+        "import os\nfrom chainent import cli\n"
+        "cli.main(['field', '--mass', '1', '--length', '1', '--r',\n"
+        "          '0..1:100000', '--out', os.devnull])") < 107 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 def test_a_sweep_of_the_largest_grid_stays_small():
     # 10^5 rows: the moments hold a few arrays of `MOMENT_CHUNK` floats at
     # a time, so the CSV text sets the peak, near 101 MiB
